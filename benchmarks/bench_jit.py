@@ -1,20 +1,15 @@
-"""Superblock JIT: host wall-time speedup at bit-identical cycles.
+"""Superblock JIT: bit-identical simulated cycles on the fast paths.
 
 Not a paper figure — this gates the ISSUE 8 trace-JIT contract on the
-figure 5/6 fast paths (domU-twin tx and rx):
+figure 5/6 fast paths (domU-twin tx and rx): the **simulated**
+per-category cycle movement over the measured window is bit-identical
+with ``jit`` on and off, and the JIT actually compiles and enters
+superblocks there. The cycle metrics are deterministic and gated
+tightly against ``benchmarks/baselines/jit.json``.
 
-* the **simulated** per-category cycle movement over the measured
-  window is bit-identical with ``jit`` on and off, and
-* the **host** wall time spent inside the interpreter
-  (``cpu.call_function``) drops by at least 2x.
-
-Wall-clock metrics carry ``host``/``seconds`` in their names so the
-perf gate (``check_results.py --gate``) skips them; the cycle metrics
-are deterministic and gated tightly against
-``benchmarks/baselines/jit.json``.
+Host speed is not measured here: ``python -m benchmarks.perf`` measures
+it end to end, with repeated calibrated runs.
 """
-
-from time import perf_counter
 
 import pytest
 
@@ -24,82 +19,46 @@ from .common import header, report
 
 WARMUP = 192      # deep enough that every hot head compiles before the
 PACKETS = 384     # measured window opens (threshold 16, rx included)
-MIN_SPEEDUP = 2.0
 
 
 def _run_direction(direction, jit):
     system = build("domU-twin", n_nics=1, jit=jit)
-    cpu = system.machine.cpu
-    inner = cpu.call_function
-    box = {"t": 0.0, "depth": 0}
-
-    def timed(*args, **kwargs):
-        # nested invocations (natives re-entering model code) are already
-        # inside the outer timing window: count only the outermost frame
-        if box["depth"]:
-            return inner(*args, **kwargs)
-        box["depth"] += 1
-        t0 = perf_counter()
-        try:
-            return inner(*args, **kwargs)
-        finally:
-            box["t"] += perf_counter() - t0
-            box["depth"] -= 1
-
-    cpu.call_function = timed
     op = (system.transmit_packets if direction == "tx"
           else system.receive_packets)
     done = op(WARMUP)
     if done < WARMUP:
         raise RuntimeError(f"only {done}/{WARMUP} warmup packets flowed")
-    box["t"] = 0.0
     snap = system.machine.account.snapshot()
     done = op(PACKETS)
     if done < PACKETS:
         raise RuntimeError(f"only {done}/{PACKETS} packets flowed")
     moved = system.machine.account.delta_since(snap)
-    return box["t"], moved, cpu.jit_stats()
-
-
-def _measure(direction):
-    """(wall off, wall on, cycles off, cycles on, jit stats); best of
-    two trials on the wall ratio, since the host is not idle in CI."""
-    best = None
-    for _ in range(2):
-        off_wall, off_cycles, _ = _run_direction(direction, jit=False)
-        on_wall, on_cycles, stats = _run_direction(direction, jit=True)
-        trial = (off_wall, on_wall, off_cycles, on_cycles, stats)
-        if best is None or (off_wall / on_wall
-                            > best[0] / best[1]):
-            best = trial
-        if best[0] / best[1] >= MIN_SPEEDUP:
-            break
-    return best
+    return moved, system.machine.cpu.jit_stats()
 
 
 def run_jit_comparison():
-    return {direction: _measure(direction) for direction in ("tx", "rx")}
+    """direction -> (cycles off, cycles on, jit stats)."""
+    results = {}
+    for direction in ("tx", "rx"):
+        off_cycles, _ = _run_direction(direction, jit=False)
+        on_cycles, stats = _run_direction(direction, jit=True)
+        results[direction] = (off_cycles, on_cycles, stats)
+    return results
 
 
 @pytest.mark.benchmark(group="jit")
-def test_jit_speedup(benchmark):
+def test_jit_cycles(benchmark):
     results = benchmark.pedantic(run_jit_comparison, rounds=1, iterations=1)
-    lines = list(header("Superblock JIT: interpreter wall time (ms)",
+    lines = list(header("Superblock JIT: simulated cycles per packet",
                         paper_col="jit off", meas_col="jit on"))
     metrics, obs = {}, {}
-    for direction, (off_wall, on_wall, off_cycles, on_cycles,
-                    stats) in results.items():
-        speedup = off_wall / on_wall
+    for direction, (off_cycles, on_cycles, stats) in results.items():
+        off_total = sum(off_cycles.values()) / PACKETS
+        on_total = sum(on_cycles.values()) / PACKETS
         lines.append(f"  {'domU-twin ' + direction:34s} "
-                     f"{off_wall * 1e3:>10.1f}   {on_wall * 1e3:>10.1f} ms"
-                     f"   ({speedup:.2f}x)")
-        metrics[f"{direction}_host_wall_off_seconds"] = off_wall
-        metrics[f"{direction}_host_wall_on_seconds"] = on_wall
-        metrics[f"{direction}_host_speedup"] = speedup
-        # deterministic and gated: the measured-window cycle movement,
-        # identical by contract between the two modes
-        total = sum(off_cycles.values())
-        metrics[f"{direction}_cycles_per_packet"] = total / PACKETS
+                     f"{off_total:>10.1f}   {on_total:>10.1f}"
+                     f"   ({stats['entries']} superblock entries)")
+        metrics[f"{direction}_cycles_per_packet"] = off_total
         for category, cycles in sorted(off_cycles.items()):
             if cycles:
                 metrics[f"{direction}_cycles_{category}"] = cycles
@@ -111,17 +70,12 @@ def test_jit_speedup(benchmark):
                  "(asserted)")
     report("jit", lines, metrics=metrics,
            config={"config": "domU-twin", "packets": PACKETS,
-                   "warmup": WARMUP, "nics": 1,
-                   "min_speedup": MIN_SPEEDUP},
+                   "warmup": WARMUP, "nics": 1},
            obs=obs)
 
-    for direction, (off_wall, on_wall, off_cycles, on_cycles,
-                    stats) in results.items():
+    for direction, (off_cycles, on_cycles, stats) in results.items():
         assert off_cycles == on_cycles, (
             f"{direction}: simulated cycles diverged between "
             f"interpreter and JIT: {off_cycles} vs {on_cycles}")
         assert stats["compiles"] >= 1
         assert stats["entries"] > 0
-        assert off_wall / on_wall >= MIN_SPEEDUP, (
-            f"{direction}: JIT speedup {off_wall / on_wall:.2f}x "
-            f"below the {MIN_SPEEDUP}x bar")

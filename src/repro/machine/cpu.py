@@ -17,7 +17,8 @@ Everything the paper's mechanisms rely on is modelled for real:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from struct import Struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..metrics.cycles import CycleAccount
@@ -28,7 +29,7 @@ from ..isa.operands import Imm, Label, Mem, Reg
 from ..isa.program import Program
 from ..isa.registers import SUBREGISTERS
 from .jit import JitState, compile_superblock
-from .memory import PhysicalMemory
+from .memory import OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 from .paging import AddressSpace
 
 #: Return-address sentinel that terminates an invocation from Python.
@@ -37,6 +38,13 @@ SENTINEL_RETURN = 0xDEAD0000
 NATIVE_BASE = 0xFFF00000
 
 MASK32 = 0xFFFFFFFF
+
+#: little-endian accessors for the RAM fast path of ``read_mem`` and
+#: ``write_mem`` (one struct call on the frame bytearray).
+_U16 = Struct("<H").unpack_from
+_U32 = Struct("<I").unpack_from
+_P16 = Struct("<H").pack_into
+_P32 = Struct("<I").pack_into
 
 
 class ExecutionFault(Exception):
@@ -52,7 +60,7 @@ class UnresolvedSymbol(Exception):
     """An operand still carries a symbol at execution time: loader bug."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstructionCosts:
     """Per-class cycle costs charged by the interpreter.
 
@@ -61,6 +69,9 @@ class InstructionCosts:
     the *ratio* between the rewritten and native driver (paper: 2-3x)
     emerges from instruction counts, while the absolute scale is set so
     the native e1000 transmit path costs ~960 cycles/packet (figure 7).
+
+    Frozen: ``Cpu.scaled`` holds a pre-scaled copy, so an edit in place
+    would leave the charged values stale.
     """
 
     alu: int = 1
@@ -77,6 +88,13 @@ class InstructionCosts:
     mmio: int = 120
     string_per_unit: int = 2
     native_call: int = 12
+
+    def scaled(self, scale: float) -> "InstructionCosts":
+        """Every cost multiplied by ``scale`` and rounded on its own:
+        the value one charge of that class adds to the account."""
+        return replace(self, **{f.name: int(round(getattr(self, f.name)
+                                                  * scale))
+                                for f in fields(self)})
 
 
 class NativeRoutine:
@@ -307,7 +325,7 @@ class Cpu:
         self.code = code
         self.natives = natives
         self.account = account
-        self.costs = costs or InstructionCosts()
+        self._costs = costs or InstructionCosts()
         self.regs: Dict[str, int] = {
             r: 0 for r in
             ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi")
@@ -321,7 +339,8 @@ class Cpu:
         self.max_steps_per_call = 5_000_000
         #: virtual-address ranges treated as cache-hot (stacks, stlb).
         self.hot_ranges: List[Tuple[int, int]] = []
-        #: multiplies interpreter cycle charges (driver-speed calibration).
+        #: multiplies interpreter cycle charges (driver-speed calibration);
+        #: setting it also sets ``scaled``.
         self.cycle_scale = 1.0
         #: bumped whenever the hypervisor rotates the active vCPU; JIT
         #: superblock world guards compare it so a mid-trace vCPU change
@@ -348,6 +367,21 @@ class Cpu:
     # -- accounting ----------------------------------------------------------
 
     @property
+    def costs(self) -> InstructionCosts:
+        return self._costs
+
+    @property
+    def cycle_scale(self) -> float:
+        return self._cycle_scale
+
+    @cycle_scale.setter
+    def cycle_scale(self, scale: float):
+        self._cycle_scale = scale
+        #: the pre-scaled cost table every interpreter charge (and every
+        #: JIT-compiled constant) takes its value from.
+        self.scaled = self._costs.scaled(scale)
+
+    @property
     def category(self) -> str:
         return self._category[-1]
 
@@ -358,10 +392,6 @@ class Cpu:
         if len(self._category) == 1:
             raise RuntimeError("category stack underflow")
         self._category.pop()
-
-    def charge(self, cycles: float, category: Optional[str] = None):
-        self.account.charge(category or self.category,
-                            int(round(cycles * self.cycle_scale)))
 
     def charge_raw(self, cycles: int, category: Optional[str] = None):
         """Charge un-scaled cycles (used by modelled kernel costs)."""
@@ -408,28 +438,66 @@ class Cpu:
         if (lo, hi) not in self.hot_ranges:
             self.hot_ranges.append((lo, hi))
 
-    def _mem_cost(self, vaddr: int) -> int:
-        for lo, hi in self.hot_ranges:
-            if lo <= vaddr < hi:
-                return self.costs.mem_hot
-        return self.costs.mem
+    # ``read_mem``/``write_mem`` translate once, price the access (MMIO,
+    # else hot or cold RAM by ``hot_ranges``) with one charge, and serve
+    # a RAM access inside one page straight from the frame bytearray.
+    # MMIO, page-crossing accesses and unallocated frames (BusError) go
+    # through ``_phys_access``. The MMIO test reads the per-page region
+    # cache first: ``()`` means the page has no region at all.
 
     def read_mem(self, vaddr: int, size: int) -> int:
         vaddr &= MASK32
         paddr = self.address_space.translate(vaddr)
-        if self.phys.mmio_region_at(paddr) is not None:
-            self.charge(self.costs.mmio)
-        else:
-            self.charge(self._mem_cost(vaddr))
+        phys = self.phys
+        page = paddr >> PAGE_SHIFT
+        if (phys._mmio_pages.get(page) != ()
+                and phys.mmio_region_at(paddr) is not None):
+            self.account.charge(self._category[-1], self.scaled.mmio)
+            return self._phys_access(paddr, vaddr, size, None)
+        cost = self.scaled.mem
+        for lo, hi in self.hot_ranges:
+            if lo <= vaddr < hi:
+                cost = self.scaled.mem_hot
+                break
+        self.account.charge(self._category[-1], cost)
+        offset = paddr & OFFSET_MASK
+        if offset + size <= PAGE_SIZE:
+            data = phys._frames.get(page)
+            if data is not None:
+                if size == 4:
+                    return _U32(data, offset)[0]
+                if size == 1:
+                    return data[offset]
+                return _U16(data, offset)[0]
         return self._phys_access(paddr, vaddr, size, None)
 
     def write_mem(self, vaddr: int, size: int, value: int):
         vaddr &= MASK32
         paddr = self.address_space.translate(vaddr, write=True)
-        if self.phys.mmio_region_at(paddr) is not None:
-            self.charge(self.costs.mmio)
-        else:
-            self.charge(self._mem_cost(vaddr))
+        phys = self.phys
+        page = paddr >> PAGE_SHIFT
+        if (phys._mmio_pages.get(page) != ()
+                and phys.mmio_region_at(paddr) is not None):
+            self.account.charge(self._category[-1], self.scaled.mmio)
+            self._phys_access(paddr, vaddr, size, value)
+            return
+        cost = self.scaled.mem
+        for lo, hi in self.hot_ranges:
+            if lo <= vaddr < hi:
+                cost = self.scaled.mem_hot
+                break
+        self.account.charge(self._category[-1], cost)
+        offset = paddr & OFFSET_MASK
+        if offset + size <= PAGE_SIZE:
+            data = phys._frames.get(page)
+            if data is not None:
+                if size == 4:
+                    _P32(data, offset, value & MASK32)
+                elif size == 1:
+                    data[offset] = value & 0xFF
+                else:
+                    _P16(data, offset, value & 0xFFFF)
+                return
         self._phys_access(paddr, vaddr, size, value)
 
     def _phys_access(self, paddr: int, vaddr: int, size: int,
@@ -448,49 +516,6 @@ class Cpu:
             return self.phys.read(paddr, size)
         self.phys.write(paddr, size, value)
         return None
-
-    # -- operand evaluation ----------------------------------------------------------
-
-    def effective_address(self, mem: Mem) -> int:
-        if mem.symbol is not None:
-            raise UnresolvedSymbol(
-                f"unresolved data symbol {mem.symbol!r} at execution"
-            )
-        addr = mem.disp
-        if mem.base is not None:
-            addr += self.get_reg(mem.base)
-        if mem.index is not None:
-            addr += self.get_reg(mem.index) * mem.scale
-        return addr & MASK32
-
-    def read_operand(self, op, size: int) -> int:
-        if isinstance(op, Imm):
-            if op.symbol is not None:
-                raise UnresolvedSymbol(
-                    f"unresolved immediate symbol {op.symbol!r}"
-                )
-            return op.value & ((1 << (size * 8)) - 1)
-        if isinstance(op, Reg):
-            return self.get_reg(op.name) & ((1 << (size * 8)) - 1)
-        if isinstance(op, Mem):
-            return self.read_mem(self.effective_address(op), size)
-        raise ExecutionFault(f"cannot read operand {op!r}")
-
-    def write_operand(self, op, size: int, value: int):
-        if isinstance(op, Reg):
-            if size == 4 or op.name not in self.regs:
-                self.set_reg(op.name, value & ((1 << (size * 8)) - 1))
-            else:
-                # e.g. "movb $1, %eax" is rejected at parse; partial writes
-                # to full registers only happen via sub-register names.
-                masked = value & ((1 << (size * 8)) - 1)
-                current = self.regs[op.name]
-                self.regs[op.name] = (current & ~((1 << (size * 8)) - 1)) | masked
-            return
-        if isinstance(op, Mem):
-            self.write_mem(self.effective_address(op), size, value)
-            return
-        raise ExecutionFault(f"cannot write operand {op!r}")
 
     # -- flags ------------------------------------------------------------------------
 
@@ -525,23 +550,6 @@ class Cpu:
         self.flags["of"] = False
         self._set_zsf(r, size)
         return r & ((1 << (size * 8)) - 1)
-
-    def condition(self, cc: str) -> bool:
-        f = self.flags
-        return {
-            "je": f["zf"], "jz": f["zf"],
-            "jne": not f["zf"], "jnz": not f["zf"],
-            "jl": f["sf"] != f["of"],
-            "jge": f["sf"] == f["of"],
-            "jle": f["zf"] or (f["sf"] != f["of"]),
-            "jg": (not f["zf"]) and f["sf"] == f["of"],
-            "jb": f["cf"],
-            "jae": not f["cf"],
-            "jbe": f["cf"] or f["zf"],
-            "ja": not (f["cf"] or f["zf"]),
-            "js": f["sf"],
-            "jns": not f["sf"],
-        }[cc]
 
     def flags_word(self) -> int:
         f = self.flags
@@ -606,10 +614,31 @@ class Cpu:
         if self.jit_enabled:
             self._run_loop_jit()
             return
+        # ``step()``, inlined: the program of the last fetch is kept in
+        # locals and re-resolved only on a registry change or on leaving
+        # its address range
         budget = self.max_steps_per_call
+        code = self.code
         steps = 0
-        while self.eip != SENTINEL_RETURN:
-            self.step()
+        loaded = None
+        epoch = -1
+        while True:
+            eip = self.eip
+            if eip == SENTINEL_RETURN:
+                return
+            index = None
+            if epoch == code.epoch and loaded.base <= eip < loaded.end:
+                index = loaded.addr_to_index.get(eip)
+            if index is None:
+                loaded, index = code.lookup(eip)
+                epoch = code.epoch
+                self._prog_cache = (loaded, epoch)
+            self.executed += 1
+            self.eip = loaded.next_addrs[index]
+            handler = loaded.handlers[index]
+            if handler is None:
+                handler = _handler_for(loaded, index)
+            handler(self)
             steps += 1
             if steps > budget:
                 raise CpuBudgetExceeded(
@@ -684,7 +713,7 @@ class Cpu:
         if profiled:
             prof.push_phase("native:" + routine.name)
         try:
-            self.charge(self.costs.native_call)
+            self.account.charge(self._category[-1], self.scaled.native_call)
             if routine.cost:
                 self.charge_raw(routine.cost, routine.category)
             if routine.category is not None:
@@ -704,6 +733,8 @@ class Cpu:
     # -- the interpreter ---------------------------------------------------------------
 
     def step(self):
+        """Execute one instruction: the reference semantics the JIT
+        dispatcher falls back to (``_run_loop`` inlines the same body)."""
         eip = self.eip
         cache = self._prog_cache
         index = None
@@ -722,183 +753,18 @@ class Cpu:
         handler(self)
 
     def jit_stats(self) -> Dict[str, int]:
-        """Aggregate superblock statistics across cached programs (from
-        the current prog-cache; compile counters are CPU-lifetime)."""
+        """Superblock statistics summed over every registered program
+        (compile counters are CPU-lifetime)."""
         stats = {"compiles": self.jit_compiles,
                  "blacklisted": self.jit_blacklisted,
                  "superblocks": 0, "entries": 0}
-        cache = self._prog_cache
-        if cache is not None and cache[0]._jit is not None:
-            for sb in cache[0]._jit.superblocks.values():
-                if sb:
-                    stats["superblocks"] += 1
-                    stats["entries"] += sb.entries
+        for loaded in self.code._programs:
+            if loaded._jit is not None:
+                for sb in loaded._jit.superblocks.values():
+                    if sb:
+                        stats["superblocks"] += 1
+                        stats["entries"] += sb.entries
         return stats
-
-    def _branch_target(self, instr: Instruction, loaded: LoadedProgram,
-                       index: int) -> int:
-        if instr.indirect:
-            op = instr.operands[0]
-            if isinstance(op, Reg):
-                return self.get_reg(op.name)
-            if isinstance(op, Mem):
-                self.charge(self.costs.mem)
-                return self.read_mem(self.effective_address(op), 4)
-            raise ExecutionFault("bad indirect target operand")
-        return loaded.targets[index]
-
-    def _execute(self, instr: Instruction, loaded: LoadedProgram, index: int):
-        m = instr.mnemonic
-        size = instr.size
-        costs = self.costs
-        self.charge(costs.alu)
-
-        if m == "nop" or m in ("cld", "std", "sti", "cli"):
-            if m == "cld":
-                self.df = False
-            elif m == "std":
-                self.df = True
-            return
-        if m in ("int3", "ud2", "hlt"):
-            raise ExecutionFault(f"{m} executed at {loaded.name}[{index}]")
-
-        if m == "mov":
-            value = self.read_operand(instr.src, size)
-            self.write_operand(instr.dst, size, value)
-            return
-        if m in ("movzb", "movzw"):
-            value = self.read_operand(instr.src, size)
-            self.write_operand(instr.dst, 4, value)
-            return
-        if m == "movsx":
-            value = self.read_operand(instr.src, size)
-            bits = size * 8
-            if value & (1 << (bits - 1)):
-                value |= MASK32 ^ ((1 << bits) - 1)
-            self.write_operand(instr.dst, 4, value)
-            return
-        if m == "lea":
-            self.write_operand(instr.dst, 4,
-                               self.effective_address(instr.src))
-            return
-        if m == "xchg":
-            a = self.read_operand(instr.src, size)
-            b = self.read_operand(instr.dst, size)
-            self.write_operand(instr.src, size, b)
-            self.write_operand(instr.dst, size, a)
-            return
-
-        if m in ("add", "sub", "and", "or", "xor", "imul", "cmp", "test"):
-            a = self.read_operand(instr.dst, size)
-            b = self.read_operand(instr.src, size)
-            if m == "add":
-                r = self._flags_add(a, b, size)
-            elif m in ("sub", "cmp"):
-                r = self._flags_sub(a, b, size)
-            elif m in ("and", "test"):
-                r = self._flags_logic(a & b, size)
-            elif m == "or":
-                r = self._flags_logic(a | b, size)
-            elif m == "xor":
-                r = self._flags_logic(a ^ b, size)
-            else:  # imul
-                full = a * b
-                r = full & ((1 << (size * 8)) - 1)
-                self.flags["cf"] = self.flags["of"] = full != r
-                self._set_zsf(r, size)
-            if m not in ("cmp", "test"):
-                self.write_operand(instr.dst, size, r)
-            return
-
-        if m in ("shl", "shr", "sar"):
-            count = self.read_operand(instr.src, 1) & 0x1F
-            value = self.read_operand(instr.dst, size)
-            bits = size * 8
-            if count == 0:
-                return
-            if m == "shl":
-                r = value << count
-                self.flags["cf"] = bool(r & (1 << bits))
-                r &= (1 << bits) - 1
-            elif m == "shr":
-                self.flags["cf"] = bool((value >> (count - 1)) & 1)
-                r = value >> count
-            else:  # sar
-                sign = value & (1 << (bits - 1))
-                v = value
-                for _ in range(count):
-                    v = (v >> 1) | sign
-                self.flags["cf"] = bool((value >> (count - 1)) & 1)
-                r = v & ((1 << bits) - 1)
-            self.flags["of"] = False
-            self._set_zsf(r, size)
-            self.write_operand(instr.dst, size, r)
-            return
-
-        if m in ("inc", "dec", "neg", "not"):
-            value = self.read_operand(instr.dst, size)
-            cf = self.flags["cf"]
-            if m == "inc":
-                r = self._flags_add(value, 1, size)
-                self.flags["cf"] = cf  # inc/dec preserve CF
-            elif m == "dec":
-                r = self._flags_sub(value, 1, size)
-                self.flags["cf"] = cf
-            elif m == "neg":
-                r = self._flags_sub(0, value, size)
-            else:
-                r = (~value) & ((1 << (size * 8)) - 1)
-            self.write_operand(instr.dst, size, r)
-            return
-
-        if m == "push":
-            self.push(self.read_operand(instr.src, 4))
-            return
-        if m == "pop":
-            self.write_operand(instr.dst, 4, self.pop())
-            return
-        if m == "pushf":
-            self.push(self.flags_word())
-            return
-        if m == "popf":
-            self.set_flags_word(self.pop())
-            return
-
-        if m == "call":
-            self.charge(costs.call)
-            target = self._branch_target(instr, loaded, index)
-            routine = self.natives.by_addr.get(target)
-            if routine is not None:
-                self.push(self.eip)
-                self._invoke_native(routine)
-                return
-            self.push(self.eip)
-            self.eip = target
-            return
-        if m == "ret":
-            self.charge(costs.ret)
-            self.eip = self.pop()
-            return
-        if m == "jmp":
-            target = self._branch_target(instr, loaded, index)
-            routine = self.natives.by_addr.get(target)
-            if routine is not None:
-                # Tail call into a native routine: return address is the
-                # caller's, already on the stack.
-                self._invoke_native(routine)
-                return
-            self.eip = target
-            return
-        if instr.is_conditional:
-            if self.condition(m):
-                self.eip = loaded.targets[index]
-            return
-
-        if instr.is_string:
-            self._execute_string(instr)
-            return
-
-        raise ExecutionFault(f"unimplemented mnemonic {m!r}")  # pragma: no cover
 
     # -- string instructions ----------------------------------------------------------
 
@@ -936,11 +802,13 @@ class Cpu:
 
     def _execute_string(self, instr: Instruction):
         if instr.prefix is None:
-            self.charge(self.costs.string_per_unit)
+            self.account.charge(self._category[-1],
+                                self.scaled.string_per_unit)
             self._string_element(instr)
             return
         while self.regs["ecx"] != 0:
-            self.charge(self.costs.string_per_unit)
+            self.account.charge(self._category[-1],
+                                self.scaled.string_per_unit)
             zf = self._string_element(instr)
             self.regs["ecx"] = (self.regs["ecx"] - 1) & MASK32
             if instr.prefix == "repe" and not zf:
@@ -953,13 +821,13 @@ class Cpu:
 # Instruction dispatch cache
 # ---------------------------------------------------------------------------
 #
-# ``step()`` used to re-dispatch every instruction on its mnemonic string
-# (a chain of comparisons plus a per-call condition-table rebuild). The
-# compiler below turns each instruction into a specialized closure — the
-# mnemonic test, operand decoding and branch-target resolution happen once,
-# at first execution, and the closure is cached on the LoadedProgram keyed
-# by instruction index. Cycle accounting is bit-identical to ``_execute``:
-# the same ``charge`` calls happen in the same order with the same values.
+# The compiler below turns each instruction into a specialized closure —
+# the mnemonic test, operand decoding and branch-target resolution happen
+# once, at first execution, and the closure is cached on the LoadedProgram
+# keyed by instruction index. These closures *are* the instruction
+# semantics: ``step()`` runs them, and the superblock JIT must reproduce
+# their effects and their charges (one ``account.charge`` per cost item,
+# in order, valued from ``cpu.scaled``) bit for bit.
 
 #: full (32-bit) register names — sub-register access goes through
 #: get_reg/set_reg, full registers are read/written directly.
@@ -1014,17 +882,24 @@ def _ea_thunk(mem: Mem) -> Callable[[Cpu], int]:
     if base is None and index is None:
         addr = disp & MASK32
         return lambda cpu: addr
+    if not {base, index} <= _FULL_REGS | {None}:
+        # a sub-register address component (rare): the general form
+        return lambda cpu: (
+            (cpu.get_reg(base) if base is not None else 0)
+            + (cpu.get_reg(index) * scale if index is not None else 0)
+            + disp
+        ) & MASK32
     if index is None:
-        return lambda cpu: (cpu.get_reg(base) + disp) & MASK32
+        return lambda cpu: (cpu.regs[base] + disp) & MASK32
     if base is None:
-        return lambda cpu: (cpu.get_reg(index) * scale + disp) & MASK32
+        return lambda cpu: (cpu.regs[index] * scale + disp) & MASK32
     return lambda cpu: (
-        cpu.get_reg(base) + cpu.get_reg(index) * scale + disp
+        cpu.regs[base] + cpu.regs[index] * scale + disp
     ) & MASK32
 
 
 def _read_thunk(op, size: int) -> Callable[[Cpu], int]:
-    """Compile an operand read (mirrors ``Cpu.read_operand``)."""
+    """Compile an operand read."""
     mask = (1 << (size * 8)) - 1
     if isinstance(op, Imm):
         if op.symbol is not None:
@@ -1052,7 +927,8 @@ def _read_thunk(op, size: int) -> Callable[[Cpu], int]:
 
 
 def _write_thunk(op, size: int) -> Callable[[Cpu, int], None]:
-    """Compile an operand write (mirrors ``Cpu.write_operand``)."""
+    """Compile an operand write. A sub-word write to a full register
+    name keeps the register's upper bits."""
     mask = (1 << (size * 8)) - 1
     if isinstance(op, Reg):
         name = op.name
@@ -1083,7 +959,8 @@ def _write_thunk(op, size: int) -> Callable[[Cpu, int], None]:
 
 def _target_thunk(instr: Instruction, loaded: LoadedProgram,
                   index: int) -> Callable[[Cpu], int]:
-    """Compile branch-target resolution (mirrors ``_branch_target``)."""
+    """Compile branch-target resolution. A memory-indirect target pays
+    ``mem`` on top of the load's own price."""
     if instr.indirect:
         op = instr.operands[0]
         if isinstance(op, Reg):
@@ -1093,7 +970,7 @@ def _target_thunk(instr: Instruction, loaded: LoadedProgram,
             ea = _ea_thunk(op)
 
             def mem_target(cpu: Cpu) -> int:
-                cpu.charge(cpu.costs.mem)
+                cpu.account.charge(cpu._category[-1], cpu.scaled.mem)
                 return cpu.read_mem(ea(cpu), 4)
             return mem_target
 
@@ -1108,29 +985,29 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
                          index: int) -> Callable[[Cpu], None]:
     """Build the specialized handler closure for one instruction.
 
-    Invariant: by the time a handler runs, ``step()`` has already set
-    ``cpu.eip`` to the fall-through successor — exactly the state
-    ``_execute`` saw."""
+    Invariant: by the time a handler runs, the dispatch loop has already
+    set ``cpu.eip`` to the fall-through successor."""
     m = instr.mnemonic
     size = instr.size
 
     if m in ("nop", "sti", "cli"):
-        return lambda cpu: cpu.charge(cpu.costs.alu)
+        return lambda cpu: cpu.account.charge(cpu._category[-1],
+                                              cpu.scaled.alu)
     if m == "cld":
         def op_cld(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.df = False
         return op_cld
     if m == "std":
         def op_std(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.df = True
         return op_std
     if m in ("int3", "ud2", "hlt"):
         message = f"{m} executed at {loaded.name}[{index}]"
 
         def op_trap(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             raise ExecutionFault(message)
         return op_trap
 
@@ -1139,7 +1016,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, size)
 
         def op_mov(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             write_dst(cpu, read_src(cpu))
         return op_mov
     if m in ("movzb", "movzw"):
@@ -1147,7 +1024,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, 4)
 
         def op_movz(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             write_dst(cpu, read_src(cpu))
         return op_movz
     if m == "movsx":
@@ -1158,7 +1035,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         extend = MASK32 ^ ((1 << bits) - 1)
 
         def op_movsx(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             value = read_src(cpu)
             if value & sign:
                 value |= extend
@@ -1169,7 +1046,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, 4)
 
         def op_lea(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             write_dst(cpu, ea(cpu))
         return op_lea
     if m == "xchg":
@@ -1179,7 +1056,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, size)
 
         def op_xchg(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             a = read_src(cpu)
             b = read_dst(cpu)
             write_src(cpu, b)
@@ -1217,7 +1094,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
                 return r
 
         def op_arith(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             r = combine(cpu, read_dst(cpu), read_src(cpu))
             if writeback is not None:
                 writeback(cpu, r)
@@ -1230,7 +1107,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         bits = size * 8
 
         def op_shift(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             count = read_count(cpu) & 0x1F
             value = read_dst(cpu)
             if count == 0:
@@ -1260,7 +1137,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         mask = (1 << (size * 8)) - 1
 
         def op_unary(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             value = read_dst(cpu)
             cf = cpu.flags["cf"]
             if m == "inc":
@@ -1280,24 +1157,24 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         read_src = _read_thunk(instr.src, 4)
 
         def op_push(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.push(read_src(cpu))
         return op_push
     if m == "pop":
         write_dst = _write_thunk(instr.dst, 4)
 
         def op_pop(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             write_dst(cpu, cpu.pop())
         return op_pop
     if m == "pushf":
         def op_pushf(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.push(cpu.flags_word())
         return op_pushf
     if m == "popf":
         def op_popf(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.set_flags_word(cpu.pop())
         return op_popf
 
@@ -1305,8 +1182,8 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         resolve = _target_thunk(instr, loaded, index)
 
         def op_call(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
-            cpu.charge(cpu.costs.call)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.call)
             target = resolve(cpu)
             routine = cpu.natives.by_addr.get(target)
             cpu.push(cpu.eip)
@@ -1317,15 +1194,15 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         return op_call
     if m == "ret":
         def op_ret(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
-            cpu.charge(cpu.costs.ret)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.ret)
             cpu.eip = cpu.pop()
         return op_ret
     if m == "jmp":
         resolve = _target_thunk(instr, loaded, index)
 
         def op_jmp(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             target = resolve(cpu)
             routine = cpu.natives.by_addr.get(target)
             if routine is not None:
@@ -1340,18 +1217,18 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         target = loaded.targets[index]
 
         def op_jcc(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             if cond(cpu.flags):
                 cpu.eip = target
         return op_jcc
 
     if instr.is_string:
         def op_string(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu._execute_string(instr)
         return op_string
 
     def op_unknown(cpu: Cpu):  # pragma: no cover
-        cpu.charge(cpu.costs.alu)
+        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
         raise ExecutionFault(f"unimplemented mnemonic {m!r}")
     return op_unknown

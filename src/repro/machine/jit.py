@@ -7,7 +7,7 @@ software-only passthrough line of work) climbs after per-instruction
 caching: *superblocks*. When a basic-block head gets hot, the chain of
 blocks starting there is compiled into a single straight-line Python
 function — operand thunks fused into expressions, per-instruction
-``charge()`` calls batched into one accumulated charge per block, the
+``account.charge`` calls batched into one accumulated charge per block, the
 registry/handler/dispatch overhead of ``step()`` paid once per entry
 instead of once per instruction. The 10-instruction SVM fast path (and
 its proof-elided anchor-reload form) inlines like any other run of
@@ -16,10 +16,11 @@ twin driver's dynamic instruction count.
 
 Correctness contract (the part worth reading twice):
 
-* **Cycle accounting is bit-identical.** ``Cpu.charge`` rounds each
-  charge independently (``int(round(c * cycle_scale))``), so batching
-  must sum the *per-charge rounded* values, never round the sum. Every
-  constant cost is pre-scaled at compile time; data-dependent costs
+* **Cycle accounting is bit-identical.** The interpreter charges each
+  cost item from ``cpu.scaled``, every cost rounded on its own
+  (``int(round(c * cycle_scale))``), so batching sums those
+  *per-charge rounded* values, never rounds the sum. Every constant is
+  taken from the same table at compile time; data-dependent costs
   (hot-range memory pricing, MMIO) replicate the interpreter's exact
   decision procedure. The accumulator is flushed before anything that
   can observe the clock — native routines (the tracer timestamps spans
@@ -83,7 +84,7 @@ _FULL_REGS = frozenset(
     ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
 
 #: condition expressions over the hoisted flags dict ``f`` — same truth
-#: tables as ``Cpu.condition``.
+#: tables as the interpreter's ``_CONDITIONS``.
 _COND_EXPR = {
     "je": "f['zf']", "jz": "f['zf']",
     "jne": "not f['zf']", "jnz": "not f['zf']",
@@ -174,8 +175,9 @@ class _Emitter:
         self.loaded = loaded
         self.head_index = head_index
         self.head_addr = loaded.addrs[head_index]
-        self.costs = cpu.costs
-        self.scale = cpu.cycle_scale
+        #: the CPU's pre-scaled cost table: the interpreter charges these
+        #: exact values, so batching them keeps the totals bit-identical
+        self.scaled = cpu.scaled
         self.lines: List[str] = []
         self.ns: Dict[str, object] = {}
         #: compile-time-constant scaled cycles not yet materialized
@@ -194,9 +196,6 @@ class _Emitter:
 
     # -- infrastructure ------------------------------------------------------
 
-    def scaled(self, cycles: int) -> int:
-        return int(round(cycles * self.scale))
-
     def emit(self, text: str, ind: int = 0):
         self.lines.append("    " * ind + text)
 
@@ -209,8 +208,8 @@ class _Emitter:
         self.ns[name] = obj
         return name
 
-    def charge_const(self, cycles: int):
-        self.buf += self.scaled(cycles)
+    def charge_const(self, scaled: int):
+        self.buf += scaled
 
     def sync(self, next_addr: int, ind: int = 0):
         """Materialize eip/executed/buffered charges before a
@@ -347,9 +346,10 @@ class _Emitter:
     # -- memory --------------------------------------------------------------
 
     def emit_cost(self, va: str, ind: int):
-        """Inline ``Cpu._mem_cost`` pricing into the accumulator."""
-        memc = self.scaled(self.costs.mem)
-        hotc = self.scaled(self.costs.mem_hot)
+        """Inline the interpreter's RAM pricing (hot range or not) into
+        the accumulator."""
+        memc = self.scaled.mem
+        hotc = self.scaled.mem_hot
         c = self.temp("c")
         self.emit(f"{c} = {memc}", ind)
         self.emit("for lohi in hr:", ind)
@@ -418,7 +418,7 @@ class _Emitter:
         self.emit_cost(va, ind + 2)
         self._ram_read(va, pa, v, d, size, pa_expr=None, ind=ind + 2)
         self.emit("else:", ind + 1)
-        self.emit(f"acc += {self.scaled(self.costs.mmio)}", ind + 2)
+        self.emit(f"acc += {self.scaled.mmio}", ind + 2)
         self.emit("charge(cat, acc)", ind + 2)
         self.emit("acc = 0", ind + 2)
         if size > 1:
@@ -491,7 +491,7 @@ class _Emitter:
         self.emit_cost(va, ind + 2)
         self._ram_write(va, pa, d, value, size, pa_expr=None, ind=ind + 2)
         self.emit("else:", ind + 1)
-        self.emit(f"acc += {self.scaled(self.costs.mmio)}", ind + 2)
+        self.emit(f"acc += {self.scaled.mmio}", ind + 2)
         self.emit("charge(cat, acc)", ind + 2)
         self.emit("acc = 0", ind + 2)
         if size > 1:
@@ -622,7 +622,7 @@ class _Emitter:
 
         self.pending += 1
         self.n_instrs += 1
-        self.charge_const(self.costs.alu)
+        self.charge_const(self.scaled.alu)
 
         if m in ("nop", "sti", "cli"):
             return next_index
@@ -780,7 +780,7 @@ class _Emitter:
             return next_index
 
         if m == "call":
-            self.charge_const(self.costs.call)
+            self.charge_const(self.scaled.call)
             target = loaded.targets.get(index)
             if target is None:
                 raise _Unsupported("call without resolved target")
@@ -799,7 +799,7 @@ class _Emitter:
             self.native_guard(next_addr)
             return next_index
         if m == "ret":
-            self.charge_const(self.costs.ret)
+            self.charge_const(self.scaled.ret)
             v = self.emit_pop(next_addr)
             self.end_trace(v)
             return None
@@ -871,7 +871,7 @@ class _Emitter:
             # base ALU charge; the handler charges it itself
             self.pending -= 1
             self.n_instrs -= 1
-            self.buf -= self.scaled(self.costs.alu)
+            self.buf -= self.scaled.alu
         self.pending += 1
         self.n_instrs += 1
         self.sync(next_addr)

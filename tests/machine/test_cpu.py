@@ -1,5 +1,7 @@
 """CPU interpreter: instruction semantics, flags, calls, natives, faults."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -463,3 +465,49 @@ class TestNativesAndFaults:
         m.cpu.add_hot_range(DATA, DATA + PAGE_SIZE)
         m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
         assert m.account.total < cold
+
+
+class TestChargeSequence:
+    def test_exact_charges_seen_by_a_charge_shadow(self):
+        # What a profiler-style shadow of ``account.charge`` sees: one
+        # call per cost item, in order, each cost scaled and rounded on
+        # its own. At scale 1.37: alu 1, mem 8, mem_hot 3, call 14,
+        # ret 11, native_call 16; a native's own cost is not scaled.
+        m, space = make_machine()
+        hot = DATA + PAGE_SIZE
+        m.cpu.add_hot_range(hot, hot + PAGE_SIZE)
+        m.cpu.cycle_scale = 1.37
+        m.register_native("nat", lambda cpu: None, cost=50, category="Xen")
+        program = assemble(f".globl f\nf: movl {DATA}, %eax\n"
+                           f"movl %eax, {hot}\ncall nat\nret")
+        loaded = m.load_program(
+            program, 0x08000000, extern={"nat": m.natives.address_of("nat")})
+        seen = []
+        inner = m.account.charge
+
+        def shadow(category, cycles):
+            seen.append((category, cycles))
+            inner(category, cycles)
+
+        m.account.charge = shadow
+        m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP,
+                            category="e1000")
+        d = "e1000"
+        assert seen == [
+            (d, 8),                  # call_function pushes the sentinel
+            (d, 1), (d, 8),          # movl DATA, %eax: alu, cold load
+            (d, 1), (d, 3),          # movl %eax, hot: alu, hot store
+            (d, 1), (d, 14), (d, 8),  # call: alu, call, push return
+            (d, 16), ("Xen", 50),    # native_call, the native's cost
+            (d, 8),                  # pop the native's return address
+            (d, 1), (d, 11), (d, 8),  # ret: alu, ret, pop
+        ]
+        # rounding each charge differs from rounding their sum (90)
+        assert sum(c for cat, c in seen if cat == d) == 88
+
+    def test_costs_table_is_frozen(self):
+        m, _ = make_machine()
+        with pytest.raises(FrozenInstanceError):
+            m.cpu.costs.mem = 1
+        with pytest.raises(AttributeError):
+            m.cpu.costs = m.cpu.costs

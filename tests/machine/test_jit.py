@@ -91,6 +91,25 @@ class TestSuperblockFormation:
         m = Machine()
         assert m.cpu.jit_enabled is False
 
+    def test_stats_sum_over_every_registered_program(self):
+        # jit_stats once counted only the last-fetched program
+        m, space = make_machine(jit=True)
+        m.cpu.regs["ebx"] = DATA
+        loaded = [m.load_linked_program(assemble(LOOP_SRC), base)
+                  for base in (BASE, BASE + 0x10000)]
+        for _ in range(4):
+            for prog in loaded:
+                m.cpu.call_function(prog.symbol("f"), [],
+                                    stack_top=STACK_TOP)
+        per_program = [
+            [sb for sb in prog._jit.superblocks.values() if sb]
+            for prog in loaded]
+        assert all(per_program)
+        stats = m.cpu.jit_stats()
+        assert stats["superblocks"] == sum(map(len, per_program))
+        assert stats["entries"] == sum(
+            sb.entries for sbs in per_program for sb in sbs)
+
     def test_side_exit_when_branch_flips(self):
         # the trace is laid out for the warm-up iteration count; calls
         # with a different count must side-exit mid-superblock with

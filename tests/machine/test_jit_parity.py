@@ -6,19 +6,31 @@ invocations, and the complete observable state must be bit-identical:
 registers, flags, direction flag, ``executed``, every per-category
 cycle counter, and the data pages. Separate properties drive natives,
 native-raised exceptions (the upcall shape), and page faults through
-the middle of hot superblocks.
+the middle of hot superblocks. The "world" properties cover every branch
+of the interpreter's RAM fast path: 1/2/4-byte accesses at unaligned and
+page-crossing offsets, a hot range over part of the data, a cycle scale
+whose per-charge rounding differs from rounding the sum, a page shared
+by RAM and a recording MMIO device, and a page whose frame does not
+exist (BusError).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa import assemble
-from repro.machine import AddressSpace, Machine, PageFault
+from repro.machine import AddressSpace, BusError, Machine, PageFault
 
 DATA = 0xC0000000
 STACK_TOP = 0xC0104000
 BASE = 0x08000000
 DATA_BYTES = 4 * 4096
+#: page whose upper half is a recording MMIO device, lower half RAM
+MMIO_VA = 0xC0200000
+#: data-sized run of pages mapped to frames that were never allocated
+BUS_VA = 0xC0201000
+#: hot range over part of the data pages (crosses a page line)
+HOT = (DATA + 0x800, DATA + 0x1800)
+SCALE = 1.37
 
 #: body registers; %ebx is the data base, %edi the loop counter
 _REGS = ["eax", "ecx", "edx", "esi"]
@@ -45,16 +57,52 @@ _instr = st.one_of(
 
 _block = st.lists(_instr, min_size=1, max_size=4)
 
-#: (blocks, guards, loop iterations): guard i optionally jumps forward
-#: over block i+1, giving the trace compiler real side exits
+#: per-block guards: guard i optionally jumps forward over block i+1,
+#: giving the trace compiler real side exits
+_guards = st.lists(st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(_JCC), st.sampled_from(_REGS), _imm),
+), min_size=3, max_size=3)
+
+#: (blocks, guards, loop iterations)
 _programs = st.tuples(
-    st.lists(_block, min_size=1, max_size=3),
-    st.lists(st.one_of(
-        st.none(),
-        st.tuples(st.sampled_from(_JCC), st.sampled_from(_REGS), _imm),
-    ), min_size=3, max_size=3),
-    st.integers(2, 6),
+    st.lists(_block, min_size=1, max_size=3), _guards, st.integers(2, 6))
+
+#: any byte offset, biased toward the page lines so crossings happen
+_uoff = st.one_of(st.integers(0, DATA_BYTES - 4),
+                  st.sampled_from([4093, 4094, 4095, 8191, 12286]))
+_size = st.sampled_from([1, 2, 4])
+#: MMIO page offsets: RAM half, device half, and the line between them
+_moff = st.one_of(st.integers(0, 4092),
+                  st.sampled_from([0x7FE, 0x7FF, 0x800, 0xFFC]))
+#: store sources with 8- and 16-bit names
+_SREGS = ["eax", "ecx", "edx"]
+
+_world_instr = st.one_of(
+    st.tuples(st.just("movimm"), st.sampled_from(_REGS), _imm),
+    st.tuples(st.just("alureg"), st.sampled_from(_ALU),
+              st.sampled_from(_REGS), st.sampled_from(_REGS)),
+    st.tuples(st.just("loadn"), _size, st.sampled_from(_REGS), _uoff),
+    st.tuples(st.just("storen"), _size, st.sampled_from(_SREGS), _uoff),
+    st.tuples(st.just("mmioload"), _size, st.sampled_from(_REGS), _moff),
+    st.tuples(st.just("mmiostore"), _size, st.sampled_from(_SREGS),
+              _moff),
 )
+
+_world_programs = st.tuples(
+    st.lists(st.lists(_world_instr, min_size=1, max_size=5),
+             min_size=1, max_size=3),
+    _guards, st.integers(2, 6))
+
+
+def _narrow(kind, size, reg, mem) -> str:
+    """A 1/2/4-byte load (zero-extending) or store of ``reg``."""
+    if kind == "load":
+        op = {1: "movzbl", 2: "movzwl", 4: "movl"}[size]
+        return f"    {op} {mem}, %{reg}"
+    src = {1: reg[1] + "l", 2: reg[1:], 4: reg}[size]
+    op = {1: "movb", 2: "movw", 4: "movl"}[size]
+    return f"    {op} %{src}, {mem}"
 
 
 def _render(op) -> str:
@@ -73,6 +121,10 @@ def _render(op) -> str:
         return f"    movl {op[2]}(%ebx), %{op[1]}"
     if kind == "store":
         return f"    movl %{op[1]}, {op[2]}(%ebx)"
+    if kind in ("loadn", "storen"):
+        return _narrow(kind[:-1], op[1], op[2], f"{op[3]}(%ebx)")
+    if kind in ("mmioload", "mmiostore"):
+        return _narrow(kind[4:], op[1], op[2], str(MMIO_VA + op[3]))
     return f"    {kind} ${op[2]}, %{op[1]}"
 
 
@@ -95,25 +147,60 @@ def _build_source(blocks, guards, iters, extra="") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _make_machine(jit):
+_PATTERN = bytes((i * 37 + 11) & 0xFF for i in range(DATA_BYTES))
+
+
+class _Recorder:
+    """MMIO device that logs every access; a read answers a value
+    derived from the log length, so a reordered or repeated access
+    changes the registers too."""
+
+    def __init__(self):
+        self.log = []
+
+    def mmio_read(self, offset, size):
+        self.log.append(("r", offset, size))
+        return (len(self.log) * 0x9E3779B1 + offset) & ((1 << size * 8) - 1)
+
+    def mmio_write(self, offset, size, value):
+        self.log.append(("w", offset, size, value))
+
+
+def _make_machine(jit, world=False):
+    """A bare machine with data and stack pages. ``world`` adds the
+    pricing and memory corners of the RAM fast path: cycle scale
+    ``SCALE``, the ``HOT`` range, the RAM+MMIO page at ``MMIO_VA`` and
+    the frameless pages at ``BUS_VA``. Returns the device's log too."""
     m = Machine()
     space = AddressSpace("fuzz", m.phys, m.hypervisor_table)
     space.map_new_pages(DATA, 4)
     space.map_new_pages(0xC0100000, 4)
+    # a byte pattern, so that loads of every width return non-zero bits
+    space.write_bytes(DATA, _PATTERN)
     m.cpu.address_space = space
     m.cpu.jit_enabled = jit
     m.cpu.jit_threshold = 1
-    return m, space
+    device = _Recorder()
+    if world:
+        m.cpu.cycle_scale = SCALE
+        m.cpu.add_hot_range(*HOT)
+        frame = m.phys.allocate_frame()
+        m.phys.write_bytes(frame << 12, _PATTERN[:4096])
+        m.phys.add_mmio_region((frame << 12) + 0x800, 0x800, device)
+        space.map_page(MMIO_VA, frame)
+        for i in range(DATA_BYTES // 4096):
+            space.map_page(BUS_VA + i * 4096, m.phys.max_frames - 1 - i)
+    return m, space, device.log
 
 
-def _observe(m, space, results, errors):
+def _observe(m, space, results, errors, log):
     return (results, errors, dict(m.cpu.regs), dict(m.cpu.flags),
             m.cpu.df, m.cpu.executed, m.account.cycles,
-            space.read_bytes(DATA, DATA_BYTES))
+            space.read_bytes(DATA, DATA_BYTES), log)
 
 
-def _run_one(source, jit, natives=None, calls=4):
-    m, space = _make_machine(jit)
+def _run_one(source, jit, natives=None, calls=4, world=False):
+    m, space, log = _make_machine(jit, world)
     extern = {}
     if natives:
         for name, factory in natives:
@@ -129,10 +216,23 @@ def _run_one(source, jit, natives=None, calls=4):
         except Exception as exc:  # noqa: BLE001 - compared structurally
             errors.append((type(exc).__name__, str(exc)))
         m.cpu.regs["ebx"] = DATA        # a body store may have hit it
-    cycles = m.account.cycles
-    return (results, errors, dict(m.cpu.regs), dict(m.cpu.flags),
-            m.cpu.df, m.cpu.executed, cycles,
-            space.read_bytes(DATA, DATA_BYTES))
+    return _observe(m, space, results, errors, log)
+
+
+def _run_bad_base(source, jit, bad_call, bad_base, world=False):
+    """Four calls; call ``bad_call`` points the data base at
+    ``bad_base``, so its first body access through %ebx faults."""
+    m, space, log = _make_machine(jit, world)
+    loaded = m.load_program(assemble(source), BASE)
+    results, errors = [], []
+    for i in range(4):
+        m.cpu.regs["ebx"] = bad_base if i == bad_call else DATA
+        try:
+            results.append(m.cpu.call_function(
+                loaded.symbol("f"), [], stack_top=STACK_TOP))
+        except (PageFault, BusError) as exc:
+            errors.append((type(exc).__name__, str(exc)))
+    return _observe(m, space, results, errors, log)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,19 +297,53 @@ def test_fault_mid_superblock(spec, bad_call):
     source = _build_source(blocks, guards, iters,
                            extra="    movl 0(%ebx), %esi")
 
-    def run(jit):
-        m, space = _make_machine(jit)
-        loaded = m.load_program(assemble(source), BASE)
-        results, errors = [], []
-        for i in range(4):
-            m.cpu.regs["ebx"] = 0x40000000 if i == bad_call else DATA
-            try:
-                results.append(m.cpu.call_function(
-                    loaded.symbol("f"), [], stack_top=STACK_TOP))
-            except PageFault as exc:
-                errors.append(str(exc))
-        return _observe(m, space, results, errors)
-
-    off, on = run(False), run(True)
+    off = _run_bad_base(source, False, bad_call, 0x40000000)
+    on = _run_bad_base(source, True, bad_call, 0x40000000)
     assert off == on
     assert off[1]                       # the fault actually fired
+
+
+@settings(max_examples=40, deadline=None)
+@given(_world_programs)
+def test_world_loops_bit_identical(spec):
+    # narrow, unaligned and page-crossing RAM accesses, a hot range over
+    # part of the data, RAM and MMIO sharing a page, at a cycle scale
+    # where rounding each charge differs from rounding their sum
+    blocks, guards, iters = spec
+    source = _build_source(blocks, guards, iters)
+    assert (_run_one(source, False, world=True)
+            == _run_one(source, True, world=True))
+
+
+def test_world_corners_bit_identical():
+    # every access width at every corner, in one loop: inside the hot
+    # range, each offset that crosses a page line, and the RAM half,
+    # the boundary and the device half of the MMIO page
+    ops = [("movimm", reg, value) for reg, value in
+           zip(_SREGS, (0x89ABCDEF, 0xFEDCBA98, 0x13579BDF))]
+    for size in (1, 2, 4):
+        for off in (0x801, 4093, 4094, 4095, 8191):
+            ops += [("storen", size, "ecx", off), ("loadn", size, "esi", off),
+                    ("alureg", "xorl", "esi", "ecx")]
+        for off in (0x10, 0x7FE, 0x7FF, 0x800, 0xFFC):
+            ops += [("mmiostore", size, "edx", off),
+                    ("mmioload", size, "esi", off),
+                    ("alureg", "addl", "esi", "edx")]
+    source = _build_source([ops], [None] * 3, 3)
+    off = _run_one(source, False, world=True)
+    assert off == _run_one(source, True, world=True)
+    assert not off[1] and off[-1]       # no fault; the device was used
+
+
+@settings(max_examples=20, deadline=None)
+@given(_world_programs, st.integers(0, 3))
+def test_bus_error_mid_superblock(spec, bad_call):
+    # the data base moves onto a page whose frame does not exist: the
+    # BusError surfaces at the same instruction, after the same charges
+    blocks, guards, iters = spec
+    source = _build_source(blocks, guards, iters,
+                           extra="    movl 0(%ebx), %esi")
+    off = _run_bad_base(source, False, bad_call, BUS_VA, world=True)
+    on = _run_bad_base(source, True, bad_call, BUS_VA, world=True)
+    assert off == on
+    assert off[1] and {kind for kind, _ in off[1]} == {"BusError"}
