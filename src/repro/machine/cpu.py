@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
-from struct import Struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..metrics.cycles import CycleAccount
@@ -29,7 +28,8 @@ from ..isa.operands import Imm, Label, Mem, Reg
 from ..isa.program import Program
 from ..isa.registers import SUBREGISTERS
 from .jit import JitState, compile_superblock
-from .memory import OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
+from .memory import (OFFSET_MASK, PACK_U16, PACK_U32, PAGE_SHIFT, PAGE_SIZE,
+                     UNPACK_U16, UNPACK_U32, PhysicalMemory)
 from .paging import AddressSpace
 
 #: Return-address sentinel that terminates an invocation from Python.
@@ -38,13 +38,6 @@ SENTINEL_RETURN = 0xDEAD0000
 NATIVE_BASE = 0xFFF00000
 
 MASK32 = 0xFFFFFFFF
-
-#: little-endian accessors for the RAM fast path of ``read_mem`` and
-#: ``write_mem`` (one struct call on the frame bytearray).
-_U16 = Struct("<H").unpack_from
-_U32 = Struct("<I").unpack_from
-_P16 = Struct("<H").pack_into
-_P32 = Struct("<I").pack_into
 
 
 class ExecutionFault(Exception):
@@ -340,7 +333,8 @@ class Cpu:
         #: virtual-address ranges treated as cache-hot (stacks, stlb).
         self.hot_ranges: List[Tuple[int, int]] = []
         #: multiplies interpreter cycle charges (driver-speed calibration);
-        #: setting it also sets ``scaled``.
+        #: setting it also sets ``scaled``, the pre-scaled cost table that
+        #: every interpreter charge and every JIT constant is taken from.
         self.cycle_scale = 1.0
         #: bumped whenever the hypervisor rotates the active vCPU; JIT
         #: superblock world guards compare it so a mid-trace vCPU change
@@ -377,8 +371,6 @@ class Cpu:
     @cycle_scale.setter
     def cycle_scale(self, scale: float):
         self._cycle_scale = scale
-        #: the pre-scaled cost table every interpreter charge (and every
-        #: JIT-compiled constant) takes its value from.
         self.scaled = self._costs.scaled(scale)
 
     @property
@@ -465,10 +457,10 @@ class Cpu:
             data = phys._frames.get(page)
             if data is not None:
                 if size == 4:
-                    return _U32(data, offset)[0]
+                    return UNPACK_U32(data, offset)[0]
                 if size == 1:
                     return data[offset]
-                return _U16(data, offset)[0]
+                return UNPACK_U16(data, offset)[0]
         return self._phys_access(paddr, vaddr, size, None)
 
     def write_mem(self, vaddr: int, size: int, value: int):
@@ -492,11 +484,11 @@ class Cpu:
             data = phys._frames.get(page)
             if data is not None:
                 if size == 4:
-                    _P32(data, offset, value & MASK32)
+                    PACK_U32(data, offset, value & MASK32)
                 elif size == 1:
                     data[offset] = value & 0xFF
                 else:
-                    _P16(data, offset, value & 0xFFFF)
+                    PACK_U16(data, offset, value & 0xFFFF)
                 return
         self._phys_access(paddr, vaddr, size, value)
 
@@ -693,7 +685,7 @@ class Cpu:
                 elif sb is False:
                     self.step()
                 elif ("charge" not in account_dict
-                        and sb.scale == self.cycle_scale):
+                        and sb.scale == self._cycle_scale):
                     sb.entries += 1
                     sb.fn(self)
                 else:

@@ -56,12 +56,12 @@ executes it from an architecturally clean state.
 
 from __future__ import annotations
 
-from struct import Struct
 from typing import Dict, List, Optional
 
 from ..isa.instructions import Instruction
 from ..isa.operands import Imm, Mem, Reg
 from ..isa.registers import SUBREGISTERS
+from .memory import PACK_U16, PACK_U32, UNPACK_U16, UNPACK_U32
 
 MASK32 = 0xFFFFFFFF
 
@@ -74,10 +74,10 @@ LOOP_CAP = 1024
 #: little-endian accessors baked into every superblock namespace for the
 #: inline RAM fast path (one frame-dict ``get`` + one struct call).
 _MEM_HELPERS = {
-    "u2": Struct("<H").unpack_from,
-    "u4": Struct("<I").unpack_from,
-    "p2": Struct("<H").pack_into,
-    "p4": Struct("<I").pack_into,
+    "u2": UNPACK_U16,
+    "u4": UNPACK_U32,
+    "p2": PACK_U16,
+    "p4": PACK_U32,
 }
 
 _FULL_REGS = frozenset(
@@ -207,9 +207,6 @@ class _Emitter:
         name = f"{prefix}{len(self.ns)}"
         self.ns[name] = obj
         return name
-
-    def charge_const(self, scaled: int):
-        self.buf += scaled
 
     def sync(self, next_addr: int, ind: int = 0):
         """Materialize eip/executed/buffered charges before a
@@ -622,7 +619,7 @@ class _Emitter:
 
         self.pending += 1
         self.n_instrs += 1
-        self.charge_const(self.scaled.alu)
+        self.buf += self.scaled.alu
 
         if m in ("nop", "sti", "cli"):
             return next_index
@@ -780,7 +777,7 @@ class _Emitter:
             return next_index
 
         if m == "call":
-            self.charge_const(self.scaled.call)
+            self.buf += self.scaled.call
             target = loaded.targets.get(index)
             if target is None:
                 raise _Unsupported("call without resolved target")
@@ -799,7 +796,7 @@ class _Emitter:
             self.native_guard(next_addr)
             return next_index
         if m == "ret":
-            self.charge_const(self.scaled.ret)
+            self.buf += self.scaled.ret
             v = self.emit_pop(next_addr)
             self.end_trace(v)
             return None

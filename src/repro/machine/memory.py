@@ -12,12 +12,20 @@ exactly how the driver's register reads/writes reach our e1000 model.
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Dict, List, Optional, Tuple
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = ~(PAGE_SIZE - 1) & 0xFFFFFFFF
 OFFSET_MASK = PAGE_SIZE - 1
+
+#: little-endian accessors on a frame ``bytearray``, used by the RAM
+#: fast paths of the interpreter and of JIT superblocks.
+UNPACK_U16 = Struct("<H").unpack_from
+UNPACK_U32 = Struct("<I").unpack_from
+PACK_U16 = Struct("<H").pack_into
+PACK_U32 = Struct("<I").pack_into
 
 
 class BusError(Exception):

@@ -92,7 +92,7 @@ class TestSuperblockFormation:
         assert m.cpu.jit_enabled is False
 
     def test_stats_sum_over_every_registered_program(self):
-        # jit_stats once counted only the last-fetched program
+        # every registered program counts, not only the last-fetched one
         m, space = make_machine(jit=True)
         m.cpu.regs["ebx"] = DATA
         loaded = [m.load_linked_program(assemble(LOOP_SRC), base)
