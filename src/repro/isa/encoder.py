@@ -188,12 +188,18 @@ def decode_program(data: bytes, labels: Dict[str, int] | None = None,
 
 def layout(program: Program, base: int) -> List[int]:
     """Per-instruction addresses when the program is loaded at ``base``."""
+    return layout_with_end(program, base)[0]
+
+
+def layout_with_end(program: Program, base: int) -> Tuple[List[int], int]:
+    """``layout`` plus the address just past the last instruction, from
+    one encoding pass."""
     addrs = []
     addr = base
     for instr in program.instructions:
         addrs.append(addr)
         addr += instruction_length(instr)
-    return addrs
+    return addrs, addr
 
 
 def code_size(program: Program) -> int:

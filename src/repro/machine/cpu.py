@@ -16,13 +16,14 @@ Everything the paper's mechanisms rely on is modelled for real:
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..metrics.cycles import CycleAccount
 from ..obs.events import NATIVE_CALL
-from ..isa.encoder import code_size, layout
+from ..isa.encoder import layout_with_end
 from ..isa.instructions import Instruction
 from ..isa.operands import Imm, Label, Mem, Reg
 from ..isa.program import Program
@@ -160,8 +161,7 @@ class LoadedProgram:
         self.program = program
         self.base = base
         self.name = name or program.name
-        self.addrs = layout(program, base)
-        self.end = base + code_size(program)
+        self.addrs, self.end = layout_with_end(program, base)
         self.addr_to_index = {a: i for i, a in enumerate(self.addrs)}
         #: fall-through successor of each instruction (precomputed so the
         #: interpreter hot loop does no bounds arithmetic).
@@ -430,48 +430,37 @@ class Cpu:
         if (lo, hi) not in self.hot_ranges:
             self.hot_ranges.append((lo, hi))
 
-    # ``read_mem``/``write_mem`` translate once, price the access (MMIO,
-    # else hot or cold RAM by ``hot_ranges``) with one charge, and serve
-    # a RAM access inside one page straight from the frame bytearray.
-    # MMIO, page-crossing accesses and unallocated frames (BusError) go
-    # through ``_phys_access``. The MMIO test reads the per-page region
-    # cache first: ``()`` means the page has no region at all.
+    # ``read_mem``/``write_mem`` serve an access inside one page from the
+    # address space's RAM page cache (virtual page -> frame bytearray):
+    # one dict lookup, one charge priced by ``hot_ranges``, one unpack or
+    # pack. A page not yet cached, a page-crossing access, MMIO and a
+    # missing frame take ``_miss``, which prices and performs the access
+    # the same way and caches the page when it is plain RAM.
 
     def read_mem(self, vaddr: int, size: int) -> int:
         vaddr &= MASK32
-        paddr = self.address_space.translate(vaddr)
-        phys = self.phys
-        page = paddr >> PAGE_SHIFT
-        if (phys._mmio_pages.get(page) != ()
-                and phys.mmio_region_at(paddr) is not None):
-            self.account.charge(self._category[-1], self.scaled.mmio)
-            return self._phys_access(paddr, vaddr, size, None)
+        offset = vaddr & OFFSET_MASK
+        data = self.address_space.read_pages.get(vaddr >> PAGE_SHIFT)
+        if data is None or offset + size > PAGE_SIZE:
+            return self._miss(vaddr, size, None)
         cost = self.scaled.mem
         for lo, hi in self.hot_ranges:
             if lo <= vaddr < hi:
                 cost = self.scaled.mem_hot
                 break
         self.account.charge(self._category[-1], cost)
-        offset = paddr & OFFSET_MASK
-        if offset + size <= PAGE_SIZE:
-            data = phys._frames.get(page)
-            if data is not None:
-                if size == 4:
-                    return UNPACK_U32(data, offset)[0]
-                if size == 1:
-                    return data[offset]
-                return UNPACK_U16(data, offset)[0]
-        return self._phys_access(paddr, vaddr, size, None)
+        if size == 4:
+            return UNPACK_U32(data, offset)[0]
+        if size == 1:
+            return data[offset]
+        return UNPACK_U16(data, offset)[0]
 
     def write_mem(self, vaddr: int, size: int, value: int):
         vaddr &= MASK32
-        paddr = self.address_space.translate(vaddr, write=True)
-        phys = self.phys
-        page = paddr >> PAGE_SHIFT
-        if (phys._mmio_pages.get(page) != ()
-                and phys.mmio_region_at(paddr) is not None):
-            self.account.charge(self._category[-1], self.scaled.mmio)
-            self._phys_access(paddr, vaddr, size, value)
+        offset = vaddr & OFFSET_MASK
+        data = self.address_space.write_pages.get(vaddr >> PAGE_SHIFT)
+        if data is None or offset + size > PAGE_SIZE:
+            self._miss(vaddr, size, value)
             return
         cost = self.scaled.mem
         for lo, hi in self.hot_ranges:
@@ -479,34 +468,46 @@ class Cpu:
                 cost = self.scaled.mem_hot
                 break
         self.account.charge(self._category[-1], cost)
-        offset = paddr & OFFSET_MASK
-        if offset + size <= PAGE_SIZE:
-            data = phys._frames.get(page)
-            if data is not None:
-                if size == 4:
-                    PACK_U32(data, offset, value & MASK32)
-                elif size == 1:
-                    data[offset] = value & 0xFF
-                else:
-                    PACK_U16(data, offset, value & 0xFFFF)
-                return
-        self._phys_access(paddr, vaddr, size, value)
+        if size == 4:
+            PACK_U32(data, offset, value & MASK32)
+        elif size == 1:
+            data[offset] = value & 0xFF
+        else:
+            PACK_U16(data, offset, value & 0xFFFF)
 
-    def _phys_access(self, paddr: int, vaddr: int, size: int,
-                     value: Optional[int]):
-        # Handle page-straddling accesses virtually (translations of the two
-        # halves may be discontiguous).
-        if (vaddr & 0xFFF) + size > 0x1000:
-            if value is None:
-                raw = self.address_space.read_bytes(vaddr, size)
-                return int.from_bytes(raw, "little")
-            self.address_space.write_bytes(
-                vaddr, (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
-            )
-            return None
-        if value is None:
-            return self.phys.read(paddr, size)
-        self.phys.write(paddr, size, value)
+    def _miss(self, vaddr: int, size: int, value: Optional[int]):
+        """An access the page cache cannot serve (``value`` None reads).
+        ``translate`` raises ``PageFault``/``ProtectionFault`` before any
+        charge; then one charge, ``mmio`` or the RAM price, and the access
+        through ``PhysicalMemory`` (device dispatch, ``BusError``)."""
+        space = self.address_space
+        write = value is not None
+        paddr = space.translate(vaddr, write)
+        phys = self.phys
+        if phys.mmio_region_at(paddr) is not None:
+            cost = self.scaled.mmio
+        else:
+            cost = self.scaled.mem
+            for lo, hi in self.hot_ranges:
+                if lo <= vaddr < hi:
+                    cost = self.scaled.mem_hot
+                    break
+            data = phys.ram_frame(paddr >> PAGE_SHIFT)
+            if data is not None:
+                pages = space.write_pages if write else space.read_pages
+                pages[vaddr >> PAGE_SHIFT] = data
+        self.account.charge(self._category[-1], cost)
+        # a page-straddling access goes through the address space: the
+        # two halves may translate to discontiguous frames
+        if (vaddr & OFFSET_MASK) + size > PAGE_SIZE:
+            if not write:
+                return int.from_bytes(space.read_bytes(vaddr, size), "little")
+            space.write_bytes(vaddr, (value & ((1 << (size * 8)) - 1))
+                              .to_bytes(size, "little"))
+        elif not write:
+            return phys.read(paddr, size)
+        else:
+            phys.write(paddr, size, value)
         return None
 
     # -- flags ------------------------------------------------------------------------
@@ -606,28 +607,33 @@ class Cpu:
         if self.jit_enabled:
             self._run_loop_jit()
             return
-        # ``step()``, inlined: the program of the last fetch is kept in
-        # locals and re-resolved only on a registry change or on leaving
-        # its address range
+        # ``step()``, inlined: the program of the last fetch and its
+        # tables are kept in locals and re-resolved only on a registry
+        # change or on leaving its address range
         budget = self.max_steps_per_call
         code = self.code
         steps = 0
         loaded = None
         epoch = -1
+        lo = hi = 0
         while True:
             eip = self.eip
             if eip == SENTINEL_RETURN:
                 return
             index = None
-            if epoch == code.epoch and loaded.base <= eip < loaded.end:
-                index = loaded.addr_to_index.get(eip)
+            if epoch == code.epoch and lo <= eip < hi:
+                index = index_of(eip)
             if index is None:
                 loaded, index = code.lookup(eip)
                 epoch = code.epoch
                 self._prog_cache = (loaded, epoch)
+                lo, hi = loaded.base, loaded.end
+                index_of = loaded.addr_to_index.get
+                next_addrs = loaded.next_addrs
+                handlers = loaded.handlers
             self.executed += 1
-            self.eip = loaded.next_addrs[index]
-            handler = loaded.handlers[index]
+            self.eip = next_addrs[index]
+            handler = handlers[index]
             if handler is None:
                 handler = _handler_for(loaded, index)
             handler(self)
@@ -826,21 +832,6 @@ class Cpu:
 _FULL_REGS = frozenset(
     ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
 
-_CONDITIONS: Dict[str, Callable[[Dict[str, bool]], bool]] = {
-    "je": lambda f: f["zf"], "jz": lambda f: f["zf"],
-    "jne": lambda f: not f["zf"], "jnz": lambda f: not f["zf"],
-    "jl": lambda f: f["sf"] != f["of"],
-    "jge": lambda f: f["sf"] == f["of"],
-    "jle": lambda f: f["zf"] or (f["sf"] != f["of"]),
-    "jg": lambda f: (not f["zf"]) and f["sf"] == f["of"],
-    "jb": lambda f: f["cf"],
-    "jae": lambda f: not f["cf"],
-    "jbe": lambda f: f["cf"] or f["zf"],
-    "ja": lambda f: not (f["cf"] or f["zf"]),
-    "js": lambda f: f["sf"],
-    "jns": lambda f: not f["sf"],
-}
-
 
 def _handler_for(loaded: LoadedProgram, index: int) -> Callable[[Cpu], None]:
     """Compile (and cache) the handler for one instruction, wrapping the
@@ -973,6 +964,304 @@ def _target_thunk(instr: Instruction, loaded: LoadedProgram,
     return lambda cpu: target
 
 
+# -- operand-specialised handlers ---------------------------------------------
+#
+# The common shapes get a closure that reaches its operands directly: a
+# full register as ``cpu.regs[name]``, an immediate as a closure
+# constant, a ``[base+disp]`` or ``[disp]`` operand by computing the
+# address inline and calling ``read_mem``/``write_mem``; flags are
+# written inline. Each charges exactly what the thunk form charges, in
+# the same order: an ALU op reads dst before src, mov reads src before
+# it writes dst. Every other shape keeps thunks: sub-registers, indexed
+# or symbolic memory, ALU ops with a memory destination, imul, sar and
+# shifts by a register, the stack, call/ret/jmp and string ops.
+
+#: the bitwise ALU ops (``test`` is ``and`` without the writeback)
+_BITWISE = {"and": operator.and_, "test": operator.and_,
+            "or": operator.or_, "xor": operator.xor}
+
+#: conditional jumps on one flag: mnemonic -> (flag, jump when it is set)
+_FLAG_JUMPS = {
+    "je": ("zf", True), "jz": ("zf", True),
+    "jne": ("zf", False), "jnz": ("zf", False),
+    "jb": ("cf", True), "jae": ("cf", False),
+    "js": ("sf", True), "jns": ("sf", False),
+}
+
+
+def _charge_alu(cpu: Cpu):
+    cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+
+
+def _full_reg(op, size: int) -> Optional[str]:
+    """The name of ``op`` when it is a whole 32-bit register at size 4."""
+    if size == 4 and isinstance(op, Reg) and op.name in _FULL_REGS:
+        return op.name
+    return None
+
+
+def _simple_mem(op) -> Optional[Tuple[Optional[str], int]]:
+    """``(base, disp)`` of a ``[base+disp]`` operand with a full-register
+    base, or of a ``[disp]`` one (base None); None for any other form."""
+    if (isinstance(op, Mem) and op.symbol is None and op.index is None
+            and (op.base is None or op.base in _FULL_REGS)):
+        return op.base, op.disp
+    return None
+
+
+def _source(op, size: int):
+    """``(reg, mem, value)`` of a specialisable source operand: a full
+    register name, a ``_simple_mem`` pair, or (both None) an immediate
+    masked to ``size``. None for any other operand."""
+    if isinstance(op, Imm):
+        if op.symbol is None:
+            return None, None, op.value & ((1 << (size * 8)) - 1)
+        return None
+    reg = _full_reg(op, size)
+    if reg is not None:
+        return reg, None, 0
+    mem = _simple_mem(op)
+    if mem is not None:
+        return None, mem, 0
+    return None
+
+
+def _specialised(instr: Instruction, loaded: LoadedProgram,
+                 index: int) -> Optional[Callable[[Cpu], None]]:
+    """The operand-specialised handler of ``instr``, or None when its
+    shape keeps thunks."""
+    m = instr.mnemonic
+    if m == "mov":
+        return _specialised_mov(instr, instr.size)
+    if m in ("movzb", "movzw"):
+        return _specialised_mov(instr, 4)
+    if m == "lea":
+        return _specialised_lea(instr)
+    if m in ("add", "sub", "cmp") or m in _BITWISE:
+        return _specialised_alu(m, instr)
+    if m in ("shl", "shr"):
+        return _specialised_shift(m, instr)
+    if instr.is_conditional:
+        return _specialised_jcc(m, loaded.targets[index])
+    return None
+
+
+def _specialised_mov(instr: Instruction, dst_size: int):
+    """mov/movzb/movzw into a full register from a full register, an
+    immediate or simple memory, or into simple memory from a full
+    register or an immediate."""
+    size = instr.size
+    src = _source(instr.src, size)
+    if src is None:
+        return None
+    s, mem, value = src
+    d = _full_reg(instr.dst, dst_size)
+    if d is not None:
+        if s is not None:
+            def mov_reg(cpu: Cpu):
+                cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+                regs = cpu.regs
+                regs[d] = regs[s] & MASK32
+            return mov_reg
+        if mem is None:
+            def mov_imm(cpu: Cpu):
+                cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+                cpu.regs[d] = value
+            return mov_imm
+        base, disp = mem
+
+        def mov_load(cpu: Cpu):
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            cpu.regs[d] = cpu.read_mem(
+                cpu.regs[base] + disp if base else disp, size) & MASK32
+        return mov_load
+    dst = _simple_mem(instr.dst)
+    if dst is None or mem is not None:
+        return None
+    base, disp = dst
+    if s is not None:
+        def mov_store(cpu: Cpu):
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            regs = cpu.regs
+            cpu.write_mem(regs[base] + disp if base else disp, dst_size,
+                          regs[s])
+        return mov_store
+
+    def mov_store_imm(cpu: Cpu):
+        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+        cpu.write_mem(cpu.regs[base] + disp if base else disp, dst_size,
+                      value)
+    return mov_store_imm
+
+
+def _specialised_lea(instr: Instruction):
+    """lea of any full-register address form into a full register."""
+    d = _full_reg(instr.dst, 4)
+    op = instr.src
+    if (d is None or not isinstance(op, Mem) or op.symbol is not None
+            or not {op.base, op.index} <= _FULL_REGS | {None}):
+        return None
+    base, index, scale, disp = op.base, op.index, op.scale, op.disp
+
+    def op_lea(cpu: Cpu):
+        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+        regs = cpu.regs
+        ea = disp
+        if base:
+            ea += regs[base]
+        if index:
+            ea += regs[index] * scale
+        regs[d] = ea & MASK32
+    return op_lea
+
+
+def _specialised_alu(m: str, instr: Instruction):
+    """add/sub/cmp/and/test/or/xor into a full register."""
+    d = _full_reg(instr.dst, instr.size)
+    src = _source(instr.src, instr.size)
+    if d is None or src is None:
+        return None
+    s, mem, value = src
+    base, disp = mem or (None, 0)
+    store = m not in ("cmp", "test")
+
+    if m == "add":
+        def op_add(cpu: Cpu):
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            regs = cpu.regs
+            a = regs[d] & MASK32
+            if s is not None:
+                b = regs[s] & MASK32
+            elif mem is None:
+                b = value
+            else:
+                b = cpu.read_mem(regs[base] + disp if base else disp, 4)
+            t = a + b
+            r = t & MASK32
+            flags = cpu.flags
+            flags["cf"] = t > MASK32
+            flags["of"] = ~(a ^ b) & (a ^ r) & 0x80000000 != 0
+            flags["zf"] = r == 0
+            flags["sf"] = r >= 0x80000000
+            regs[d] = r
+        return op_add
+    if m in ("sub", "cmp"):
+        def op_sub(cpu: Cpu):
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            regs = cpu.regs
+            a = regs[d] & MASK32
+            if s is not None:
+                b = regs[s] & MASK32
+            elif mem is None:
+                b = value
+            else:
+                b = cpu.read_mem(regs[base] + disp if base else disp, 4)
+            r = (a - b) & MASK32
+            flags = cpu.flags
+            flags["cf"] = a < b
+            flags["of"] = (a ^ b) & (a ^ r) & 0x80000000 != 0
+            flags["zf"] = r == 0
+            flags["sf"] = r >= 0x80000000
+            if store:
+                regs[d] = r
+        return op_sub
+    bitwise = _BITWISE[m]
+
+    def op_bitwise(cpu: Cpu):
+        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+        regs = cpu.regs
+        a = regs[d] & MASK32
+        if s is not None:
+            b = regs[s] & MASK32
+        elif mem is None:
+            b = value
+        else:
+            b = cpu.read_mem(regs[base] + disp if base else disp, 4)
+        r = bitwise(a, b)
+        flags = cpu.flags
+        flags["cf"] = False
+        flags["of"] = False
+        flags["zf"] = r == 0
+        flags["sf"] = r >= 0x80000000
+        if store:
+            regs[d] = r
+    return op_bitwise
+
+
+def _specialised_shift(m: str, instr: Instruction):
+    """shl/shr of a full register by an immediate."""
+    d = _full_reg(instr.dst, instr.size)
+    if (d is None or not isinstance(instr.src, Imm)
+            or instr.src.symbol is not None):
+        return None
+    count = instr.src.value & 0x1F
+    if count == 0:
+        return _charge_alu          # no result, no flags: only the clock
+    if m == "shl":
+        def op_shl(cpu: Cpu):
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            regs = cpu.regs
+            r = (regs[d] & MASK32) << count
+            flags = cpu.flags
+            flags["cf"] = r & 0x100000000 != 0
+            r &= MASK32
+            flags["of"] = False
+            flags["zf"] = r == 0
+            flags["sf"] = r >= 0x80000000
+            regs[d] = r
+        return op_shl
+    last_out = count - 1
+
+    def op_shr(cpu: Cpu):
+        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+        regs = cpu.regs
+        value = regs[d] & MASK32
+        r = value >> count
+        flags = cpu.flags
+        flags["cf"] = (value >> last_out) & 1 != 0
+        flags["of"] = False
+        flags["zf"] = r == 0
+        flags["sf"] = False         # a shift of at least 1 clears bit 31
+        regs[d] = r
+    return op_shr
+
+
+def _specialised_jcc(m: str, target: int):
+    """A conditional jump that tests its flags inline."""
+    if m in _FLAG_JUMPS:
+        flag, when_set = _FLAG_JUMPS[m]
+
+        def jump_on_flag(cpu: Cpu):
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            if cpu.flags[flag] == when_set:
+                cpu.eip = target
+        return jump_on_flag
+    # jl/jge, jle/jg, jbe/ja: the first of each pair jumps when its
+    # condition holds, the second when it does not
+    taken = m in ("jl", "jle", "jbe")
+    if m in ("jl", "jge"):
+        def jump_less(cpu: Cpu):
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            f = cpu.flags
+            if (f["sf"] != f["of"]) == taken:
+                cpu.eip = target
+        return jump_less
+    if m in ("jle", "jg"):
+        def jump_less_equal(cpu: Cpu):
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+            f = cpu.flags
+            if (f["zf"] or f["sf"] != f["of"]) == taken:
+                cpu.eip = target
+        return jump_less_equal
+
+    def jump_below_equal(cpu: Cpu):
+        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+        f = cpu.flags
+        if (f["cf"] or f["zf"]) == taken:
+            cpu.eip = target
+    return jump_below_equal
+
+
 def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
                          index: int) -> Callable[[Cpu], None]:
     """Build the specialized handler closure for one instruction.
@@ -982,9 +1271,11 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
     m = instr.mnemonic
     size = instr.size
 
+    special = _specialised(instr, loaded, index)
+    if special is not None:
+        return special
     if m in ("nop", "sti", "cli"):
-        return lambda cpu: cpu.account.charge(cpu._category[-1],
-                                              cpu.scaled.alu)
+        return _charge_alu
     if m == "cld":
         def op_cld(cpu: Cpu):
             cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
@@ -1204,16 +1495,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
                 return
             cpu.eip = target
         return op_jmp
-    if instr.is_conditional:
-        cond = _CONDITIONS[m]
-        target = loaded.targets[index]
-
-        def op_jcc(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
-            if cond(cpu.flags):
-                cpu.eip = target
-        return op_jcc
-
     if instr.is_string:
         def op_string(cpu: Cpu):
             cpu.account.charge(cpu._category[-1], cpu.scaled.alu)

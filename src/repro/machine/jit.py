@@ -72,7 +72,7 @@ MAX_TRACE_INSTRS = 512
 LOOP_CAP = 1024
 
 #: little-endian accessors baked into every superblock namespace for the
-#: inline RAM fast path (one frame-dict ``get`` + one struct call).
+#: inline RAM fast path (one page-cache ``get`` + one struct call).
 _MEM_HELPERS = {
     "u2": UNPACK_U16,
     "u4": UNPACK_U32,
@@ -80,11 +80,16 @@ _MEM_HELPERS = {
     "p4": PACK_U32,
 }
 
+#: hoists of the current address space's read and write page caches
+#: (the ones ``Cpu.read_mem``/``write_mem`` serve from and fill)
+_PAGE_CACHES = ("rp = cpu.address_space.read_pages.get",
+                "wp = cpu.address_space.write_pages.get")
+
 _FULL_REGS = frozenset(
     ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
 
 #: condition expressions over the hoisted flags dict ``f`` — same truth
-#: tables as the interpreter's ``_CONDITIONS``.
+#: tables as the interpreter's jcc handlers.
 _COND_EXPR = {
     "je": "f['zf']", "jz": "f['zf']",
     "jne": "not f['zf']", "jnz": "not f['zf']",
@@ -261,17 +266,15 @@ class _Emitter:
         self.emit("return", ind)
 
     def rehoist(self, ind: int = 0):
-        """Re-read translation state after anything that can run model
+        """Re-read the page caches after anything that can run model
         code (a native, a hook, an MMIO dispatch): an upcall may have
-        switched ``cpu.address_space``, and any of them may have
-        remapped pages, so the micro-TLB is dropped. Forces the memory
-        hoists on: later memory ops in the trace depend on the re-read
-        even when none were emitted yet."""
+        switched ``cpu.address_space``. A remap needs nothing here, since
+        it edits the caches in place. Forces the memory hoists on: later
+        memory ops in the trace depend on the re-read even when none
+        were emitted yet."""
         self.uses_mem = True
-        self.emit("trans = cpu.address_space.translate", ind)
-        self.emit("asr = cpu.address_space.read_bytes", ind)
-        self.emit("asw = cpu.address_space.write_bytes", ind)
-        self.emit("tlb.clear()", ind)
+        for line in _PAGE_CACHES:
+            self.emit(line, ind)
 
     def native_guard(self, next_addr: int, ind: int = 0):
         """After a mid-trace native call or delegated handler: bail to
@@ -356,152 +359,64 @@ class _Emitter:
         self.emit(f"acc += {c}", ind)
         self.acc_dirty = True
 
-    def _ram_read(self, va: str, pa: str, v: str, d: str, size: int,
-                  pa_expr: Optional[str], ind: int):
-        """RAM access body: unpack straight out of the frame bytearray
-        (one dict ``get`` + one ``Struct`` call); ``pr`` remains the
-        fallback for unallocated frames (BusError). ``pa_expr`` (TLB
-        hit) defers the physical address to the non-straddle branch."""
-        if size > 1:
-            self.emit(f"if ({va} & 4095) + {size} > 4096:", ind)
-            self.emit(
-                f"{v} = int.from_bytes(asr({va}, {size}), 'little')",
-                ind + 1)
-            self.emit("else:", ind)
-            if pa_expr is not None:
-                self.emit(f"{pa} = {pa_expr}", ind + 1)
-            self.emit(f"{d} = fget({pa} >> 12)", ind + 1)
-            un = "u2" if size == 2 else "u4"
-            self.emit(
-                f"{v} = {un}({d}, {pa} & 4095)[0] "
-                f"if {d} is not None else pr({pa}, {size})", ind + 1)
-        else:
-            if pa_expr is not None:
-                self.emit(f"{pa} = {pa_expr}", ind)
-            self.emit(f"{d} = fget({pa} >> 12)", ind)
-            self.emit(
-                f"{v} = {d}[{pa} & 4095] "
-                f"if {d} is not None else pr({pa}, 1)", ind)
+    def emit_miss(self, call: str, ind: int):
+        """The other branch of an inline access: the interpreter's own
+        ``read_mem``/``write_mem``, which translates (PageFault,
+        ProtectionFault), prices, fills the page cache and reaches MMIO
+        or ``BusError``. The accumulator is drained first, because a
+        device observes the clock, and the caches are re-read after,
+        because a device may re-enter the kernel model."""
+        self.emit("charge(cat, acc)", ind)
+        self.emit("acc = 0", ind)
+        self.emit(call, ind)
+        self.rehoist(ind)
+        self.acc_dirty = True        # branches disagree; finally covers it
 
     def mem_read(self, ea: str, size: int, next_addr: int,
                  ind: int = 0) -> str:
-        """Inline ``Cpu.read_mem``; returns the value variable.
-
-        Repeat translations of a page are served by the per-entry
-        micro-TLB ``tlb`` (vpage -> frame base, read and write keys
-        disjoint). Only pages whose physical page intersects no MMIO
-        region are cached, so a hit is always plain RAM; the TLB is
-        dropped at every point model code can run (:meth:`rehoist`).
-        Faults keep interpreter semantics: a miss calls ``trans``
-        (PageFault / ProtectionFault) with state already synced."""
+        """Inline ``Cpu.read_mem``; returns the value variable. A hit in
+        the address space's read page cache inside one page is priced
+        and unpacked here; anything else is :meth:`emit_miss`."""
         self.uses_mem = True
         self.sync(next_addr, ind)
         va = self.temp("va")
-        pa = self.temp("pa")
         v = self.temp("v")
         d = self.temp("d")
-        e = self.temp("e")
         self.emit(f"{va} = {ea}", ind)
-        self.emit(f"{e} = tlb.get({va} >> 12)", ind)
-        self.emit(f"if {e} is not None:", ind)
+        self.emit(f"{d} = rp({va} >> 12)", ind)
+        self.emit(f"if {d} is not None and ({va} & 4095) <= {4096 - size}:",
+                  ind)
         self.emit_cost(va, ind + 1)
-        self._ram_read(va, pa, v, d, size,
-                       pa_expr=f"{e} + ({va} & 4095)", ind=ind + 1)
+        if size == 1:
+            self.emit(f"{v} = {d}[{va} & 4095]", ind + 1)
+        else:
+            un = "u2" if size == 2 else "u4"
+            self.emit(f"{v} = {un}({d}, {va} & 4095)[0]", ind + 1)
         self.emit("else:", ind)
-        self.emit(f"{pa} = trans({va})", ind + 1)
-        self.emit(f"if mio({pa}) is None:", ind + 1)
-        self.emit(f"if not mpg({pa} >> 12):", ind + 2)
-        self.emit(f"tlb[{va} >> 12] = {pa} - ({va} & 4095)", ind + 3)
-        self.emit_cost(va, ind + 2)
-        self._ram_read(va, pa, v, d, size, pa_expr=None, ind=ind + 2)
-        self.emit("else:", ind + 1)
-        self.emit(f"acc += {self.scaled.mmio}", ind + 2)
-        self.emit("charge(cat, acc)", ind + 2)
-        self.emit("acc = 0", ind + 2)
-        if size > 1:
-            self.emit(f"if ({va} & 4095) + {size} > 4096:", ind + 2)
-            self.emit(
-                f"{v} = int.from_bytes(asr({va}, {size}), 'little')",
-                ind + 3)
-            self.emit("else:", ind + 2)
-            self.emit(f"{v} = pr({pa}, {size})", ind + 3)
-        else:
-            self.emit(f"{v} = pr({pa}, 1)", ind + 2)
-        # the device model may have re-entered the kernel and remapped
-        # pages or switched address spaces
-        self.rehoist(ind + 2)
-        self.acc_dirty = True        # branches disagree; finally covers it
+        self.emit_miss(f"{v} = rm({va}, {size})", ind + 1)
         return v
-
-    def _ram_write(self, va: str, pa: str, d: str, value: str, size: int,
-                   pa_expr: Optional[str], ind: int):
-        """RAM write body: pack straight into the frame bytearray."""
-        mask = (1 << (size * 8)) - 1
-        if size > 1:
-            self.emit(f"if ({va} & 4095) + {size} > 4096:", ind)
-            self.emit(
-                f"asw({va}, (({value}) & {mask}).to_bytes({size}, "
-                f"'little'))", ind + 1)
-            self.emit("else:", ind)
-            if pa_expr is not None:
-                self.emit(f"{pa} = {pa_expr}", ind + 1)
-            self.emit(f"{d} = fget({pa} >> 12)", ind + 1)
-            self.emit(f"if {d} is None:", ind + 1)
-            self.emit(f"pw({pa}, {size}, {value})", ind + 2)
-            self.emit("else:", ind + 1)
-            pk = "p2" if size == 2 else "p4"
-            self.emit(f"{pk}({d}, {pa} & 4095, ({value}) & {mask})",
-                      ind + 2)
-        else:
-            if pa_expr is not None:
-                self.emit(f"{pa} = {pa_expr}", ind)
-            self.emit(f"{d} = fget({pa} >> 12)", ind)
-            self.emit(f"if {d} is None:", ind)
-            self.emit(f"pw({pa}, 1, {value})", ind + 1)
-            self.emit("else:", ind)
-            self.emit(f"{d}[{pa} & 4095] = ({value}) & 255", ind + 1)
 
     def mem_write(self, ea: str, size: int, value: str, next_addr: int,
                   ind: int = 0):
-        """Inline ``Cpu.write_mem``: micro-TLB (write keys offset by
-        ``2**20``, so read permission never satisfies a write) and the
-        packed RAM fast path, mirroring :meth:`mem_read`."""
+        """Inline ``Cpu.write_mem`` over the write page cache, which holds
+        writable mappings only, mirroring :meth:`mem_read`."""
         self.uses_mem = True
         self.sync(next_addr, ind)
         va = self.temp("va")
-        pa = self.temp("pa")
         d = self.temp("d")
-        e = self.temp("e")
         mask = (1 << (size * 8)) - 1
         self.emit(f"{va} = {ea}", ind)
-        self.emit(f"{e} = tlb.get(({va} >> 12) + 1048576)", ind)
-        self.emit(f"if {e} is not None:", ind)
+        self.emit(f"{d} = wp({va} >> 12)", ind)
+        self.emit(f"if {d} is not None and ({va} & 4095) <= {4096 - size}:",
+                  ind)
         self.emit_cost(va, ind + 1)
-        self._ram_write(va, pa, d, value, size,
-                        pa_expr=f"{e} + ({va} & 4095)", ind=ind + 1)
-        self.emit("else:", ind)
-        self.emit(f"{pa} = trans({va}, True)", ind + 1)
-        self.emit(f"if mio({pa}) is None:", ind + 1)
-        self.emit(f"if not mpg({pa} >> 12):", ind + 2)
-        self.emit(f"tlb[({va} >> 12) + 1048576] = {pa} - ({va} & 4095)",
-                  ind + 3)
-        self.emit_cost(va, ind + 2)
-        self._ram_write(va, pa, d, value, size, pa_expr=None, ind=ind + 2)
-        self.emit("else:", ind + 1)
-        self.emit(f"acc += {self.scaled.mmio}", ind + 2)
-        self.emit("charge(cat, acc)", ind + 2)
-        self.emit("acc = 0", ind + 2)
-        if size > 1:
-            self.emit(f"if ({va} & 4095) + {size} > 4096:", ind + 2)
-            self.emit(
-                f"asw({va}, (({value}) & {mask}).to_bytes({size}, "
-                f"'little'))", ind + 3)
-            self.emit("else:", ind + 2)
-            self.emit(f"pw({pa}, {size}, {value})", ind + 3)
+        if size == 1:
+            self.emit(f"{d}[{va} & 4095] = ({value}) & 255", ind + 1)
         else:
-            self.emit(f"pw({pa}, 1, {value})", ind + 2)
-        self.rehoist(ind + 2)
-        self.acc_dirty = True
+            pk = "p2" if size == 2 else "p4"
+            self.emit(f"{pk}({d}, {va} & 4095, ({value}) & {mask})", ind + 1)
+        self.emit("else:", ind)
+        self.emit_miss(f"wm({va}, {size}, {value})", ind + 1)
 
     # -- operand read/write (mirrors the PR 4 thunks) ------------------------
 
@@ -966,18 +881,10 @@ class _Emitter:
             "acc = 0",
         ]
         if self.uses_mem:
-            prologue += [
-                "trans = cpu.address_space.translate",
-                "asr = cpu.address_space.read_bytes",
-                "asw = cpu.address_space.write_bytes",
-                "pr = cpu.phys.read",
-                "pw = cpu.phys.write",
-                "mio = cpu.phys.mmio_region_at",
-                "mpg = cpu.phys._mmio_pages.get",
-                "fget = cpu.phys._frames.get",
-                "hr = cpu.hot_ranges",
-                "tlb = {}",
-            ]
+            prologue += [*_PAGE_CACHES,
+                         "rm = cpu.read_mem",
+                         "wm = cpu.write_mem",
+                         "hr = cpu.hot_ranges"]
         if self.uses_natives or self.ns:
             prologue += [
                 "accd = cpu.account.__dict__",

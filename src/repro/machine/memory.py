@@ -60,6 +60,9 @@ class PhysicalMemory:
         #: empty), filled lazily; regions are only ever added, so the
         #: cache is simply cleared on registration.
         self._mmio_pages: Dict[int, Tuple[MMIORegion, ...]] = {}
+        #: the RAM page caches of every address space over this memory
+        #: (see ``AddressSpace``); a new MMIO region clears them all.
+        self.page_caches: List[Dict[int, bytearray]] = []
 
     # -- allocation --------------------------------------------------------------
 
@@ -91,6 +94,8 @@ class PhysicalMemory:
                 raise ValueError("overlapping MMIO regions")
         self._mmio.append(region)
         self._mmio_pages.clear()
+        for cache in self.page_caches:
+            cache.clear()
         return region
 
     def mmio_region_at(self, paddr: int) -> Optional[MMIORegion]:
@@ -105,6 +110,14 @@ class PhysicalMemory:
             if region.contains(paddr):
                 return region
         return None
+
+    def ram_frame(self, frame: int) -> Optional[bytearray]:
+        """The frame's bytes when it is allocated RAM that no MMIO region
+        touches, else None: the only frames a page cache may hold."""
+        self.mmio_region_at(frame << PAGE_SHIFT)    # memoizes the page
+        if self._mmio_pages[frame]:
+            return None
+        return self._frames.get(frame)
 
     # -- access ------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ hypervisor driver instance runs without an address-space switch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .memory import OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
@@ -48,12 +48,20 @@ class PageTable:
 
     def __init__(self):
         self.entries: Dict[int, Tuple[int, bool]] = {}
+        #: the RAM page caches of every address space that translates
+        #: through this table; changing a page's entry drops that page
+        #: from each of them.
+        self.page_caches: List[Dict[int, bytearray]] = []
 
     def map(self, vpage: int, frame: int, writable: bool = True):
         self.entries[vpage] = (frame, writable)
+        for cache in self.page_caches:
+            cache.pop(vpage, None)
 
     def unmap(self, vpage: int):
         self.entries.pop(vpage, None)
+        for cache in self.page_caches:
+            cache.pop(vpage, None)
 
     def lookup(self, vpage: int) -> Optional[Tuple[int, bool]]:
         return self.entries.get(vpage)
@@ -75,6 +83,18 @@ class AddressSpace:
         self.phys = phys
         self.table = PageTable()
         self.hypervisor_table = hypervisor_table
+        #: RAM page cache, filled by the CPU on a translation: virtual
+        #: page -> the frame ``bytearray`` it maps, for reads and for
+        #: writable mappings. Only plain RAM pages enter it
+        #: (``PhysicalMemory.ram_frame``). A translation changes only
+        #: through ``PageTable.map``/``unmap`` on either table or a new
+        #: MMIO region, and each of those drops what it affects; frames
+        #: are never freed, so a cached ``bytearray`` is always live.
+        self.read_pages: Dict[int, bytearray] = {}
+        self.write_pages: Dict[int, bytearray] = {}
+        for owner in (self.table, hypervisor_table, phys):
+            if owner is not None:
+                owner.page_caches += (self.read_pages, self.write_pages)
 
     # -- mapping -------------------------------------------------------------
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import assemble
+from repro.isa import assemble, code_size, encoder
 from repro.machine import (
     AddressSpace,
     CpuBudgetExceeded,
@@ -402,6 +402,19 @@ class TestNativesAndFaults:
         assert m.cpu.call_function(loaded.symbol("f"), [],
                                    stack_top=STACK_TOP) == 13
 
+    def test_load_encodes_each_instruction_once(self, monkeypatch):
+        m, space = make_machine()
+        program = assemble(".globl f\nf: movl $1, %eax\n"
+                           "movl 8(%esp), %ecx\naddl %ecx, %eax\nret")
+        size = code_size(program)
+        encoded = []
+        real = encoder.encode_instruction
+        monkeypatch.setattr(encoder, "encode_instruction",
+                            lambda instr: encoded.append(instr) or real(instr))
+        loaded = m.load_program(program, 0x08000000)
+        assert encoded == program.instructions
+        assert loaded.end == 0x08000000 + size
+
     def test_budget_exceeded_on_infinite_loop(self):
         m, space = make_machine()
         program = assemble(".globl f\nf: jmp f")
@@ -504,6 +517,62 @@ class TestChargeSequence:
         ]
         # rounding each charge differs from rounding their sum (90)
         assert sum(c for cat, c in seen if cat == d) == 88
+
+    def test_stlb_check_charges_on_page_cache_miss_and_hit(self):
+        # The figure-4 stlb check as the rewriter emits it, with the stlb
+        # in a hot range, at scale 1.37 (alu 1, mem 8, mem_hot 3, ret 11).
+        # The first call misses the page cache on the stack and the stlb
+        # page, the second hits; a charge shadow sees the same list.
+        m, space = make_machine()
+        stlb = DATA + PAGE_SIZE
+        m.cpu.add_hot_range(stlb, stlb + PAGE_SIZE)
+        m.cpu.cycle_scale = 1.37
+        space.write_u32(stlb, DATA)              # tag of entry 0
+        space.write_u32(stlb + 4, 0x5000)        # its xormap
+        program = assemble(
+            f".globl f\nf: leal 8(%esi), %ecx\n"
+            f"movl %ecx, %edx\n"
+            f"andl $0xFFFFF000, %ecx\n"
+            f"movl %ecx, %ebx\n"
+            f"andl $0x00FFF000, %ecx\n"
+            f"shrl $9, %ecx\n"
+            f"cmpl {stlb}(%ecx), %ebx\n"
+            f"jne slow\n"
+            f"xorl {stlb + 4}(%ecx), %edx\n"
+            f"movl %edx, %eax\nret\n"
+            f"slow: ud2")
+        loaded = m.load_program(program, 0x08000000)
+        m.cpu.regs["esi"] = DATA
+        seen = []
+        inner = m.account.charge
+
+        def shadow(category, cycles):
+            seen.append((category, cycles))
+            inner(category, cycles)
+
+        m.account.charge = shadow
+        d = "e1000"
+        expected = [
+            (d, 8),                            # push the sentinel
+            (d, 1), (d, 1), (d, 1),            # lea, mov, and
+            (d, 1), (d, 1), (d, 1),            # mov, and, shr
+            (d, 1), (d, 3),                    # cmp: alu, hot stlb tag
+            (d, 1),                            # jne, not taken
+            (d, 1), (d, 3),                    # xor: alu, hot xormap
+            (d, 1),                            # mov
+            (d, 1), (d, 11), (d, 8),           # ret: alu, ret, pop
+        ]
+        calls = []
+        assert stlb >> 12 not in space.read_pages
+        for _ in range(2):
+            seen.clear()
+            result = m.cpu.call_function(loaded.symbol("f"), [],
+                                         stack_top=STACK_TOP,
+                                         category=d)
+            assert result == (DATA + 8) ^ 0x5000
+            assert stlb >> 12 in space.read_pages
+            calls.append(list(seen))
+        assert calls == [expected, expected]
 
     def test_costs_table_is_frozen(self):
         m, _ = make_machine()

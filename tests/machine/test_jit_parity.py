@@ -34,9 +34,10 @@ SCALE = 1.37
 
 #: body registers; %ebx is the data base, %edi the loop counter
 _REGS = ["eax", "ecx", "edx", "esi"]
-_ALU = ["addl", "subl", "andl", "orl", "xorl"]
+_ALU = ["addl", "subl", "andl", "orl", "xorl", "cmpl", "testl"]
 _UNARY = ["incl", "decl", "negl", "notl"]
-_JCC = ["je", "jne", "jl", "jg", "jle", "jge", "jb", "ja", "js", "jns"]
+_JCC = ["je", "jne", "jz", "jnz", "jl", "jg", "jle", "jge", "jb", "jae",
+        "jbe", "ja", "js", "jns"]
 
 _imm = st.integers(-(2 ** 31), 2 ** 31 - 1)
 _off = st.integers(0, (DATA_BYTES // 4) - 1).map(lambda i: i * 4)
@@ -50,9 +51,23 @@ _instr = st.one_of(
               st.sampled_from(_REGS), st.sampled_from(_REGS)),
     st.tuples(st.sampled_from(["shll", "shrl", "sarl"]),
               st.sampled_from(_REGS), st.integers(0, 31)),
+    st.tuples(st.just("shcl"), st.sampled_from(["shll", "shrl"]),
+              st.sampled_from(_REGS)),
     st.tuples(st.sampled_from(_UNARY), st.sampled_from(_REGS)),
     st.tuples(st.just("load"), st.sampled_from(_REGS), _off),
     st.tuples(st.just("store"), st.sampled_from(_REGS), _off),
+    # the shapes the interpreter specialises: ALU ops with a memory
+    # source or destination, an immediate store, absolute-address
+    # accesses (the stlb check's spill moves) and an indexed lea
+    st.tuples(st.just("alumem"), st.sampled_from(_ALU),
+              st.sampled_from(_REGS), _off),
+    st.tuples(st.just("alutomem"), st.sampled_from(_ALU),
+              st.sampled_from(_REGS), _off),
+    st.tuples(st.just("storeimm"), _imm, _off),
+    st.tuples(st.just("loadabs"), st.sampled_from(_REGS), _off),
+    st.tuples(st.just("storeabs"), st.sampled_from(_REGS), _off),
+    st.tuples(st.just("leaidx"), st.sampled_from(_REGS),
+              st.sampled_from(_REGS), st.integers(-4096, 4096)),
 )
 
 _block = st.lists(_instr, min_size=1, max_size=4)
@@ -121,6 +136,20 @@ def _render(op) -> str:
         return f"    movl {op[2]}(%ebx), %{op[1]}"
     if kind == "store":
         return f"    movl %{op[1]}, {op[2]}(%ebx)"
+    if kind == "shcl":
+        return f"    {op[1]} %cl, %{op[2]}"
+    if kind == "alumem":
+        return f"    {op[1]} {op[3]}(%ebx), %{op[2]}"
+    if kind == "alutomem":
+        return f"    {op[1]} %{op[2]}, {op[3]}(%ebx)"
+    if kind == "storeimm":
+        return f"    movl ${op[1]}, {op[2]}(%ebx)"
+    if kind == "loadabs":
+        return f"    movl {DATA + op[2]}, %{op[1]}"
+    if kind == "storeabs":
+        return f"    movl %{op[1]}, {DATA + op[2]}"
+    if kind == "leaidx":
+        return f"    leal {op[3]}(%ebx,%{op[2]},4), %{op[1]}"
     if kind in ("loadn", "storen"):
         return _narrow(kind[:-1], op[1], op[2], f"{op[3]}(%ebx)")
     if kind in ("mmioload", "mmiostore"):

@@ -1,13 +1,16 @@
-"""Physical memory, MMIO dispatch, page tables, address spaces."""
+"""Physical memory, MMIO dispatch, page tables, address spaces, and the
+per-address-space RAM page cache the CPU and the JIT share."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa import assemble
 from repro.machine import (
     AddressSpace,
     BusError,
     HYPERVISOR_BASE,
+    Machine,
     PAGE_SIZE,
     PageFault,
     PageTable,
@@ -192,3 +195,143 @@ class TestAddressSpace:
         payload = bytes(range(200)) * 30
         space.write_bytes(0xC0000F00, payload)
         assert space.read_bytes(0xC0000F00, len(payload)) == payload
+
+
+#: a domain page and a hypervisor page the page-cache tests access
+VA = 0xC0000000
+HYP_VA = HYPERVISOR_BASE + 0x100000
+STACK_TOP = 0xC0104000
+
+
+class TestPageCache:
+    """Ground truth for the RAM page cache, with the JIT off and on (a
+    differential test cannot see a stale entry: both engines read the
+    same cache). Each test fills the cache through a CPU load, changes
+    the translation one way, and checks the next access against what
+    the page tables and devices now say."""
+
+    @pytest.fixture(params=[False, True], ids=["interp", "jit"])
+    def m(self, request):
+        m = Machine()
+        m.cpu.jit_enabled = request.param
+        m.cpu.jit_threshold = 1
+        m.cpu.address_space = self.space(m, "a")
+        return m
+
+    @staticmethod
+    def space(m, name):
+        space = AddressSpace(name, m.phys, m.hypervisor_table)
+        space.map_new_pages(STACK_TOP - 4 * PAGE_SIZE, 4)
+        return space
+
+    @staticmethod
+    def accessors(m, addr, base=0x08000000):
+        """``load()`` and ``store(value)`` of the word at ``addr``,
+        as driver code."""
+        loaded = m.load_program(assemble(
+            f".globl load\n.globl store\n"
+            f"load: movl {addr}, %eax\nret\n"
+            f"store: movl 4(%esp), %ecx\nmovl %ecx, {addr}\nret\n"), base)
+
+        def load():
+            return m.cpu.call_function(loaded.symbol("load"), [],
+                                       stack_top=STACK_TOP)
+
+        def store(value):
+            m.cpu.call_function(loaded.symbol("store"), [value],
+                                stack_top=STACK_TOP)
+        return load, store
+
+    @staticmethod
+    def frame_holding(m, value):
+        frame = m.phys.allocate_frame()
+        m.phys.write_u32(frame << 12, value)
+        return frame
+
+    def test_load_fills_the_cache(self, m):
+        space = m.cpu.address_space
+        space.map_page(VA, self.frame_holding(m, 11))
+        load, _ = self.accessors(m, VA)
+        assert VA >> 12 not in space.read_pages
+        assert load() == 11
+        assert VA >> 12 in space.read_pages
+        assert load() == 11
+
+    def test_unmap_faults_the_next_load(self, m):
+        space = m.cpu.address_space
+        space.map_page(VA, self.frame_holding(m, 11))
+        load, _ = self.accessors(m, VA)
+        assert load() == 11
+        space.unmap_page(VA)
+        with pytest.raises(PageFault):
+            load()
+
+    def test_remap_serves_the_new_frame(self, m):
+        space = m.cpu.address_space
+        space.map_page(VA, self.frame_holding(m, 11))
+        load, store = self.accessors(m, VA)
+        store(12)
+        assert load() == 12
+        space.map_page(VA, self.frame_holding(m, 22))
+        assert load() == 22
+        store(23)
+        assert load() == 23
+
+    def test_read_only_remap_faults_stores_not_loads(self, m):
+        space = m.cpu.address_space
+        frame = self.frame_holding(m, 11)
+        space.map_page(VA, frame)
+        load, store = self.accessors(m, VA)
+        store(12)
+        assert load() == 12
+        space.map_page(VA, frame, writable=False)
+        with pytest.raises(ProtectionFault):
+            store(13)
+        assert load() == 12
+
+    def test_hypervisor_table_change_reaches_every_space(self, m):
+        a = m.cpu.address_space
+        b = self.space(m, "b")
+        m.hypervisor_table.map(HYP_VA >> 12, self.frame_holding(m, 11))
+        load, _ = self.accessors(m, HYP_VA)
+        for space in (a, b):
+            m.cpu.address_space = space
+            assert load() == 11
+        m.hypervisor_table.map(HYP_VA >> 12, self.frame_holding(m, 22))
+        for space in (a, b):
+            m.cpu.address_space = space
+            assert load() == 22
+        m.hypervisor_table.unmap(HYP_VA >> 12)
+        for space in (a, b):
+            m.cpu.address_space = space
+            with pytest.raises(PageFault):
+                load()
+
+    def test_new_mmio_region_reaches_the_device(self, m):
+        space = m.cpu.address_space
+        frame = self.frame_holding(m, 11)
+        space.map_page(VA, frame)
+        load, _ = self.accessors(m, VA)
+        assert load() == 11
+        before = m.account.total
+        assert load() == 11
+        ram_call = m.account.total - before
+        device = FakeDevice()
+        m.phys.add_mmio_region(frame << 12, PAGE_SIZE, device)
+        before = m.account.total
+        assert load() == 0xAB
+        assert device.reads == [(0, 4)]
+        costs = m.cpu.scaled
+        assert m.account.total - before == ram_call - costs.mem + costs.mmio
+
+    def test_address_space_switch_serves_the_other_mapping(self, m):
+        a = m.cpu.address_space
+        b = self.space(m, "b")
+        a.map_page(VA, self.frame_holding(m, 11))
+        b.map_page(VA, self.frame_holding(m, 22))
+        load, _ = self.accessors(m, VA)
+        assert load() == 11
+        m.cpu.address_space = b
+        assert load() == 22
+        m.cpu.address_space = a
+        assert load() == 11
