@@ -14,16 +14,20 @@ nothing may be dropped and the dom0 path is never entered. The
   recovery reload (``fallback="recovery"`` in the report). Otherwise the
   replacement binary is re-verified *first*: a verification failure
   raises :class:`HandoverVetoed` before the old instance is disturbed.
+  A re-home is refused with :class:`HandoverError` while dom0 has NIC
+  interrupts held: their frames are still in the source NIC's ring and
+  would demux to no guest once the guest has moved.
 * **drain** — stop admitting work (NIC lines masked so new device
-  interrupts latch in ICR instead of firing; ``twin.frozen`` parks new
-  guest tx frames byte-snapshotted and defers interrupt replay), then
-  complete what is already in flight: flush every rx queue shard and
-  drain softirqs on every vCPU. Batches addressed to a virq-masked
-  guest stay parked — their skbs remain valid across a planned swap
-  and the guest's unmask hook is the single accounting event.
+  interrupts latch in ICR instead of firing; ``twin.frozen`` makes the
+  twin hold new guest tx frames, byte-snapshotted, and NIC interrupts in
+  its ``held`` ledger), then complete what is already in flight: flush
+  every rx queue shard and drain softirqs on every vCPU. Batches
+  addressed to a virq-masked guest stay held — their skbs remain valid
+  across a planned swap and the guest's unmask hook is the single
+  accounting event.
 * **freeze** — assert quiescence: no driver invocation in flight, no
   pending softirqs, every queue shard empty. Anything the twin still
-  holds is *accounted* (parked batches, frozen tx, deferred irqs), not
+  has is an entry of ``twin.held`` (rx batches, tx frames, irqs), not
   in flight.
 * **swap** — replace the binary via :meth:`reload_hyp_driver` (the
   CodeRegistry epoch bumps on unregister *and* register, so every JIT
@@ -35,9 +39,9 @@ nothing may be dropped and the dom0 path is never entered. The
 * **replay** — unfreeze, unmask the NIC lines (latched causes fire
   immediately and their masked-for latency is observed into the
   ``health.virq_defer_cycles`` histogram — the honest p99-blip metric
-  the bench gates), re-run deferred interrupts in arrival order, replay
-  frozen tx frames through whichever twin owns each device *now*, and
-  re-fire unmask hooks for guests with parked batches.
+  the bench gates), re-run held interrupts in arrival order, replay
+  held tx frames through whichever twin owns each device *now*, and
+  re-fire the unmask hook for unmasked guests with held receives.
 * **resume** — drain the resulting softirqs and close the maintenance
   window.
 
@@ -62,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..machine.nic import REG_ICR, REG_IMS
+from .twin import RX_KINDS
 
 #: state-machine phases, in order (``idle`` between handovers).
 HANDOVER_PHASES = ("request", "drain", "freeze", "swap", "replay", "resume")
@@ -94,7 +99,8 @@ class HandoverReport:
     window_cycles: int = 0
     #: packets delivered to guests by the drain flush.
     drained_rx: int = 0
-    #: packets carried across the swap in parked/pending form.
+    #: held receive packets carried across the swap (or moved to the
+    #: re-home target).
     carried_parked: int = 0
     #: NIC interrupts deferred during the freeze and replayed.
     replayed_irqs: int = 0
@@ -145,12 +151,10 @@ class HandoverManager:
         self.history.append(report)
 
     def _held_backlog(self) -> int:
-        """Packets the handover deliberately holds — what the watchdog's
-        stalled-rx probe subtracts inside the maintenance window."""
-        twin = self.twin
-        parked = sum(len(skbs) for _, skbs in twin._parked_batches)
-        carried = sum(len(p) for _, p in twin._parked_payloads)
-        return parked + carried
+        """Receive packets the twin deliberately holds — what the
+        watchdog's stalled-rx probe subtracts inside the maintenance
+        window."""
+        return sum(len(e.data) for e in self.twin.held if e.kind in RX_KINDS)
 
     def _assert_quiescent(self):
         if self.xen.driver_depth:
@@ -166,18 +170,18 @@ class HandoverManager:
                 f"cannot freeze: {queued} rx packets still queued")
 
     def _replay_parked(self, twin):
-        """Re-fire the unmask hook for every domain that still has parked
-        batches and an enabled virq — the swap must not leave packets
+        """Re-fire the unmask hook for every domain that still has held
+        receives and an enabled virq — the swap must not leave packets
         waiting on an unmask edge that already happened."""
         domains = []
-        for guest, _batch in list(twin._parked_batches) + list(
-                twin._parked_payloads):
-            domain = guest.kernel.domain
-            if domain not in domains:
-                domains.append(domain)
+        for entry in twin.held:
+            if entry.kind in RX_KINDS:
+                domain = entry.dev.kernel.domain
+                if domain not in domains:
+                    domains.append(domain)
         for domain in domains:
             if domain.virq_enabled:
-                twin._on_guest_virq_unmask(domain)
+                twin._on_virq_unmask(domain)
 
     # -- the two handover kinds ----------------------------------------------
 
@@ -240,11 +244,13 @@ class HandoverManager:
             mid_window_hook()
 
     def rehome_guest(self, dev, target) -> HandoverReport:
-        """Move ``dev`` (its rx queue state, parked batches and unmask
+        """Move ``dev`` (its rx queue state, held receives and unmask
         hook) from this twin to a second live twin instance with zero
         packet loss. A degraded source is *evacuated*: its queues were
         already torn down at quarantine, so the drain flush is skipped
-        and the carried payload batches move to the target."""
+        and the carried payload batches move to the target. Raises
+        :class:`HandoverError`, with nothing disturbed, while dom0 has
+        NIC interrupts held."""
         if self.state != "idle":
             raise HandoverError(f"handover already in progress "
                                 f"(state={self.state!r})")
@@ -256,11 +262,19 @@ class HandoverManager:
         report = HandoverReport(kind="rehome")
         self._phase_start = None
         self._begin(report, "request")
+        held_irqs = sum(1 for e in twin.held if e.kind == "irq")
+        if held_irqs:
+            # their frames sit in the source NIC's ring; served after the
+            # move they would demux to no guest and be dropped
+            self._finish(report)
+            raise HandoverError(
+                f"cannot re-home: dom0 holds {held_irqs} NIC interrupts "
+                "whose frames are still in the source ring")
 
         def do_rehome():
             report.epoch_before = report.epoch_after = self.machine.code.epoch
             pending = twin.detach_guest_device(dev)
-            report.carried_parked = sum(len(p) for p in pending)
+            report.carried_parked = sum(len(e.data) for e in pending)
             target.adopt_guest_device(dev, pending)
 
         return self._run_window(report, twin, swap=do_rehome,
@@ -307,7 +321,8 @@ class HandoverManager:
             # replay: deferred work re-runs in arrival order
             self._begin(report, "replay")
             twin.frozen = False
-            report.replayed_irqs = len(twin._deferred_irqs)
+            report.replayed_irqs = sum(1 for e in twin.held
+                                       if e.kind == "irq")
             now = self._now()
             for nic in nics:
                 if nic.regs[REG_ICR] & nic.regs[REG_IMS]:

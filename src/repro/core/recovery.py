@@ -183,18 +183,18 @@ class RecoveryManager:
         # a spin_lock_irqsave window).
         locks = twin.hyp_support.release_held_locks()
         self._c["locks_released"].value += locks
-        # Drop interrupts deferred on the virq mask BEFORE re-enabling it:
+        # Drop interrupts held on the virq mask BEFORE re-enabling it:
         # the domain's unmask hook would otherwise replay them into the
         # instance being dismantled. Nothing is lost — their causes are
         # still latched in the (masked) NICs and are replayed onto the
         # degraded path when handle_abort unmasks the lines.
-        twin._deferred_irqs.clear()
+        twin.held[:] = [e for e in twin.held if e.kind != "irq"]
         twin.dom0_kernel.domain.enable_virq()
-        # Carry batches parked for virq-masked guests across the
-        # teardown: their skbs are about to be reclaimed, but the
+        # Carry batches held for virq-masked guests across the teardown
+        # as payload bytes: their skbs are about to be reclaimed, but the
         # packets themselves must survive — they are delivered (and
         # accounted, exactly once) when the guest unmasks.
-        carried = twin.preserve_parked_batches()
+        carried = twin.snapshot_held_rx()
         self._c["parked_carried"].value += carried
         # Drop queued-but-undelivered receives and reclaim every pool
         # sk_buff the instance was holding.
@@ -282,9 +282,12 @@ class RecoveryManager:
         self._maybe_recover()
 
     def _demux_rx(self, skb_addr: int):
-        """dom0 ``netif_rx`` handler while degraded: deliver hypervisor
-        pool buffers to the owning guest (by destination MAC), everything
-        else to dom0's own stack."""
+        """dom0 ``netif_rx`` handler while degraded: deliver the frame to
+        the guests :meth:`~repro.core.twin.TwinDriverManager.rx_targets`
+        picks; broadcast, multicast and unknown unicast also reach dom0's
+        own stack. A guest whose virq is masked gets the frame held as an
+        ``rx_bytes`` entry, behind anything already held for it, and its
+        unmask hook delivers it."""
         twin = self.twin
         kernel = twin.dom0_kernel
         mem = kernel.memory_view()
@@ -302,38 +305,29 @@ class RecoveryManager:
             # a stale count would make every free a mere decrement and
             # leak the buffer out of the pool forever.
             skb.refcnt = 1
-        if dst_mac[0] & 1:
-            # broadcast/multicast: every guest gets a copy, and dom0's
-            # own stack still sees the frame
+        targets = twin.rx_targets(dst_mac)
+        if targets:
             payload = mem.read_bytes(skb.data, skb.len)
-            for guest in twin.guest_devices:
+        for guest in targets:
+            if guest.kernel.domain.virq_enabled:
                 self.xen.charge_xen(costs.copy_cost(len(payload)))
                 self.xen.charge_xen(costs.virq_delivery)
                 guest.deliver(payload)
+            else:
+                twin.hold("rx_bytes", guest, [payload])
+        if dst_mac[0] & 1 or not targets:
+            # broadcast/multicast, and unknown unicast, belong to dom0's
+            # own stack too (never to whichever guest happens to be first)
             handler = self._saved_rx_handler or kernel._rx_deliver_local
             handler(skb_addr)
             if is_pool:
                 pool.release(skb_addr)     # idempotent backstop
-            return
-        guest = twin.guests_by_mac.get(dst_mac)
-        if guest is None:
-            # unknown unicast belongs to dom0's own stack, not to
-            # whichever guest happens to be first
-            handler = self._saved_rx_handler or kernel._rx_deliver_local
-            handler(skb_addr)
-            if is_pool:
-                pool.release(skb_addr)     # idempotent backstop
-            return
-        payload = mem.read_bytes(skb.data, skb.len)
-        self.xen.charge_xen(costs.copy_cost(len(payload)))
-        self.xen.charge_xen(costs.virq_delivery)
-        if is_pool:
+        elif is_pool:
             # pool buffers go back to the pool, not through dom0's
             # slab bookkeeping
             pool.release(skb_addr)
         else:
             kernel.free_skb(skb_addr)
-        guest.deliver(payload)
 
     # -- reload --------------------------------------------------------------
 

@@ -22,7 +22,8 @@ keep running in the **VM instance** inside dom0 via :meth:`vm_call` and
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..drivers import DriverSpec, E1000_SPEC
 from ..machine.nic import E1000Device, flow_hash
@@ -73,6 +74,34 @@ DEFAULT_RX_BATCH_BUDGET = 64
 #: Upper bound on frames accepted per :meth:`guest_transmit_batch` call.
 #: Overridden via ``configs.TX_BATCH_MAX``.
 DEFAULT_TX_BATCH_MAX = 32
+
+
+#: held-entry kinds that carry receives (part of the rx backlog).
+RX_KINDS = ("rx", "rx_bytes")
+
+
+class Held(NamedTuple):
+    """One unit of work the twin accepted but cannot run yet: an entry
+    of :attr:`TwinDriverManager.held`, released exactly once later.
+
+    ``kind`` is one of:
+
+    * ``"irq"`` — ``data`` is a NIC line deferred while dom0's virq was
+      masked or the twin was frozen (``dev`` is None);
+    * ``"tx"`` — ``data`` is ``(staging buf, frame bytes)`` for a guest
+      frame admitted while frozen; the bytes are snapshotted at
+      admission because the guest reuses its staging buffer;
+    * ``"rx"`` — ``data`` is the skb addresses of a batch for a guest
+      whose virq is masked, not yet copied or charged;
+    * ``"rx_bytes"`` — the same batch snapshotted to payload bytes (it
+      survives a quarantine or a re-home; its skbs are released).
+
+    ``at`` is the cycle clock when the work was held."""
+
+    kind: str
+    dev: Optional["ParavirtNetDevice"]
+    data: object
+    at: int
 
 
 class TwinQueue:
@@ -281,18 +310,14 @@ class TwinDriverManager:
         self.netdev_order: List[int] = []
         self.nics_by_irq: Dict[int, E1000Device] = {}
         self.rx_dropped_no_guest = 0
-        #: parked NIC interrupts: (irq, cycle-clock at defer time), so the
-        #: replay path can observe delivery latency into the SLO histogram
-        self._deferred_irqs: List[Tuple[int, int]] = []
         #: planned-handover admission gate: while True the twin accepts
-        #: but defers all new work (tx frames parked, NIC irqs deferred)
-        #: so the handover can swap/rehome against a quiescent instance.
+        #: but holds all new work (tx frames, NIC irqs) so the handover
+        #: can swap/rehome against a quiescent instance.
         self.frozen = False
-        #: guest tx frames admitted while frozen: (dev, buf, frame bytes)
-        #: — the bytes are snapshotted at admission because the guest
-        #: reuses its staging buffer on the next transmit; replay writes
-        #: them back before invoking the (new) instance.
-        self._frozen_tx: List[Tuple[ParavirtNetDevice, int, bytes]] = []
+        #: the hold-and-replay ledger: all work accepted but not yet run,
+        #: in arrival order. Only the unmask hook, the handover replay
+        #: and the quarantine teardown release from it.
+        self.held: List[Held] = []
 
         # fast-path batching knobs (§5.3: one copy pass + one virtual
         # interrupt per scheduled guest, not per packet)
@@ -313,17 +338,6 @@ class TwinDriverManager:
         self._guest_rx_queue: Dict[bytes, int] = {}
         #: netdev addr -> id of the vCPU that last held its tx lock.
         self._tx_lock_owner: Dict[int, int] = {}
-        #: batches addressed to a virq-masked guest, parked un-copied and
-        #: un-charged until the guest unmasks (the skbs stay allocated);
-        #: list of (guest device, [skb addrs]) in parking order.
-        self._parked_batches: List[Tuple[ParavirtNetDevice, List[int]]] = []
-        #: parked batches converted to payload bytes — what survives a
-        #: quarantine (the skbs are reclaimed by the pool, the packets
-        #: are not lost): (guest device, [payload bytes]) in order.
-        self._parked_payloads: List[Tuple[ParavirtNetDevice, List[bytes]]] = []
-        #: guest domid -> the installed unmask-hook callable (kept so a
-        #: re-homed guest's hook can be removed from its Domain).
-        self._hooked_guest_domids: Dict[int, object] = {}
         registry = self.machine.obs.registry
         self._h_rx_batch = registry.histogram("twin.rx_batch_size")
         self._h_tx_batch = registry.histogram("twin.tx_batch_size")
@@ -331,9 +345,9 @@ class TwinDriverManager:
         #: watchdog checks its p99 against an SLO
         self._h_virq_defer = registry.histogram(VIRQ_DEFER_HISTOGRAM)
 
-        # deferred NIC interrupts are replayed as soon as dom0 re-enables
+        # held NIC interrupts are replayed as soon as dom0 re-enables
         # its virtual interrupt flag (or is next scheduled with it set)
-        dom0_kernel.domain.unmask_hooks.append(self._on_dom0_virq_unmask)
+        dom0_kernel.domain.unmask_hooks.append(self._on_virq_unmask)
 
         # fault containment & recovery (None = raw abort semantics)
         self.recovery: Optional[RecoveryManager] = (
@@ -373,11 +387,9 @@ class TwinDriverManager:
         # RSS steering: this guest's flows land on one queue, keyed by
         # the deterministic flow hash of its MAC
         self._guest_rx_queue[dev.mac] = flow_hash(dev.mac) % self.num_queues
-        domain = dev.kernel.domain
-        if domain.domid not in self._hooked_guest_domids:
-            hook = lambda d=domain: self._on_guest_virq_unmask(d)  # noqa: E731
-            self._hooked_guest_domids[domain.domid] = hook
-            domain.unmask_hooks.append(hook)
+        hooks = dev.kernel.domain.unmask_hooks
+        if self._on_virq_unmask not in hooks:
+            hooks.append(self._on_virq_unmask)
         if self.netdev_order:
             index = (len(self.guest_devices) - 1) % len(self.netdev_order)
             dev.netdev_addr = self.netdev_order[index]
@@ -395,61 +407,73 @@ class TwinDriverManager:
     @property
     def rx_backlog(self) -> int:
         """Total packets queued-but-undelivered across all rx queues,
-        including batches parked for virq-masked guests (in skb form or
-        carried across a quarantine in payload form)."""
+        including receives held for virq-masked guests."""
         queued = sum(len(q.rx) for q in self.queues)
-        parked = sum(len(skbs) for _, skbs in self._parked_batches)
-        carried = sum(len(p) for _, p in self._parked_payloads)
-        return queued + parked + carried
+        return queued + sum(len(e.data) for e in self.held
+                            if e.kind in RX_KINDS)
 
     def drop_rx_backlog(self):
-        """Discard every queued and parked receive (recovery teardown —
-        the skbs are reclaimed wholesale by the pool). Payload-form
-        batches already carried across a quarantine are NOT dropped:
-        they no longer reference instance state and stay deliverable."""
+        """Discard every queued receive and every held ``rx`` batch
+        (recovery teardown — the skbs are reclaimed wholesale by the
+        pool). ``rx_bytes`` entries no longer reference instance state
+        and stay deliverable."""
         for q in self.queues:
             q.rx.clear()
-        self._parked_batches.clear()
+        self._take(lambda e: e.kind == "rx")
 
-    def preserve_parked_batches(self) -> int:
-        """Carry parked masked-virq batches across a quarantine or
-        planned teardown: convert each skb to payload bytes (read via
-        dom0's own address space — the stlb may already be gone) and
-        release the skb to the pool exactly once, even when a broadcast
-        skb appears in several guests' batches. The packets move to
-        ``_parked_payloads`` and are delivered — charged and counted
-        once, as the parking contract promises — by the guest's unmask
-        hook. Returns the number of packets carried."""
-        if not self._parked_batches:
-            return 0
+    # -- the hold-and-replay ledger -----------------------------------------
+
+    def hold(self, kind: str, dev: Optional[ParavirtNetDevice], data):
+        """Append one entry to :attr:`held`, stamped with the cycle clock."""
+        self.held.append(Held(kind, dev, data, self.machine.account.total))
+
+    def _take(self, match: Callable[[Held], bool]) -> List[Held]:
+        """Remove the held entries ``match`` accepts and return them in
+        arrival order."""
+        taken: List[Held] = []
+        kept: List[Held] = []
+        for entry in self.held:
+            (taken if match(entry) else kept).append(entry)
+        self.held[:] = kept
+        return taken
+
+    def snapshot_held_rx(self, dev: Optional[ParavirtNetDevice] = None
+                         ) -> int:
+        """Convert held ``rx`` entries (all, or only ``dev``'s) in place
+        to ``rx_bytes``, so they outlive this instance's skbs. Payloads
+        are read through dom0's own address space (the stlb may already
+        be gone), and each entry drops the one reference it holds: a
+        shared broadcast skb is only decremented, the last reference
+        returns the skb to the pool (or to dom0's slab). Returns the
+        number of packets converted."""
         mem = self.dom0_kernel.memory_view()
         pool = self.hyp_support.pool
-        carried = 0
-        released: set = set()
-        for guest, skbs in self._parked_batches:
+        converted = 0
+        for i, entry in enumerate(self.held):
+            if entry.kind != "rx" or (dev is not None
+                                      and entry.dev is not dev):
+                continue
             payloads: List[bytes] = []
-            for skb_addr in skbs:
+            for skb_addr in entry.data:
                 skb = SkBuff(mem, skb_addr)
                 payloads.append(mem.read_bytes(skb.data, skb.len))
-                if skb_addr not in released:
-                    released.add(skb_addr)
-                    if skb.pool:
-                        pool.release(skb_addr)
-                    else:
-                        skb.refcnt = 1
-                        self.dom0_kernel.free_skb(skb_addr)
-            self._parked_payloads.append((guest, payloads))
-            carried += len(payloads)
-        self._parked_batches.clear()
-        return carried
+                if skb.refcnt > 1:
+                    skb.refcnt = skb.refcnt - 1
+                elif skb.pool:
+                    pool.release(skb_addr)
+                else:
+                    self.dom0_kernel.free_skb(skb_addr)
+            self.held[i] = entry._replace(kind="rx_bytes", data=payloads)
+            converted += len(payloads)
+        return converted
 
-    def _deliver_parked_payloads(self, guest: ParavirtNetDevice,
-                                 payloads: List[bytes]):
-        """Deliver a payload-form parked batch: the single accounting
-        event for packets whose skbs were reclaimed at quarantine. Each
-        packet is charged one copy (into the guest's buffers) and the
-        batch one coalesced virq — the same shape as a normal flush,
-        minus the dom0 bookkeeping share (dom0's skbs are already gone)."""
+    def _deliver_payloads(self, guest: ParavirtNetDevice,
+                          payloads: List[bytes]):
+        """Deliver an ``rx_bytes`` batch: the single accounting event for
+        packets whose skbs are already released. Each packet is charged
+        one copy (into the guest's buffers) and the batch one coalesced
+        virq — the same shape as a normal flush, minus the dom0
+        bookkeeping share (dom0's skbs are already gone)."""
         costs = self.xen.costs
         for payload in payloads:
             self.xen.charge_xen(costs.copy_cost(len(payload))
@@ -458,6 +482,40 @@ class TwinDriverManager:
         self._h_rx_batch.observe(len(payloads))
         self.xen.deliver_coalesced_virq(guest.kernel.domain, len(payloads))
         guest.deliver_batch(payloads)
+
+    def _on_virq_unmask(self, domain):
+        """Unmask hook on dom0 and on every guest domain this twin serves:
+        ``domain`` re-enabled its virtual interrupt flag (or was scheduled
+        with it set), so work held for it may run. For dom0 that is the
+        held NIC interrupts, re-run like :meth:`_handle_nic_irq` from a
+        softirq (deferred while a driver invocation is in flight). For a
+        guest it is its held receives: ``rx`` batches go back on their
+        queues and a softirq flush copies, charges and delivers them
+        (their first and only accounting); ``rx_bytes`` batches are
+        delivered directly. While frozen nothing is released; the
+        handover's replay phase calls this again after the swap."""
+        if self.frozen or not self.held:
+            return
+        if domain is self.dom0_kernel.domain:
+            if not any(e.kind == "irq" for e in self.held):
+                return
+            self.xen.raise_softirq(self.retry_deferred_interrupts)
+        else:
+            requeued = False
+            for entry in self._take(lambda e: e.kind in RX_KINDS
+                                    and e.dev.kernel.domain is domain):
+                if entry.kind == "rx":
+                    qi = self._guest_rx_queue.get(entry.dev.mac, 0)
+                    self.queues[qi].rx.extend(
+                        (entry.dev, s) for s in entry.data)
+                    requeued = True
+                else:
+                    self._deliver_payloads(entry.dev, entry.data)
+            if not requeued:
+                return
+            self.xen.raise_softirq(self.flush_rx)
+        if self.xen.driver_depth == 0:
+            self.xen.run_softirqs()
 
     def bind_device(self, dev: ParavirtNetDevice, netdev_addr: int):
         dev.netdev_addr = netdev_addr
@@ -555,17 +613,17 @@ class TwinDriverManager:
 
     def _run_interrupt(self, irq: int):
         if self.frozen:
-            # planned handover in progress: defer like a masked dom0 —
+            # planned handover in progress: hold like a masked dom0 —
             # the handover's replay phase re-runs these in arrival order
-            self._deferred_irqs.append((irq, self.machine.account.total))
+            self.hold("irq", None, irq)
             return
         if self.recovery is not None and self.recovery.degraded:
             self.recovery.degraded_interrupt(irq)
             return
         if not self.dom0_kernel.domain.virq_enabled:
             # dom0 masked driver interrupts (it may hold a shared lock):
-            # defer until the flag is re-enabled.
-            self._deferred_irqs.append((irq, self.machine.account.total))
+            # hold until the flag is re-enabled.
+            self.hold("irq", None, irq)
             return
         entry_vm, arg = self.dom0_kernel.irq_handlers[irq]
         entry = self.hyp_driver.entry_for_vm_address(entry_vm)
@@ -587,113 +645,73 @@ class TwinDriverManager:
                 tracer.end_span(span)
 
     def retry_deferred_interrupts(self):
-        pending, self._deferred_irqs = self._deferred_irqs, []
+        """Re-run the held NIC interrupts in arrival order, observing how
+        long each waited into the virq-latency SLO histogram."""
         now = self.machine.account.total
-        for irq, deferred_at in pending:
-            self._h_virq_defer.observe(now - deferred_at)
-            self._run_interrupt(irq)
-
-    def _on_dom0_virq_unmask(self):
-        """Domain unmask hook: dom0 re-enabled its virtual interrupt flag,
-        so any NIC interrupts parked in ``_deferred_irqs`` can now run.
-        Like :meth:`_handle_nic_irq`, the replay happens in softirq
-        context and is deferred while a driver invocation is in flight."""
-        if not self._deferred_irqs:
-            return
-        self.xen.raise_softirq(self.retry_deferred_interrupts)
-        if self.xen.driver_depth == 0:
-            self.xen.run_softirqs()
+        for entry in self._take(lambda e: e.kind == "irq"):
+            self._h_virq_defer.observe(now - entry.at)
+            self._run_interrupt(entry.data)
 
     def replay_frozen_tx(self) -> List[bool]:
-        """Replay tx frames admitted during a handover freeze, in order.
-        Each frame's bytes are restored into the guest's staging buffer
-        (pure state restoration — the guest-side staging was charged at
-        admission) and sent through whichever twin owns the device NOW,
-        so frames from a re-homed guest go through the target instance."""
+        """Replay the held tx frames admitted during a handover freeze, in
+        order. Each frame's bytes are restored into the guest's staging
+        buffer (pure state restoration — the guest-side staging was
+        charged at admission) and sent through whichever twin owns the
+        device NOW, so frames from a re-homed guest go through the target
+        instance."""
         if self.frozen:
             raise RuntimeError("cannot replay frozen tx while still frozen")
-        pending, self._frozen_tx = self._frozen_tx, []
         results: List[bool] = []
-        for dev, buf, frame in pending:
+        for entry in self._take(lambda e: e.kind == "tx"):
+            dev, (buf, frame) = entry.dev, entry.data
             dev.kernel.domain.aspace.write_bytes(buf, frame)
             results.append(dev.twin.guest_transmit(dev, buf, len(frame)))
         return results
 
     # --------------------------------------------------------------- re-homing
 
-    def detach_guest_device(self, dev: ParavirtNetDevice):
+    def detach_guest_device(self, dev: ParavirtNetDevice) -> List[Held]:
         """Remove ``dev`` from this twin for re-homing to another live
-        instance. Queued skbs and parked batches addressed to it are
-        converted to payload bytes (released to THIS twin's pool) and
-        returned as the list of pending (payload-form) batches the
-        adopting twin must deliver. The guest's unmask hook is unhooked
-        when no other device of that domain stays behind."""
+        instance. Its receives are snapshotted to ``rx_bytes`` entries
+        (each skb reference released to THIS twin's pool) and returned
+        in arrival order for the adopting twin: held batches first, then
+        anything still queued — every held batch for a guest is older
+        than every queued frame for it. Its held tx frames stay and
+        replay through ``dev.twin``. The unmask hook is removed when no
+        other device of that domain stays behind."""
         if dev not in self.guest_devices:
             raise ValueError(f"device {dev.mac.hex()} not on this twin")
-        mem = self.dom0_kernel.memory_view()
-        pool = self.hyp_support.pool
-        pending: List[List[bytes]] = []
-
-        def _to_payload(skb_addr: int) -> bytes:
-            skb = SkBuff(mem, skb_addr)
-            payload = mem.read_bytes(skb.data, skb.len)
-            refs = skb.refcnt
-            if refs > 1:
-                # broadcast skb shared with batches staying behind:
-                # this detach drops only its own reference
-                skb.refcnt = refs - 1
-            elif skb.pool:
-                pool.release(skb_addr)
-            else:
-                self.dom0_kernel.free_skb(skb_addr)
-            return payload
-
         for q in self.queues:
             mine = [s for g, s in q.rx if g is dev]
             if mine:
                 q.rx = [(g, s) for g, s in q.rx if g is not dev]
-                pending.append([_to_payload(s) for s in mine])
-        still_parked: List[Tuple[ParavirtNetDevice, List[int]]] = []
-        for guest, skbs in self._parked_batches:
-            if guest is dev:
-                pending.append([_to_payload(s) for s in skbs])
-            else:
-                still_parked.append((guest, skbs))
-        self._parked_batches = still_parked
-        still_carried: List[Tuple[ParavirtNetDevice, List[bytes]]] = []
-        for guest, payloads in self._parked_payloads:
-            if guest is dev:
-                pending.append(payloads)
-            else:
-                still_carried.append((guest, payloads))
-        self._parked_payloads = still_carried
+                self.hold("rx", dev, mine)
+        self.snapshot_held_rx(dev)
+        pending = self._take(lambda e: e.dev is dev and e.kind == "rx_bytes")
 
         self.guest_devices.remove(dev)
         del self.guests_by_mac[dev.mac]
         self._guest_rx_queue.pop(dev.mac, None)
         domain = dev.kernel.domain
         if not any(d.kernel.domain is domain for d in self.guest_devices):
-            hook = self._hooked_guest_domids.pop(domain.domid, None)
-            if hook is not None and hook in domain.unmask_hooks:
-                domain.unmask_hooks.remove(hook)
+            if self._on_virq_unmask in domain.unmask_hooks:
+                domain.unmask_hooks.remove(self._on_virq_unmask)
         dev.netdev_addr = None
         return pending
 
     def adopt_guest_device(self, dev: ParavirtNetDevice,
-                           pending: Optional[List[List[bytes]]] = None):
+                           pending: Iterable[Held] = ()):
         """Adopt a device detached from another twin: register it here
-        (RSS steering, unmask hook, netdev binding) and deliver — or
-        park, if the guest's virq is masked — the payload batches that
-        were in flight on the source instance."""
+        (RSS steering, unmask hook, netdev binding), then deliver — or
+        hold, if the guest's virq is masked — the ``rx_bytes`` entries
+        that were in flight on the source instance, in their order."""
         dev.twin = self
         self.register_guest_device(dev)
-        for payloads in pending or []:
-            if not payloads:
-                continue
+        for entry in pending:
             if dev.kernel.domain.virq_enabled and not self.frozen:
-                self._deliver_parked_payloads(dev, payloads)
+                self._deliver_payloads(dev, entry.data)
             else:
-                self._parked_payloads.append((dev, payloads))
+                self.held.append(entry)
 
     # ----------------------------------------------------------------- transmit
 
@@ -721,7 +739,7 @@ class TwinDriverManager:
             # replay phase sends it through whichever twin owns the
             # device after the swap/rehome
             frame = dev.kernel.domain.aspace.read_bytes(buf, frame_len)
-            self._frozen_tx.append((dev, buf, frame))
+            self.hold("tx", dev, (buf, frame))
             return True
         if self.recovery is not None and self.recovery.degraded:
             return self.recovery.degraded_transmit(dev, buf, frame_len)
@@ -813,8 +831,8 @@ class TwinDriverManager:
                               frames: List[Tuple[int, int]]) -> List[bool]:
         if self.frozen:
             aspace = dev.kernel.domain.aspace
-            self._frozen_tx.extend(
-                (dev, buf, aspace.read_bytes(buf, n)) for buf, n in frames)
+            for buf, n in frames:
+                self.hold("tx", dev, (buf, aspace.read_bytes(buf, n)))
             return [True] * len(frames)
         if self.recovery is not None and self.recovery.degraded:
             return [self.recovery.degraded_transmit(dev, buf, frame_len)
@@ -854,24 +872,28 @@ class TwinDriverManager:
 
     # ------------------------------------------------------------------ receive
 
+    def rx_targets(self, dst_mac: bytes) -> List[ParavirtNetDevice]:
+        """The rx demux decision, shared by the fast path and the
+        degraded dom0 path: a frame with the group bit set (broadcast or
+        multicast) goes to every guest, a unicast frame to the guest
+        that owns ``dst_mac``, or to nobody."""
+        if dst_mac[0] & 1:
+            return list(self.guest_devices)
+        guest = self.guests_by_mac.get(dst_mac)
+        return [guest] if guest is not None else []
+
     def hypervisor_netif_rx(self, skb_addr: int):
-        """The hypervisor's netif_rx: demultiplex on destination MAC and
-        queue for the owning guest (paper §5.3). Broadcast/multicast
-        frames (group bit set) are queued for *every* guest — the skb's
-        refcount is raised so each delivery drops one reference. Unicast
-        frames with no owning guest are dropped and counted."""
+        """The hypervisor's netif_rx: demultiplex on destination MAC
+        (:meth:`rx_targets`) and queue for each target guest (paper
+        §5.3). A frame for several guests has its skb refcount raised so
+        each delivery drops one reference. A frame for no guest is
+        dropped and counted."""
         costs = self.xen.costs
         self.xen.charge_xen(costs.twin_rx_demux, phase="twin:rx_demux")
         skb = SkBuff(self.hyp_support.view, skb_addr)
         # eth_type_trans already pulled the header: MAC is at data - 14.
-        dst_mac = self.hyp_support.view.read_bytes(skb.data - L.ETH_HLEN,
-                                                   L.ETH_ALEN)
-        if dst_mac[0] & 1:
-            # broadcast / multicast: every guest gets a copy
-            targets = list(self.guest_devices)
-        else:
-            guest = self.guests_by_mac.get(dst_mac)
-            targets = [guest] if guest is not None else []
+        targets = self.rx_targets(self.hyp_support.view.read_bytes(
+            skb.data - L.ETH_HLEN, L.ETH_ALEN))
         tracer = self.machine.obs.tracer
         if tracer.enabled:
             tracer.emit(PACKET_RX_DEMUX, skb=skb_addr, len=skb.len,
@@ -900,8 +922,9 @@ class TwinDriverManager:
         guest gets at most the queue's budget per pass (NAPI-style) under
         ONE coalesced virtual interrupt; packets over budget are requeued
         and a softirq continues the flush. Batches for a virq-masked
-        guest are parked un-copied and un-charged; the guest's unmask
-        hook replays them, so every packet is counted exactly once."""
+        guest are held as ``rx`` entries, un-copied and un-charged; the
+        guest's unmask hook replays them, so every packet is counted
+        exactly once."""
         need_continuation = False
         for q in self.queues:
             if q.rx:
@@ -949,10 +972,10 @@ class TwinDriverManager:
         for guest in order:
             batch = batches[guest]
             if not guest.kernel.domain.virq_enabled:
-                # masked guest: park the whole batch for the unmask hook.
+                # masked guest: hold the whole batch for the unmask hook.
                 # Nothing is copied, charged or counted yet — the replay
                 # delivery is the single accounting event.
-                self._parked_batches.append((guest, batch))
+                self.hold("rx", guest, batch)
                 continue
             if multi and q.last_guest != guest.mac:
                 # this queue's stlb partition is warm for a different
@@ -991,40 +1014,6 @@ class TwinDriverManager:
             q.rx.extend(leftovers)
             return True
         return False
-
-    def _on_guest_virq_unmask(self, domain):
-        """Guest unmask hook: batches parked while the guest's virq was
-        masked go back on their queues and a softirq re-runs the flush
-        (which copies, charges and delivers them — their first and only
-        accounting). Payload-form batches carried across a quarantine
-        are delivered directly. While frozen for a planned handover
-        everything stays parked; the handover's replay phase re-fires
-        this hook after the swap."""
-        if self.frozen:
-            return
-        if not self._parked_batches and not self._parked_payloads:
-            return
-        still_parked: List[Tuple[ParavirtNetDevice, List[int]]] = []
-        replayed = False
-        for guest, skbs in self._parked_batches:
-            if guest.kernel.domain is domain:
-                qi = self._guest_rx_queue.get(guest.mac, 0)
-                self.queues[qi].rx.extend((guest, s) for s in skbs)
-                replayed = True
-            else:
-                still_parked.append((guest, skbs))
-        self._parked_batches = still_parked
-        still_carried: List[Tuple[ParavirtNetDevice, List[bytes]]] = []
-        for guest, payloads in self._parked_payloads:
-            if guest.kernel.domain is domain:
-                self._deliver_parked_payloads(guest, payloads)
-            else:
-                still_carried.append((guest, payloads))
-        self._parked_payloads = still_carried
-        if replayed:
-            self.xen.raise_softirq(self.flush_rx)
-            if self.xen.driver_depth == 0:
-                self.xen.run_softirqs()
 
     # ------------------------------------------------------------------- helpers
 

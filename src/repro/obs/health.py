@@ -4,9 +4,9 @@ A :class:`HealthMonitor` is probed periodically (every N packets, or
 from a maintenance timer) and turns registry counters plus a little
 structural state into findings:
 
-* **stalled rx/tx queues** — the twin's rx queue (or deferred-interrupt
-  list) is non-empty while the corresponding delivery counters have not
-  moved since the previous probe;
+* **stalled rx/tx queues** — the twin's rx queue (or its held NIC
+  interrupts) is non-empty while the corresponding delivery counters
+  have not moved since the previous probe;
 * **virq delivery latency SLO** — the ``health.virq_defer_cycles``
   histogram (observed by the twin whenever a deferred NIC interrupt is
   finally replayed) has a p99 above the configured bound;
@@ -131,18 +131,17 @@ class HealthMonitor:
 
     def _probe_stalled_tx(self, findings: List[Dict]):
         twin = self.twin
-        if twin is None or not twin._deferred_irqs:
-            return
-        if self._maintenance is not None:
+        if twin is None or self._maintenance is not None:
             # a planned freeze defers NIC interrupts on purpose; they
             # are replayed before the window closes.
             return
-        if not self._counter_moved("xen.softirq"):
+        deferred = sum(1 for e in twin.held if e.kind == "irq")
+        if deferred and not self._counter_moved("xen.softirq"):
             findings.append(_finding(
                 "stalled_tx", SEV_WARNING,
-                f"{len(twin._deferred_irqs)} NIC interrupts deferred and "
+                f"{deferred} NIC interrupts deferred and "
                 "no softirq scheduled since the last probe",
-                deferred=len(twin._deferred_irqs),
+                deferred=deferred,
             ))
 
     def _probe_virq_latency(self, findings: List[Dict]):

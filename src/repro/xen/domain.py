@@ -33,10 +33,11 @@ class Domain:
         self.pending_ports: List[int] = []
         #: the guest kernel model living in this domain (set by osmodel).
         self.kernel = None
-        #: callbacks fired when the virq mask transitions masked->enabled
-        #: (and when the domain is scheduled with virqs enabled) — how the
-        #: hypervisor driver learns that deferred NIC softirqs may run.
-        self.unmask_hooks: List[Callable[[], None]] = []
+        #: callbacks fired, with this domain, when the virq mask
+        #: transitions masked->enabled (and when the domain is scheduled
+        #: with virqs enabled) — how the hypervisor driver learns that
+        #: work it held for this domain may run.
+        self.unmask_hooks: List[Callable[["Domain"], None]] = []
         self._next_port = 1
         #: the vCPU whose run queue holds this domain (set by the credit
         #: scheduler; None on single-vCPU configs that never schedule).
@@ -70,7 +71,7 @@ class Domain:
 
     def fire_unmask_hooks(self):
         for hook in list(self.unmask_hooks):
-            hook()
+            hook(self)
 
     # -- memory helpers ----------------------------------------------------------
 

@@ -102,7 +102,7 @@ class TestSwapBinary:
         assert report.replayed_tx == 1
         assert dev.rx_packets == 1
         assert m.wire.tx_count == 1
-        assert twin._frozen_tx == [] and twin._deferred_irqs == []
+        assert twin.held == []
         # the masked-for wait was observed into the blip histogram
         assert m.obs.registry.histogram(
             "health.virq_defer_cycles").count >= 1
@@ -131,9 +131,10 @@ class TestSwapBinary:
         m, xen, twin, dev, nic = make_twin()
         twin.frozen = True
         assert dev.transmit(700)
-        assert m.wire.tx_count == 0 and len(twin._frozen_tx) == 1
+        assert m.wire.tx_count == 0 and [e.kind for e in twin.held] == ["tx"]
         assert m.wire.inject(nic, rx_frame())
-        assert dev.rx_packets == 0 and len(twin._deferred_irqs) == 1
+        assert dev.rx_packets == 0 and [e.kind for e in twin.held] == [
+            "tx", "irq"]
         twin.frozen = False
         twin.retry_deferred_interrupts()
         assert twin.replay_frozen_tx() == [True]
@@ -268,14 +269,44 @@ class TestRehome:
         # the move — the rehome's replay phase routes via ``dev.twin``
         twin.frozen = True
         assert devices[0].transmit(700)
-        assert len(twin._frozen_tx) == 1
+        assert [e.kind for e in twin.held] == ["tx"]
         twin.frozen = False
         before = sec.hyp_driver.invocations
         report = mgr.rehome_guest(devices[0], sec)
         assert report.replayed_tx == 1
-        assert twin._frozen_tx == []
+        assert twin.held == []
         assert sec.hyp_driver.invocations > before
         assert m.wire.tx_count == 1
+
+    def test_rehome_is_refused_while_dom0_holds_interrupts(self):
+        """Bugfix: a re-home while dom0 held NIC interrupts moved the
+        guest away from frames still in the source ring; they demuxed
+        to no guest and were dropped."""
+        sut, twin, sec, devices, pnic, snic, mgr = self.make_pair(
+            n_guests=1)
+        m = sut.machine
+        dom0 = sut.dom0_kernel.domain
+        dom0.disable_virq()
+        self.inject(m, pnic, devices[0], 2)
+        assert devices[0].rx_packets == 0
+        old_driver = twin.hyp_driver
+        with pytest.raises(HandoverError):
+            mgr.rehome_guest(devices[0], sec)
+        # refused in the request phase: the old instance is untouched
+        assert devices[0].twin is twin and devices[0] in twin.guest_devices
+        assert twin.hyp_driver is old_driver
+        assert not twin.frozen and not pnic.line_masked
+        assert mgr.state == "idle"
+        # the held frames are delivered once dom0 unmasks
+        dom0.enable_virq()
+        assert devices[0].rx_packets == 2
+        assert twin.rx_dropped_no_guest == 0
+        # and a retried re-home goes through
+        assert mgr.rehome_guest(devices[0], sec).ok
+        self.inject(m, snic, devices[0], 2)
+        assert devices[0].rx_packets == 4
+        assert twin.hyp_support.pool.balanced
+        assert sec.hyp_support.pool.balanced
 
     def test_rehome_to_self_or_niclless_target_is_rejected(self):
         sut, twin, sec, devices, pnic, snic, mgr = self.make_pair(

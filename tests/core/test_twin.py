@@ -160,10 +160,10 @@ class TestGuestReceive:
         twin.dom0_kernel.domain.disable_virq()
         m.wire.inject(nics[0], self.frame())
         assert dev.rx_packets == 0
-        assert twin._deferred_irqs
+        assert twin.held
         twin.dom0_kernel.domain.enable_virq()
         assert dev.rx_packets == 1
-        assert not twin._deferred_irqs
+        assert not twin.held
 
     def test_rx_deferred_irq_replayed_on_schedule(self):
         # the other unmask path: dom0 scheduled with virqs enabled

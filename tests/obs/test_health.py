@@ -92,7 +92,7 @@ class TestProbes:
         m, xen, twin, dev, nic = make_twin()
         monitor = HealthMonitor(m, twin=twin)
         monitor.probe()
-        twin._deferred_irqs.append((nic.irq, m.account.total))
+        twin.hold("irq", None, nic.irq)
         snap = monitor.probe()
         probes = {f["probe"]: f["severity"] for f in snap["findings"]}
         assert probes.get("stalled_tx") == SEV_WARNING
@@ -252,7 +252,7 @@ class TestMaintenanceWindow:
         m, xen, twin, dev, nic = make_twin()
         monitor = HealthMonitor(m, twin=twin, virq_defer_slo=1)
         monitor.probe()
-        twin._deferred_irqs.append((nic.irq, m.account.total))
+        twin.hold("irq", None, nic.irq)
         m.obs.registry.histogram(VIRQ_DEFER_HISTOGRAM).observe(10_000)
         monitor.enter_maintenance("handover:test")
         snap = monitor.probe()
