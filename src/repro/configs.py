@@ -4,27 +4,26 @@
 * ``dom0``       — the Xen driver domain itself doing the I/O;
 * ``domU``       — an unoptimized guest using the standard split
                    netfront/netback/bridge path;
-* ``domU-twin``  — a guest using the TwinDrivers hypervisor driver.
+* ``domU-twin``  — a guest using the TwinDrivers hypervisor driver
+                   (``scale``/``handover-pair`` scale its topology out).
 
-Each builder returns a :class:`SystemUnderTest` exposing uniform
-``transmit_packets`` / ``receive_packets`` operations that push MTU-sized
-frames through the *whole* simulated stack (driver binaries included) and
-account every cycle. The netperf/profile/webserver workloads all run
-against this facade.
+Each builder — one host step plus, for the twin presets, one twin
+topology, differing only in preset data — returns a
+:class:`SystemUnderTest` exposing uniform ``transmit_packets`` /
+``receive_packets`` operations that push MTU-sized frames through the
+*whole* simulated stack (driver binaries included) and account every
+cycle. The netperf/profile/webserver workloads all run against this
+facade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core.handover import HandoverManager
 from .core.paravirt import ParavirtNetDevice
-from .core.twin import (
-    DEFAULT_RX_BATCH_BUDGET,
-    DEFAULT_TX_BATCH_MAX,
-    TwinDriverManager,
-)
+from .core.twin import TwinDriverManager
 from .drivers.e1000 import build_e1000_program
 from .machine.machine import Machine
 from .machine.nic import E1000Device
@@ -60,25 +59,30 @@ UPCALL_SWEEP_ORDER = (
     "eth_type_trans",
 )
 
-GUEST_MAC_PREFIX = b"\x00\x16\x3e\xaa\x00"
+#: NIC-side interrupt coalescing: frames per interrupt (DESIGN.md §9).
+INTERRUPT_BATCH = 8
 
-#: Batching knobs for the TwinDrivers fast path (see DESIGN.md §9):
-#: packets a guest may receive per flush under one coalesced virtual
-#: interrupt, and the frame cap per guest_transmit_batch burst.
-RX_BATCH_BUDGET = DEFAULT_RX_BATCH_BUDGET
-TX_BATCH_MAX = DEFAULT_TX_BATCH_MAX
+#: MAC prefix for ``domU`` netfronts and ``domU-twin`` devices (1-byte
+#: index suffix).
+GUEST_MAC_PREFIX = b"\x00\x16\x3e\xaa\x00"
+#: MAC prefix for scale-config guests (2-byte index suffix, so up to
+#: 65536 guests keep distinct, deterministic addresses).
+SCALE_MAC_PREFIX = b"\x00\x16\x3e\xab"
+#: MAC prefix for handover-pair guests (1-byte index suffix).
+PAIR_MAC_PREFIX = b"\x00\x16\x3e\xac\x00"
 
 
 @dataclass
 class SystemUnderTest:
-    """Uniform facade over one configuration."""
+    """Uniform facade over one configuration, cycling over its NICs and
+    its endpoints (native netdevs, netfronts or twin guest devices)."""
 
     name: str
     machine: Machine
     costs: CostModel
     nics: List[E1000Device]
-    _tx_one: Callable[[int, int], bool]       # (nic_index, payload_len)
-    _rx_mac: Callable[[int], bytes]           # destination MAC for nic i
+    _tx_one: Callable[[int, int], bool]       # (endpoint index, payload_len)
+    _rx_macs: List[bytes]                     # destination MAC per endpoint
     _rx_count: Callable[[], int]
     dom0_kernel: Optional[Kernel] = None
     guest_kernel: Optional[Kernel] = None
@@ -89,23 +93,24 @@ class SystemUnderTest:
     # -- operations -------------------------------------------------------------
 
     def transmit_packets(self, n: int, payload_len: int = FRAME_PAYLOAD) -> int:
-        """Stream ``n`` MTU frames round-robin over the NICs; returns the
-        number accepted by the driver."""
+        """Stream ``n`` MTU frames round-robin over the endpoints; returns
+        the number accepted by the driver."""
         sent = 0
         for i in range(n):
-            if self._tx_one(i % len(self.nics), payload_len):
+            if self._tx_one(i % len(self._rx_macs), payload_len):
                 sent += 1
         for nic in self.nics:
             nic.flush_interrupts()
         return sent
 
     def receive_packets(self, n: int, payload_len: int = FRAME_PAYLOAD) -> int:
-        """Inject ``n`` frames from the wire round-robin; returns how many
+        """Inject ``n`` frames from the wire, addressed round-robin to the
+        endpoints and spread round-robin over the NICs; returns how many
         the NICs accepted."""
         accepted = 0
         for i in range(n):
             nic = self.nics[i % len(self.nics)]
-            frame = (self._rx_mac(i % len(self.nics))
+            frame = (self._rx_macs[i % len(self._rx_macs)]
                      + b"\x00\x22\x33\x44\x55\x66"
                      + (0x0800).to_bytes(2, "big")
                      + bytes(payload_len))
@@ -130,136 +135,160 @@ class SystemUnderTest:
         return self.machine.account.delta_since(snap)
 
 
-def _open_native_driver(machine: Machine, kernel: Kernel,
-                        nics: List[E1000Device]):
-    """Load the original driver into ``kernel`` and bring up every NIC."""
+# ---------------------------------------------------------------------------
+# the shared parts: one host step, one twin topology
+# ---------------------------------------------------------------------------
+
+class _Host(NamedTuple):
+    """What :func:`_host` builds, named as the facade's fields."""
+    machine: Machine
+    costs: CostModel
+    xen: Optional[Hypervisor]
+    dom0_kernel: Kernel
+    nics: List[E1000Device]
+
+
+def _host(n_nics: int, costs: Optional[CostModel] = None,
+          iommu: bool = False, jit: bool = False, vcpus: int = 1,
+          num_queues: int = 1, interrupt_batch: int = INTERRUPT_BATCH,
+          hypervisor: bool = True) -> _Host:
+    """The machine (JIT flag, IOMMU), the hypervisor with its vCPUs,
+    dom0 and its kernel, and ``n_nics`` NICs with their coalescing
+    batch. ``hypervisor=False`` is native Linux: its kernel owns the
+    bare machine and takes the device interrupts directly."""
+    costs = costs or CostModel()
+    machine = Machine()
+    machine.cpu.jit_enabled = jit
+    if iommu:
+        machine.attach_iommu()
+    xen = None
+    if hypervisor:
+        xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
+        kernel = Kernel(machine, xen.create_domain("dom0", is_dom0=True),
+                        costs=costs, paravirtual=True)
+    else:
+        machine.cpu.cycle_scale = costs.driver_cycle_scale
+        domain = Domain(0, "linux",
+                        AddressSpace("linux", machine.phys,
+                                     machine.hypervisor_table),
+                        is_dom0=True)
+        kernel = Kernel(machine, domain, costs=costs, paravirtual=False)
+        machine.cpu.address_space = domain.aspace
+        machine.intc.set_dispatcher(kernel.handle_irq)
+    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
+    for nic in nics:
+        nic.interrupt_batch = interrupt_batch
+    return _Host(machine, costs, xen, kernel, nics)
+
+
+def _twin_topology(host: _Host, devices: Sequence[Tuple[str, bytes]],
+                   pool_size: int, instances: int = 1, **twin_kwargs):
+    """``instances`` live twin instances (the second at the ``HYP2_*``
+    layout), all built before any NIC is opened so their pools come
+    first in the dom0 heap, splitting the host's NICs in order; then a
+    guest domain per distinct name in ``devices`` (``(guest name, MAC)``
+    pairs) and a device per pair on the first instance. Returns
+    ``(twins, devices, guest kernels)``."""
+    second = dict(instance_name="hyp2", code_base=HYP2_CODE_BASE,
+                  data_base=HYP2_DATA_BASE, stack_base=HYP2_STACK_BASE,
+                  svm_map_base=HYP2_SVM_MAP_BASE)
+    twins = [TwinDriverManager(host.xen, host.dom0_kernel,
+                               pool_size=pool_size, **twin_kwargs,
+                               **(second if k else {}))
+             for k in range(instances)]
+    per_twin = len(host.nics) // instances
+    for k, twin in enumerate(twins):
+        for nic in host.nics[k * per_twin:(k + 1) * per_twin]:
+            twin.attach_nic(nic)
+    kernels = {}
+    guest_devices = []
+    for guest, mac in devices:
+        if guest not in kernels:
+            kernels[guest] = Kernel(host.machine,
+                                    host.xen.create_domain(guest),
+                                    costs=host.costs, paravirtual=True)
+        guest_devices.append(ParavirtNetDevice(twins[0], kernels[guest],
+                                               mac=mac))
+    return twins, guest_devices, list(kernels.values())
+
+
+def _guest_sut(name: str, host: _Host, endpoints, **fields
+               ) -> SystemUnderTest:
+    """Facade over guest endpoints: netfronts or twin guest devices."""
+    return SystemUnderTest(
+        name=name, _tx_one=lambda i, n: endpoints[i].transmit(n),
+        _rx_macs=[e.mac for e in endpoints],
+        _rx_count=lambda: sum(e.rx_packets for e in endpoints),
+        **{**host._asdict(), **fields})
+
+
+def _native_sut(name: str, host: _Host) -> SystemUnderTest:
+    """Load the original driver into the host kernel, bring up every
+    NIC, and drive traffic through the kernel's own stack."""
+    kernel = host.dom0_kernel
+    module, netdevs = _open_native_driver(host)
+    return SystemUnderTest(
+        name=name, _tx_one=lambda i, n: kernel.tcp_transmit(netdevs[i], n),
+        _rx_macs=[nic.mac for nic in host.nics],
+        _rx_count=lambda: kernel.rx_delivered,
+        extras={"module": module, "netdevs": netdevs}, **host._asdict())
+
+
+def _open_native_driver(host: _Host):
+    """Load the original driver into dom0 and bring up every NIC."""
+    kernel = host.dom0_kernel
     module = kernel.load_driver(build_e1000_program())
     netdevs = []
-    for nic in nics:
+    for nic in host.nics:
         ndev = kernel.create_netdev_for_nic(nic)
-        kernel.domain.aspace.write_u32(ndev.addr + L.NDEV_MEM,
-                                       nic.mmio.start)
         kernel.call_driver(module.symbol("e1000_probe"), [ndev.addr])
         kernel.call_driver(module.symbol("e1000_open"), [ndev.addr])
         netdevs.append(ndev.addr)
     return module, netdevs
 
 
-def _apply_batch(nics: List[E1000Device], interrupt_batch: int):
-    for nic in nics:
-        nic.interrupt_batch = interrupt_batch
+def _handover(machine: Machine, twin: TwinDriverManager) -> dict:
+    """A watchdog plus the planned-handover manager holding its
+    maintenance window (DESIGN.md §14), as ``extras`` entries."""
+    health = HealthMonitor(machine, twin=twin)
+    return {"health": health,
+            "handover": HandoverManager(twin, health=health)}
 
 
 # ---------------------------------------------------------------------------
-# native Linux
+# the presets
 # ---------------------------------------------------------------------------
 
-def build_native_linux(n_nics: int = 5, interrupt_batch: int = 8,
-                       costs: Optional[CostModel] = None,
-                       iommu: bool = False,
-                       jit: bool = False,
-                       vcpus: int = 1,
-                       num_queues: int = 1) -> SystemUnderTest:
-    if vcpus != 1:
-        raise ValueError("native linux has no hypervisor vCPUs to scale; "
-                         "vcpus= only applies to the Xen configurations")
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    if iommu:
-        machine.attach_iommu()
-    machine.cpu.cycle_scale = costs.driver_cycle_scale
-    domain = Domain(0, "linux",
-                    AddressSpace("linux", machine.phys,
-                                 machine.hypervisor_table),
-                    is_dom0=True)
-    kernel = Kernel(machine, domain, costs=costs, paravirtual=False)
-    machine.cpu.address_space = domain.aspace
-    machine.intc.set_dispatcher(lambda irq: kernel.handle_irq(irq))
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
-    module, netdevs = _open_native_driver(machine, kernel, nics)
-
-    def tx_one(i: int, payload_len: int) -> bool:
-        return kernel.tcp_transmit(netdevs[i], payload_len)
-
-    return SystemUnderTest(
-        name="linux", machine=machine, costs=costs, nics=nics,
-        _tx_one=tx_one,
-        _rx_mac=lambda i: nics[i].mac,
-        _rx_count=lambda: kernel.rx_delivered,
-        dom0_kernel=kernel,
-        extras={"module": module, "netdevs": netdevs},
-    )
+def build_native_linux(n_nics: int = 5, costs: Optional[CostModel] = None,
+                       iommu: bool = False) -> SystemUnderTest:
+    return _native_sut("linux", _host(n_nics, costs, iommu,
+                                      hypervisor=False))
 
 
-# ---------------------------------------------------------------------------
-# Xen dom0 (the driver domain itself)
-# ---------------------------------------------------------------------------
-
-def build_dom0(n_nics: int = 5, interrupt_batch: int = 8,
-               costs: Optional[CostModel] = None,
-               iommu: bool = False,
-               jit: bool = False,
-               vcpus: int = 1,
-               num_queues: int = 1) -> SystemUnderTest:
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    if iommu:
-        machine.attach_iommu()
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
-    module, netdevs = _open_native_driver(machine, kernel, nics)
+def build_dom0(n_nics: int = 5, costs: Optional[CostModel] = None,
+               iommu: bool = False) -> SystemUnderTest:
+    host = _host(n_nics, costs, iommu)
+    sut = _native_sut("dom0", host)
 
     def irq_handler(irq: int):
         # interrupt virtualization was charged by the dispatcher; Xen now
         # delivers a virtual interrupt into dom0.
-        xen.charge_xen(costs.virq_delivery)
-        kernel.handle_irq(irq)
+        host.xen.charge_xen(host.costs.virq_delivery)
+        host.dom0_kernel.handle_irq(irq)
 
-    for nic in nics:
-        xen.register_irq_handler(nic.irq, irq_handler)
-
-    def tx_one(i: int, payload_len: int) -> bool:
-        return kernel.tcp_transmit(netdevs[i], payload_len)
-
-    return SystemUnderTest(
-        name="dom0", machine=machine, costs=costs, nics=nics,
-        _tx_one=tx_one,
-        _rx_mac=lambda i: nics[i].mac,
-        _rx_count=lambda: kernel.rx_delivered,
-        dom0_kernel=kernel, xen=xen,
-        extras={"module": module, "netdevs": netdevs},
-    )
+    for nic in host.nics:
+        host.xen.register_irq_handler(nic.irq, irq_handler)
+    return sut
 
 
-# ---------------------------------------------------------------------------
-# unoptimized guest (standard split-driver path)
-# ---------------------------------------------------------------------------
-
-def build_domU_standard(n_nics: int = 5, interrupt_batch: int = 8,
-                        costs: Optional[CostModel] = None,
-                        iommu: bool = False,
-                        jit: bool = False,
-                        vcpus: int = 1,
-                        num_queues: int = 1) -> SystemUnderTest:
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    if iommu:
-        machine.attach_iommu()
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    guest = xen.create_domain("guest")
-    guest_kernel = Kernel(machine, guest, costs=costs, paravirtual=True)
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
-    module, netdevs = _open_native_driver(machine, dom0_kernel, nics)
+def build_domU_standard(n_nics: int = 5, costs: Optional[CostModel] = None,
+                        iommu: bool = False) -> SystemUnderTest:
+    host = _host(n_nics, costs, iommu)
+    machine, costs, xen = host.machine, host.costs, host.xen
+    dom0_kernel = host.dom0_kernel
+    guest_kernel = Kernel(machine, xen.create_domain("guest"),
+                          costs=costs, paravirtual=True)
+    module, netdevs = _open_native_driver(host)
 
     backend = XenNetBack(xen, dom0_kernel)
     fronts = [
@@ -273,48 +302,36 @@ def build_domU_standard(n_nics: int = 5, interrupt_batch: int = 8,
         xen.charge_xen(costs.virq_delivery)
         xen.charge_xen(costs.domain_switch)     # enter dom0 for the ISR
         prev = machine.cpu.address_space
-        machine.cpu.address_space = dom0.aspace
+        machine.cpu.address_space = dom0_kernel.domain.aspace
         try:
             dom0_kernel.handle_irq(irq)
         finally:
             machine.cpu.address_space = prev
 
-    for nic in nics:
+    for nic in host.nics:
         xen.register_irq_handler(nic.irq, irq_handler)
 
-    def tx_one(i: int, payload_len: int) -> bool:
-        return fronts[i].transmit(payload_len)
-
-    return SystemUnderTest(
-        name="domU", machine=machine, costs=costs, nics=nics,
-        _tx_one=tx_one,
-        _rx_mac=lambda i: fronts[i].mac,
-        _rx_count=lambda: sum(f.rx_packets for f in fronts),
-        dom0_kernel=dom0_kernel, guest_kernel=guest_kernel, xen=xen,
-        extras={"module": module, "netdevs": netdevs,
-                "fronts": fronts, "backend": backend},
-    )
+    return _guest_sut("domU", host, fronts, guest_kernel=guest_kernel,
+                      extras={"module": module, "netdevs": netdevs,
+                              "fronts": fronts, "backend": backend})
 
 
-# ---------------------------------------------------------------------------
-# TwinDrivers guest
-# ---------------------------------------------------------------------------
-
-def build_domU_twin(n_nics: int = 5, interrupt_batch: int = 8,
+def build_domU_twin(n_nics: int = 5, interrupt_batch: int = INTERRUPT_BATCH,
                     n_upcalls: int = 0,
                     costs: Optional[CostModel] = None,
                     iommu: bool = False,
-                    rx_batch_budget: int = RX_BATCH_BUDGET,
-                    tx_batch_max: int = TX_BATCH_MAX,
                     elide: bool = False,
                     jit: bool = False,
                     vcpus: int = 1,
                     num_queues: int = 1,
                     handover: bool = False) -> SystemUnderTest:
-    """``n_upcalls``: how many fast-path routines are served by upcalls
+    """One guest kernel with ``n_nics`` twin devices, one per NIC — the
+    paper's 5-NIC streaming box.
+
+    ``n_upcalls``: how many fast-path routines are served by upcalls
     instead of hypervisor implementations (0 = the full TwinDrivers
-    configuration; figure 10 sweeps 0..9). ``rx_batch_budget`` /
-    ``tx_batch_max`` tune the §5.3 batching fast path. ``elide`` turns on
+    configuration; figure 10 sweeps 0..9). ``interrupt_batch`` tunes
+    NIC-side coalescing (the §5.3 batching sweep). ``elide`` turns on
     proof-based stlb check elision (prove-then-elide, off by default).
     ``jit`` turns on superblock trace compilation in the interpreter
     (host wall-time only; simulated cycles are bit-identical either
@@ -327,71 +344,25 @@ def build_domU_twin(n_nics: int = 5, interrupt_batch: int = 8,
     default path stays bit-identical."""
     if not 0 <= n_upcalls <= len(UPCALL_SWEEP_ORDER):
         raise ValueError("n_upcalls out of range")
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    if iommu:
-        machine.attach_iommu()
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    guest = xen.create_domain("guest")
-    guest_kernel = Kernel(machine, guest, costs=costs, paravirtual=True)
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
-
-    twin = TwinDriverManager(
-        xen, dom0_kernel,
-        upcall_routines=UPCALL_SWEEP_ORDER[:n_upcalls],
+    host = _host(n_nics, costs, iommu, jit, vcpus, num_queues,
+                 interrupt_batch)
+    (twin,), devices, (guest_kernel,) = _twin_topology(
+        host, [("guest", GUEST_MAC_PREFIX + bytes([0x10 + i]))
+               for i in range(n_nics)],
         pool_size=max(256, 96 * n_nics),
-        rx_batch_budget=rx_batch_budget,
-        tx_batch_max=tx_batch_max,
-        elide=elide,
-        num_queues=num_queues,
-    )
-    for nic in nics:
-        twin.attach_nic(nic)
-    devices = [
-        ParavirtNetDevice(twin, guest_kernel,
-                          mac=GUEST_MAC_PREFIX + bytes([0x10 + i]))
-        for i in range(n_nics)
-    ]
+        upcall_routines=UPCALL_SWEEP_ORDER[:n_upcalls],
+        elide=elide, num_queues=num_queues)
     # the guest is the running context (no switches on the twin path)
-    xen.switch_to(guest)
-
-    def tx_one(i: int, payload_len: int) -> bool:
-        return devices[i].transmit(payload_len)
-
+    host.xen.switch_to(guest_kernel.domain)
     extras = {"devices": devices}
     if handover:
-        health = HealthMonitor(machine, twin=twin)
-        extras["health"] = health
-        extras["handover"] = HandoverManager(twin, health=health)
-
-    return SystemUnderTest(
-        name="domU-twin", machine=machine, costs=costs, nics=nics,
-        _tx_one=tx_one,
-        _rx_mac=lambda i: devices[i].mac,
-        _rx_count=lambda: sum(d.rx_packets for d in devices),
-        dom0_kernel=dom0_kernel, guest_kernel=guest_kernel, xen=xen,
-        twin=twin,
-        extras=extras,
-    )
-
-
-# ---------------------------------------------------------------------------
-# scale configuration: many twin guests under the SMP scheduler
-# ---------------------------------------------------------------------------
-
-#: MAC prefix for scale-config guests (2-byte index suffix, so up to
-#: 65536 guests keep distinct, deterministic addresses).
-SCALE_MAC_PREFIX = b"\x00\x16\x3e\xab"
+        extras.update(_handover(host.machine, twin))
+    return _guest_sut("domU-twin", host, devices,
+                      guest_kernel=guest_kernel, twin=twin, extras=extras)
 
 
 def build_scale(n_guests: int = 16, vcpus: int = 4, num_queues: int = 4,
-                n_nics: int = 4, interrupt_batch: int = 8,
-                costs: Optional[CostModel] = None,
-                jit: bool = False) -> SystemUnderTest:
+                n_nics: int = 4, jit: bool = False) -> SystemUnderTest:
     """N twin guests, each with its own domain and kernel, under the
     credit scheduler on ``vcpus`` vCPUs with ``num_queues``-way RSS
     twins (ROADMAP item 1: scale to hundreds of guests).
@@ -404,70 +375,20 @@ def build_scale(n_guests: int = 16, vcpus: int = 4, num_queues: int = 4,
     does."""
     if n_guests < 1:
         raise ValueError("need at least one guest")
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
-
-    twin = TwinDriverManager(
-        xen, dom0_kernel,
-        pool_size=max(256, 16 * n_nics * interrupt_batch),
-        num_queues=num_queues,
-    )
-    for nic in nics:
-        twin.attach_nic(nic)
-
-    guest_kernels: List[Kernel] = []
-    devices: List[ParavirtNetDevice] = []
-    for i in range(n_guests):
-        guest = xen.create_domain(f"guest{i}")
-        kernel = Kernel(machine, guest, costs=costs, paravirtual=True)
-        guest_kernels.append(kernel)
-        devices.append(ParavirtNetDevice(
-            twin, kernel, mac=SCALE_MAC_PREFIX + i.to_bytes(2, "big")))
-
-    # round-robin cursors so the facade operations cover every guest
-    # regardless of which NIC index they are called with
-    cursor = {"tx": 0, "rx": 0}
-
-    def tx_one(i: int, payload_len: int) -> bool:
-        dev = devices[cursor["tx"] % n_guests]
-        cursor["tx"] += 1
-        return dev.transmit(payload_len)
-
-    def rx_mac(i: int) -> bytes:
-        mac = devices[cursor["rx"] % n_guests].mac
-        cursor["rx"] += 1
-        return mac
-
-    return SystemUnderTest(
-        name="scale", machine=machine, costs=costs, nics=nics,
-        _tx_one=tx_one,
-        _rx_mac=rx_mac,
-        _rx_count=lambda: sum(d.rx_packets for d in devices),
-        dom0_kernel=dom0_kernel,
-        guest_kernel=guest_kernels[0],
-        xen=xen, twin=twin,
-        extras={"devices": devices, "guest_kernels": guest_kernels},
-    )
-
-
-# ---------------------------------------------------------------------------
-# handover pair: two live twin instances for queue re-homing
-# ---------------------------------------------------------------------------
-
-#: MAC prefix for handover-pair guests (1-byte index suffix).
-PAIR_MAC_PREFIX = b"\x00\x16\x3e\xac\x00"
+    host = _host(n_nics, jit=jit, vcpus=vcpus, num_queues=num_queues)
+    (twin,), devices, guest_kernels = _twin_topology(
+        host, [(f"guest{i}", SCALE_MAC_PREFIX + i.to_bytes(2, "big"))
+               for i in range(n_guests)],
+        pool_size=max(256, 16 * n_nics * INTERRUPT_BATCH),
+        num_queues=num_queues)
+    return _guest_sut("scale", host, devices,
+                      guest_kernel=guest_kernels[0], twin=twin,
+                      extras={"devices": devices,
+                              "guest_kernels": guest_kernels})
 
 
 def build_handover_pair(n_guests: int = 2, vcpus: int = 1,
                         num_queues: int = 1, n_nics: int = 1,
-                        interrupt_batch: int = 8,
-                        costs: Optional[CostModel] = None,
                         jit: bool = False) -> SystemUnderTest:
     """Two *live* twin instances side by side — the primary at the
     historical hypervisor VA layout, the secondary ("hyp2") at the
@@ -482,70 +403,20 @@ def build_handover_pair(n_guests: int = 2, vcpus: int = 1,
     ``bench_handover.py`` does."""
     if n_guests < 1:
         raise ValueError("need at least one guest")
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    primary_nics = [machine.add_nic(num_queues=num_queues)
-                    for _ in range(n_nics)]
-    secondary_nics = [machine.add_nic(num_queues=num_queues)
-                      for _ in range(n_nics)]
-    _apply_batch(primary_nics + secondary_nics, interrupt_batch)
-
-    pool_size = max(256, 16 * n_nics * interrupt_batch)
-    twin = TwinDriverManager(
-        xen, dom0_kernel, pool_size=pool_size, num_queues=num_queues,
-    )
-    secondary = TwinDriverManager(
-        xen, dom0_kernel, pool_size=pool_size, num_queues=num_queues,
-        instance_name="hyp2",
-        code_base=HYP2_CODE_BASE, data_base=HYP2_DATA_BASE,
-        stack_base=HYP2_STACK_BASE, svm_map_base=HYP2_SVM_MAP_BASE,
-    )
-    for nic in primary_nics:
-        twin.attach_nic(nic)
-    for nic in secondary_nics:
-        secondary.attach_nic(nic)
-
-    guest_kernels: List[Kernel] = []
-    devices: List[ParavirtNetDevice] = []
-    for i in range(n_guests):
-        guest = xen.create_domain(f"guest{i}")
-        kernel = Kernel(machine, guest, costs=costs, paravirtual=True)
-        guest_kernels.append(kernel)
-        devices.append(ParavirtNetDevice(
-            twin, kernel, mac=PAIR_MAC_PREFIX + bytes([i + 1])))
-
-    health = HealthMonitor(machine, twin=twin)
-
-    cursor = {"tx": 0, "rx": 0}
-
-    def tx_one(i: int, payload_len: int) -> bool:
-        dev = devices[cursor["tx"] % n_guests]
-        cursor["tx"] += 1
-        return dev.transmit(payload_len)
-
-    def rx_mac(i: int) -> bytes:
-        mac = devices[cursor["rx"] % n_guests].mac
-        cursor["rx"] += 1
-        return mac
-
-    return SystemUnderTest(
-        name="handover-pair", machine=machine, costs=costs,
-        nics=primary_nics,
-        _tx_one=tx_one,
-        _rx_mac=rx_mac,
-        _rx_count=lambda: sum(d.rx_packets for d in devices),
-        dom0_kernel=dom0_kernel,
-        guest_kernel=guest_kernels[0],
-        xen=xen, twin=twin,
-        extras={"devices": devices, "guest_kernels": guest_kernels,
-                "secondary": secondary, "secondary_nics": secondary_nics,
-                "health": health,
-                "handover": HandoverManager(twin, health=health)},
-    )
+    host = _host(2 * n_nics, jit=jit, vcpus=vcpus, num_queues=num_queues)
+    (twin, secondary), devices, guest_kernels = _twin_topology(
+        host, [(f"guest{i}", PAIR_MAC_PREFIX + bytes([i + 1]))
+               for i in range(n_guests)],
+        pool_size=max(256, 16 * n_nics * INTERRUPT_BATCH), instances=2,
+        num_queues=num_queues)
+    return _guest_sut("handover-pair", host, devices,
+                      nics=host.nics[:n_nics],
+                      guest_kernel=guest_kernels[0], twin=twin,
+                      extras={"devices": devices,
+                              "guest_kernels": guest_kernels,
+                              "secondary": secondary,
+                              "secondary_nics": host.nics[n_nics:],
+                              **_handover(host.machine, twin)})
 
 
 BUILDERS = {

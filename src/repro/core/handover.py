@@ -213,11 +213,7 @@ class HandoverManager:
         # handover with the old instance untouched. Under elision the
         # pre-elision binary is what gets proved, exactly as recovery
         # does (the transform is a pure function of the proofs).
-        from ..analysis.verifier import verify_program
-        verify_report = verify_program(
-            twin.rewritten, annotations=twin.rewrite_stats.annotations,
-            protect_stack=twin.protect_stack,
-            name=f"{twin.instance_name}:handover")
+        verify_report = twin.reverify(name=f"{twin.instance_name}:handover")
         if not verify_report.ok:
             self._c["veto"].value += 1
             self._finish(report)
@@ -321,13 +317,15 @@ class HandoverManager:
             # replay: deferred work re-runs in arrival order
             self._begin(report, "replay")
             twin.frozen = False
-            report.replayed_irqs = sum(1 for e in twin.held
-                                       if e.kind == "irq")
+            held_irqs = [e.data for e in twin.held if e.kind == "irq"]
+            report.replayed_irqs = len(held_irqs)
             now = self._now()
             for nic in nics:
-                if nic.regs[REG_ICR] & nic.regs[REG_IMS]:
+                if (nic.irq not in held_irqs
+                        and nic.regs[REG_ICR] & nic.regs[REG_IMS]):
                     # causes latched while masked: the unmask below fires
-                    # them; observe how long they waited (the p99 blip)
+                    # them; observe how long they waited (the p99 blip).
+                    # A held irq's own sample starts earlier and covers it.
                     twin._h_virq_defer.observe(now - masked_at[nic.irq])
                 nic.unmask_line()
             twin.retry_deferred_interrupts()

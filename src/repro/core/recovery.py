@@ -349,16 +349,8 @@ class RecoveryManager:
             self._tracer.emit(RECOVERY_RELOAD, attempt=self._reload_attempts)
         twin = self.twin
         try:
-            # Re-verify before trusting the binary again (the PR-1 static
-            # verifier; annotated mode cross-checks the rewriter's site
-            # annotations rather than believing them).
-            from ..analysis.verifier import verify_program
-            report = verify_program(
-                twin.rewritten,
-                annotations=twin.rewrite_stats.annotations,
-                protect_stack=twin.protect_stack,
-                name="hyp:reload",
-            )
+            # re-verify before trusting the binary again
+            report = twin.reverify(name="hyp:reload")
             if not report.ok:
                 from ..analysis.report import VerificationError
                 raise VerificationError(report)

@@ -69,10 +69,9 @@ CONTAINABLE_FAULTS = (DriverAborted, SvmProtectionFault, SvmMapExhausted,
 
 #: NAPI-style receive budget: packets delivered per guest per
 #: :meth:`TwinDriverManager.flush_rx` pass; leftovers are requeued and a
-#: softirq continues the flush. Overridden via ``configs.RX_BATCH_BUDGET``.
+#: softirq continues the flush.
 DEFAULT_RX_BATCH_BUDGET = 64
 #: Upper bound on frames accepted per :meth:`guest_transmit_batch` call.
-#: Overridden via ``configs.TX_BATCH_MAX``.
 DEFAULT_TX_BATCH_MAX = 32
 
 
@@ -209,14 +208,8 @@ class TwinDriverManager:
             self.program, protect_stack=protect_stack,
             stlb_entries=stlb_entries)
         # verify-then-load: the hypervisor proves the rewritten binary
-        # safe before trusting it (annotated mode — the rewriter's site
-        # annotations are cross-checked, not believed).
-        self.verify_report = None
-        if verify:
-            from ..analysis.verifier import verify_program
-            self.verify_report = verify_program(
-                self.rewritten, annotations=self.rewrite_stats.annotations,
-                protect_stack=protect_stack)
+        # safe before trusting it
+        self.verify_report = self.reverify() if verify else None
         # prove-then-elide: consume the verifier's proofs to drop stlb
         # re-checks on proven sites. ``self.rewritten`` stays pre-elision
         # (it is what recovery re-verifies); ``self.loadable`` is what
@@ -248,9 +241,8 @@ class TwinDriverManager:
             translate_code=self._identity_translate_code,
             data_space=dom0_kernel.domain.aspace,
         )
-        from ..osmodel import layout as _L
-        self.dom0_runtime.set_stack_bounds(_L.KERNEL_STACK_BASE,
-                                           _L.KERNEL_STACK_TOP)
+        self.dom0_runtime.set_stack_bounds(L.KERNEL_STACK_BASE,
+                                           L.KERNEL_STACK_TOP)
         self.vm_module = dom0_kernel.load_driver(
             self.loadable,
             extra_symbols=dom0_syms,
@@ -287,21 +279,7 @@ class TwinDriverManager:
             xen, dom0_kernel, self.svm, self, pool_size=pool_size,
             prefix=instance_name,
         )
-        support_bindings = {
-            name: addr for name, addr in self.hyp_support.addresses.items()
-            if name not in self.upcall_routines
-        }
-        loader = HypervisorLoader(xen, self.code_base, self.hyp_alloc,
-                                  stack_base=self.stack_base)
-        self.hyp_driver = loader.load(
-            self.loadable, self.vm_module, self.hyp_runtime,
-            support_bindings, upcall_factory=self.upcalls.make_stub,
-            name=f"{instance_name}:{self.driver_spec.name}",
-            verify=verify, verify_report=self.verify_report,
-            protect_stack=protect_stack,
-            elided_indices=(self.elision.elided_indices
-                            if self.elision is not None else ()),
-        )
+        self._load_hyp_driver(self.verify_report, verify=verify)
 
         # guests & NICs
         self.guest_devices: List[ParavirtNetDevice] = []
@@ -371,8 +349,6 @@ class TwinDriverManager:
         dom0 address of the net_device."""
         kernel = self.dom0_kernel
         ndev = kernel.create_netdev_for_nic(nic)
-        kernel.domain.aspace.write_u32(ndev.addr + L.NDEV_MEM,
-                                       nic.mmio.start)
         self.vm_call(self.driver_spec.probe_symbol, [ndev.addr])
         self.vm_call(self.driver_spec.open_symbol, [ndev.addr])
         self.xen.register_irq_handler(nic.irq, self._handle_nic_irq)
@@ -542,22 +518,22 @@ class TwinDriverManager:
         finally:
             self.xen.switch_to(previous)
 
-    def reload_hyp_driver(self, verify_report=None) -> None:
-        """Replace a quarantined hypervisor instance with a freshly loaded
-        one at the same code base (``code_offset`` stays constant, so
-        indirect-call translation is unchanged). The caller is expected to
-        have re-verified the binary (recovery passes its report in).
-        Under elision the *pre-elision* binary is what gets re-verified —
-        the transform is a pure function of its proofs — and the elided
-        binary is what gets reloaded."""
-        if verify_report is None and self.elision is not None:
-            # the elided binary intentionally fails hostile verification;
-            # prove the pre-elision binary instead, as recovery does
-            from ..analysis.verifier import verify_program
-            verify_report = verify_program(
-                self.rewritten, annotations=self.rewrite_stats.annotations,
-                protect_stack=self.protect_stack)
-        self.machine.code.unregister(self.hyp_driver.loaded)
+    def reverify(self, name: Optional[str] = None):
+        """Statically verify the rewritten binary in annotated mode (the
+        rewriter's site annotations are cross-checked, not believed).
+        Under elision this is the *pre-elision* binary — the transform
+        is a pure function of its proofs, and the elided binary
+        intentionally fails verification — so every load, reload, swap
+        and recovery proves the same program."""
+        from ..analysis.verifier import verify_program
+        return verify_program(
+            self.rewritten, annotations=self.rewrite_stats.annotations,
+            protect_stack=self.protect_stack, name=name)
+
+    def _load_hyp_driver(self, verify_report, verify: bool = True) -> None:
+        """Load :attr:`loadable` as this instance's hypervisor driver at
+        its code base, bound to the hypervisor support routines except
+        the upcalled ones. The loader refuses a failed ``verify_report``."""
         support_bindings = {
             name: addr for name, addr in self.hyp_support.addresses.items()
             if name not in self.upcall_routines
@@ -568,12 +544,21 @@ class TwinDriverManager:
             self.loadable, self.vm_module, self.hyp_runtime,
             support_bindings, upcall_factory=self.upcalls.make_stub,
             name=f"{self.instance_name}:{self.driver_spec.name}",
-            verify_report=verify_report,
-            annotations=self.rewrite_stats.annotations,
-            protect_stack=self.protect_stack,
+            verify=verify, verify_report=verify_report,
             elided_indices=(self.elision.elided_indices
                             if self.elision is not None else ()),
         )
+
+    def reload_hyp_driver(self, verify_report=None) -> None:
+        """Replace a quarantined hypervisor instance with a freshly loaded
+        one at the same code base (``code_offset`` stays constant, so
+        indirect-call translation is unchanged). Recovery and handover
+        pass in the report of their own :meth:`reverify`; without one
+        the binary is re-verified here."""
+        if verify_report is None:
+            verify_report = self.reverify()
+        self.machine.code.unregister(self.hyp_driver.loaded)
+        self._load_hyp_driver(verify_report)
 
     def reset_anchor_slots(self) -> int:
         """Zero this instance's ``__svm_anchorK`` slots (hypervisor side).

@@ -2,16 +2,17 @@
 
 No third-party dependencies: the SVG is generated directly from the
 call tree (widths proportional to total cycles, one row per stack
-depth, deterministic layer colors) and the Chrome export synthesizes
-``trace_event`` "X" records by a depth-first walk with cumulative
-offsets, so a profile — which has no timeline — still renders as a
-flame chart in ``chrome://tracing`` / Perfetto.
+depth, deterministic layer colors) and the Chrome export lays the call
+tree out as spans by a depth-first walk with cumulative offsets, so a
+profile — which has no timeline — still renders as a flame chart in
+``chrome://tracing`` / Perfetto through the trace exporter.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
+from .export import chrome_trace
 from .prof import call_tree
 
 #: Fill colors by profile category (figure 7/8 legend order); frames
@@ -96,35 +97,28 @@ def flamegraph_svg(doc: Dict, title: str = "", width: int = 1200) -> str:
     return head + "".join(boxes) + "</svg>"
 
 
-def chrome_trace_profile(doc: Dict, cpu_hz: int = 3_000_000_000) -> Dict:
-    """Synthesize a Chrome ``trace_event`` document from the profile:
-    a DFS over the call tree lays frames out as complete ("X") events
-    with cumulative cycle offsets converted to microseconds."""
-    scale_us = 1e6 / cpu_hz
-    events: List[Dict] = []
+def chrome_trace_profile(doc: Dict) -> Dict:
+    """Render the profile as a Chrome ``trace_event`` flame chart: a DFS
+    over the call tree lays each frame out as a span of its total
+    cycles, starting where its previous sibling ended, and
+    :func:`~repro.obs.export.chrome_trace` emits the spans."""
+    spans: List[Dict] = []
 
-    def walk(node, start: int, depth: int):
-        cursor = start
+    def walk(node, start: int, parent: int):
         for child in sorted(node["children"].values(),
                             key=lambda c: (-c["total"], c["name"])):
-            events.append({
-                "name": child["name"],
-                "ph": "X",
-                "ts": cursor * scale_us,
-                "dur": child["total"] * scale_us,
-                "pid": 1,
-                "tid": 1,
-                "args": {"cycles": child["total"],
-                         "self_cycles": child["self"]},
-            })
-            walk(child, cursor, depth + 1)
-            cursor += child["total"]
+            spans.append({"id": len(spans) + 1, "parent": parent,
+                          "name": child["name"],
+                          "t0": start, "t1": start + child["total"],
+                          "args": {"cycles": child["total"],
+                                   "self_cycles": child["self"]}})
+            walk(child, start, len(spans))
+            start += child["total"]
 
     root = call_tree(doc)
     walk(root, 0, 0)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "metadata": dict(doc.get("meta", {}), schema=doc.get("schema"),
-                         total_cycles=root["total"]),
-    }
+    return chrome_trace({
+        "schema": doc.get("schema"),
+        "meta": dict(doc.get("meta", {}), total_cycles=root["total"]),
+        "spans": spans,
+    })

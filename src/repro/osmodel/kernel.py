@@ -175,9 +175,11 @@ class Kernel:
 
     def create_netdev_for_nic(self, nic) -> NetDevice:
         """Allocate a net_device for a physical NIC (what the PCI probe
-        scaffolding would do); the driver's probe fills in the rest."""
+        scaffolding would do, down to the MMIO *physical* base in
+        ``NDEV_MEM``); the driver's probe remaps it and fills in the rest."""
         addr = self.heap.alloc(L.NDEV_SIZE + L.ADP_SIZE + 8)
         ndev = NetDevice(self.domain.aspace, addr)
+        self.domain.aspace.write_u32(addr + L.NDEV_MEM, nic.mmio.start)
         ndev.irq = nic.irq
         ndev.mac = nic.mac
         ndev.mtu = L.MTU

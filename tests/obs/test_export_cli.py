@@ -8,6 +8,7 @@ import pytest
 from repro.configs import build
 from repro.obs import TRACE_SCHEMA, chrome_trace, load_trace, render_spans
 from repro.obs.__main__ import main as obs_main
+from repro.obs.prof import call_tree, load_profile
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +109,47 @@ class TestCli:
     def test_tail(self, tx_trace, capsys):
         assert obs_main(["tail", tx_trace, "-n", "4"]) == 0
         assert "trace ring tail" in capsys.readouterr().out
+
+
+class TestProfileFlameChart:
+    """``prof flame --chrome``: a profile has no timeline, so the call
+    tree is laid out as a flame chart, children side by side inside
+    their parent."""
+
+    def test_one_complete_event_per_frame_inside_its_parent(self, tmp_path):
+        prof = tmp_path / "tx.prof.json"
+        assert obs_main(["prof", "record", "--config", "domU-twin",
+                         "--packets", "16", "--warmup", "8",
+                         "-o", str(prof)]) == 0
+        chrome = tmp_path / "tx.chrome.json"
+        assert obs_main(["prof", "flame", str(prof), "--chrome",
+                         "-o", str(chrome)]) == 0
+        events = [e for e in json.loads(chrome.read_text())["traceEvents"]
+                  if e["ph"] == "X"]
+
+        # every call-tree frame with its parent's index, depth first and
+        # widest child first, as the chart lays them out
+        frames = []
+
+        def walk(node, parent):
+            for child in sorted(node["children"].values(),
+                                key=lambda c: (-c["total"], c["name"])):
+                frames.append((child, parent))
+                walk(child, len(frames) - 1)
+
+        walk(call_tree(load_profile(str(prof))), None)
+        assert [e["name"] for e in events] == [f["name"] for f, _ in frames]
+
+        cycles_per_us = 3_000_000_000 / 1e6
+
+        def interval(event):
+            return (round(event["ts"] * cycles_per_us),
+                    round((event["ts"] + event["dur"]) * cycles_per_us))
+
+        for event, (frame, parent) in zip(events, frames):
+            assert event["dur"] == pytest.approx(frame["total"]
+                                                 / cycles_per_us)
+            if parent is not None:
+                start, end = interval(event)
+                outer_start, outer_end = interval(events[parent])
+                assert outer_start <= start <= end <= outer_end
