@@ -330,6 +330,14 @@ class Cpu:
         self._category: List[str] = ["dom0"]
         self.executed = 0
         self.max_steps_per_call = 5_000_000
+        #: deferred charging (see ``settle``): set while ``_run_loop``
+        #: runs handlers with no charge shadow installed. Handlers then
+        #: owe ``alu`` for every instruction executed since ``_settled``
+        #: (a value of ``executed``), and page-cache hits add their price
+        #: to ``_owed`` instead of charging it.
+        self._deferring = False
+        self._owed = 0
+        self._settled = 0
         #: virtual-address ranges treated as cache-hot (stacks, stlb).
         self.hot_ranges: List[Tuple[int, int]] = []
         #: multiplies interpreter cycle charges (driver-speed calibration);
@@ -370,20 +378,57 @@ class Cpu:
 
     @cycle_scale.setter
     def cycle_scale(self, scale: float):
+        self.settle()
         self._cycle_scale = scale
         self.scaled = self._costs.scaled(scale)
+        self._clear_page_caches()
 
     @property
     def category(self) -> str:
         return self._category[-1]
 
     def push_category(self, category: str):
+        self.settle()
         self._category.append(category)
 
     def pop_category(self):
         if len(self._category) == 1:
             raise RuntimeError("category stack underflow")
+        self.settle()
         self._category.pop()
+
+    def settle(self):
+        """Charge what the deferring loop owes to the current category:
+        ``alu`` for each instruction executed since the last settle and
+        the RAM hits it added up. Counters only add integers, so the
+        account then holds exactly what per-item charging would have
+        put there. A no-op unless the loop is deferring."""
+        if self._deferring:
+            executed = self.executed
+            owed = self._owed + (executed - self._settled) * self.scaled.alu
+            self._owed = 0
+            self._settled = executed
+            if owed:
+                self.account.charge(self._category[-1], owed)
+
+    def _leave(self) -> bool:
+        """Before code outside the interpreter runs from a handler (a
+        native, an instrument hook, a device): settle and stop
+        deferring, so that code reads an exact account and its own
+        charges land at once. Returns whether the loop was deferring."""
+        if not self._deferring:
+            return False
+        self.settle()
+        self._deferring = False
+        return True
+
+    def _resume(self):
+        """Back from that code: defer again, owing ``alu`` only from
+        here on (driver code it ran has been charged already), unless it
+        installed a charge shadow, in which case ``_run_loop`` runs the
+        rest of the call through ``step()``."""
+        self._settled = self.executed
+        self._deferring = not self.account.shadowed
 
     def charge_raw(self, cycles: int, category: Optional[str] = None):
         """Charge un-scaled cycles (used by modelled kernel costs)."""
@@ -429,26 +474,57 @@ class Cpu:
     def add_hot_range(self, lo: int, hi: int):
         if (lo, hi) not in self.hot_ranges:
             self.hot_ranges.append((lo, hi))
+            self._clear_page_caches()
+
+    def _clear_page_caches(self):
+        """Drop every cached page: the prices they carry are stale."""
+        for cache in self.phys.page_caches:
+            cache.clear()
+
+    def _ram_price(self, vaddr: int) -> int:
+        """What an access at ``vaddr`` pays: ``mem_hot`` inside a hot
+        range, ``mem`` outside them."""
+        for lo, hi in self.hot_ranges:
+            if lo <= vaddr < hi:
+                return self.scaled.mem_hot
+        return self.scaled.mem
+
+    def _page_price(self, vpage: int) -> Optional[int]:
+        """``_ram_price`` of every address in page ``vpage``, for its
+        page-cache entry: ``mem_hot`` when one hot range covers the
+        page, ``mem`` when none touches it, None when a range edge falls
+        inside it."""
+        first = vpage << PAGE_SHIFT
+        end = first + PAGE_SIZE
+        price = self.scaled.mem
+        for lo, hi in self.hot_ranges:
+            if lo <= first and end <= hi:
+                return self.scaled.mem_hot
+            if lo < end and first < hi:
+                price = None
+        return price
 
     # ``read_mem``/``write_mem`` serve an access inside one page from the
-    # address space's RAM page cache (virtual page -> frame bytearray):
-    # one dict lookup, one charge priced by ``hot_ranges``, one unpack or
-    # pack. A page not yet cached, a page-crossing access, MMIO and a
+    # address space's RAM page cache (virtual page -> (frame bytearray,
+    # page price)): one dict lookup, one charge or deferred add of the
+    # page's price (``_ram_price`` when the entry has none), one unpack
+    # or pack. A page not yet cached, a page-crossing access, MMIO and a
     # missing frame take ``_miss``, which prices and performs the access
     # the same way and caches the page when it is plain RAM.
 
     def read_mem(self, vaddr: int, size: int) -> int:
         vaddr &= MASK32
         offset = vaddr & OFFSET_MASK
-        data = self.address_space.read_pages.get(vaddr >> PAGE_SHIFT)
-        if data is None or offset + size > PAGE_SIZE:
+        entry = self.address_space.read_pages.get(vaddr >> PAGE_SHIFT)
+        if entry is None or offset + size > PAGE_SIZE:
             return self._miss(vaddr, size, None)
-        cost = self.scaled.mem
-        for lo, hi in self.hot_ranges:
-            if lo <= vaddr < hi:
-                cost = self.scaled.mem_hot
-                break
-        self.account.charge(self._category[-1], cost)
+        data, cost = entry
+        if cost is None:
+            cost = self._ram_price(vaddr)
+        if self._deferring:
+            self._owed += cost
+        else:
+            self.account.charge(self._category[-1], cost)
         if size == 4:
             return UNPACK_U32(data, offset)[0]
         if size == 1:
@@ -458,16 +534,17 @@ class Cpu:
     def write_mem(self, vaddr: int, size: int, value: int):
         vaddr &= MASK32
         offset = vaddr & OFFSET_MASK
-        data = self.address_space.write_pages.get(vaddr >> PAGE_SHIFT)
-        if data is None or offset + size > PAGE_SIZE:
+        entry = self.address_space.write_pages.get(vaddr >> PAGE_SHIFT)
+        if entry is None or offset + size > PAGE_SIZE:
             self._miss(vaddr, size, value)
             return
-        cost = self.scaled.mem
-        for lo, hi in self.hot_ranges:
-            if lo <= vaddr < hi:
-                cost = self.scaled.mem_hot
-                break
-        self.account.charge(self._category[-1], cost)
+        data, cost = entry
+        if cost is None:
+            cost = self._ram_price(vaddr)
+        if self._deferring:
+            self._owed += cost
+        else:
+            self.account.charge(self._category[-1], cost)
         if size == 4:
             PACK_U32(data, offset, value & MASK32)
         elif size == 1:
@@ -479,36 +556,42 @@ class Cpu:
         """An access the page cache cannot serve (``value`` None reads).
         ``translate`` raises ``PageFault``/``ProtectionFault`` before any
         charge; then one charge, ``mmio`` or the RAM price, and the access
-        through ``PhysicalMemory`` (device dispatch, ``BusError``)."""
+        through ``PhysicalMemory`` (device dispatch, ``BusError``). A
+        device observes the clock, so MMIO settles first and runs with
+        deferral off."""
         space = self.address_space
         write = value is not None
         paddr = space.translate(vaddr, write)
         phys = self.phys
+        deferring = False
         if phys.mmio_region_at(paddr) is not None:
+            deferring = self._leave()
             cost = self.scaled.mmio
         else:
-            cost = self.scaled.mem
-            for lo, hi in self.hot_ranges:
-                if lo <= vaddr < hi:
-                    cost = self.scaled.mem_hot
-                    break
+            cost = self._ram_price(vaddr)
+            vpage = vaddr >> PAGE_SHIFT
             data = phys.ram_frame(paddr >> PAGE_SHIFT)
             if data is not None:
                 pages = space.write_pages if write else space.read_pages
-                pages[vaddr >> PAGE_SHIFT] = data
+                pages[vpage] = (data, self._page_price(vpage))
         self.account.charge(self._category[-1], cost)
+        result = None
         # a page-straddling access goes through the address space: the
         # two halves may translate to discontiguous frames
         if (vaddr & OFFSET_MASK) + size > PAGE_SIZE:
             if not write:
-                return int.from_bytes(space.read_bytes(vaddr, size), "little")
-            space.write_bytes(vaddr, (value & ((1 << (size * 8)) - 1))
-                              .to_bytes(size, "little"))
+                result = int.from_bytes(space.read_bytes(vaddr, size),
+                                        "little")
+            else:
+                space.write_bytes(vaddr, (value & ((1 << (size * 8)) - 1))
+                                  .to_bytes(size, "little"))
         elif not write:
-            return phys.read(paddr, size)
+            result = phys.read(paddr, size)
         else:
             phys.write(paddr, size, value)
-        return None
+        if deferring:
+            self._resume()
+        return result
 
     # -- flags ------------------------------------------------------------------------
 
@@ -604,44 +687,60 @@ class Cpu:
             self.eip = saved_eip
 
     def _run_loop(self):
+        """Run until the sentinel return address. With no charge shadow
+        installed the loop defers its charges: it runs ``step()``'s body
+        inlined minus the ``alu`` charge, and ``settle`` pays what it
+        owes before code outside the interpreter runs (``_leave``) and
+        when the loop exits, normally or by an exception. Under a shadow,
+        or once a native or hook installs one, it runs ``step()`` for
+        each instruction, which charges every cost item on its own."""
         if self.jit_enabled:
             self._run_loop_jit()
             return
-        # ``step()``, inlined: the program of the last fetch and its
-        # tables are kept in locals and re-resolved only on a registry
-        # change or on leaving its address range
+        # the program of the last fetch and its tables are kept in
+        # locals and re-resolved only on a registry change or on leaving
+        # its address range
         budget = self.max_steps_per_call
         code = self.code
         steps = 0
         loaded = None
         epoch = -1
         lo = hi = 0
-        while True:
-            eip = self.eip
-            if eip == SENTINEL_RETURN:
-                return
-            index = None
-            if epoch == code.epoch and lo <= eip < hi:
-                index = index_of(eip)
-            if index is None:
-                loaded, index = code.lookup(eip)
-                epoch = code.epoch
-                self._prog_cache = (loaded, epoch)
-                lo, hi = loaded.base, loaded.end
-                index_of = loaded.addr_to_index.get
-                next_addrs = loaded.next_addrs
-                handlers = loaded.handlers
-            self.executed += 1
-            self.eip = next_addrs[index]
-            handler = handlers[index]
-            if handler is None:
-                handler = _handler_for(loaded, index)
-            handler(self)
-            steps += 1
-            if steps > budget:
-                raise CpuBudgetExceeded(
-                    f"driver executed more than {budget} instructions"
-                )
+        self._settled = self.executed
+        self._deferring = not self.account.shadowed
+        try:
+            while True:
+                eip = self.eip
+                if eip == SENTINEL_RETURN:
+                    return
+                if self._deferring:
+                    index = None
+                    if epoch == code.epoch and lo <= eip < hi:
+                        index = index_of(eip)
+                    if index is None:
+                        loaded, index = code.lookup(eip)
+                        epoch = code.epoch
+                        self._prog_cache = (loaded, epoch)
+                        lo, hi = loaded.base, loaded.end
+                        index_of = loaded.addr_to_index.get
+                        next_addrs = loaded.next_addrs
+                        handlers = loaded.handlers
+                    handler = handlers[index]
+                    if handler is None:
+                        handler = _handler_for(loaded, index)
+                    self.executed += 1
+                    self.eip = next_addrs[index]
+                    handler(self)
+                else:
+                    self.step()
+                steps += 1
+                if steps > budget:
+                    raise CpuBudgetExceeded(
+                        f"driver executed more than {budget} instructions"
+                    )
+        finally:
+            self.settle()
+            self._deferring = False
 
     def _run_loop_jit(self):
         """The superblock dispatcher. Hot block heads are counted and
@@ -654,7 +753,7 @@ class Cpu:
         start = self.executed
         code = self.code
         threshold = self.jit_threshold
-        account_dict = self.account.__dict__
+        account = self.account
         while True:
             eip = self.eip
             if eip == SENTINEL_RETURN:
@@ -690,8 +789,8 @@ class Cpu:
                     self.step()
                 elif sb is False:
                     self.step()
-                elif ("charge" not in account_dict
-                        and sb.scale == self._cycle_scale):
+                elif (sb.scale == self._cycle_scale
+                        and not account.shadowed):
                     sb.entries += 1
                     sb.fn(self)
                 else:
@@ -702,6 +801,7 @@ class Cpu:
                 )
 
     def _invoke_native(self, routine: NativeRoutine):
+        deferring = self._leave()
         routine.calls += 1
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
@@ -727,12 +827,17 @@ class Cpu:
         if result is not None:
             self.regs["eax"] = result & MASK32
         self.eip = self.pop()
+        if deferring:
+            self._resume()
 
     # -- the interpreter ---------------------------------------------------------------
 
     def step(self):
-        """Execute one instruction: the reference semantics the JIT
-        dispatcher falls back to (``_run_loop`` inlines the same body)."""
+        """Execute one instruction: the reference semantics, one
+        ``account.charge`` per cost item, that the JIT dispatcher and
+        ``_run_loop`` under a charge shadow fall back to. The ``alu``
+        charge every instruction pays is made here, before the handler
+        runs; ``_run_loop`` inlines the rest of the body."""
         eip = self.eip
         cache = self._prog_cache
         index = None
@@ -743,11 +848,12 @@ class Cpu:
         if index is None:
             loaded, index = self.code.lookup(eip)
             self._prog_cache = (loaded, self.code.epoch)
-        self.executed += 1
-        self.eip = loaded.next_addrs[index]
         handler = loaded.handlers[index]
         if handler is None:
             handler = _handler_for(loaded, index)
+        self.executed += 1
+        self.eip = loaded.next_addrs[index]
+        self.account.charge(self._category[-1], self.scaled.alu)
         handler(self)
 
     def jit_stats(self) -> Dict[str, int]:
@@ -823,9 +929,12 @@ class Cpu:
 # the mnemonic test, operand decoding and branch-target resolution happen
 # once, at first execution, and the closure is cached on the LoadedProgram
 # keyed by instruction index. These closures *are* the instruction
-# semantics: ``step()`` runs them, and the superblock JIT must reproduce
-# their effects and their charges (one ``account.charge`` per cost item,
-# in order, valued from ``cpu.scaled``) bit for bit.
+# semantics: ``step()`` runs them after charging the instruction's
+# ``alu``, and the superblock JIT must reproduce their effects and their
+# charges (one ``account.charge`` per cost item, in order, valued from
+# ``cpu.scaled``) bit for bit. A handler never charges ``alu`` itself:
+# ``step()`` does, and the deferring ``_run_loop`` owes it per executed
+# instruction.
 
 #: full (32-bit) register names — sub-register access goes through
 #: get_reg/set_reg, full registers are read/written directly.
@@ -845,7 +954,10 @@ def _handler_for(loaded: LoadedProgram, index: int) -> Callable[[Cpu], None]:
         inner = handler
 
         def handler(cpu, _hook=hook, _inner=inner):
+            deferring = cpu._leave()
             _hook(cpu)
+            if deferring:
+                cpu._resume()
             _inner(cpu)
     loaded.handlers[index] = handler
     return handler
@@ -989,8 +1101,8 @@ _FLAG_JUMPS = {
 }
 
 
-def _charge_alu(cpu: Cpu):
-    cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+def _no_op(cpu: Cpu):
+    """The handler of an instruction with no effect but its ``alu``."""
 
 
 def _full_reg(op, size: int) -> Optional[str]:
@@ -1059,19 +1171,16 @@ def _specialised_mov(instr: Instruction, dst_size: int):
     if d is not None:
         if s is not None:
             def mov_reg(cpu: Cpu):
-                cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
                 regs = cpu.regs
                 regs[d] = regs[s] & MASK32
             return mov_reg
         if mem is None:
             def mov_imm(cpu: Cpu):
-                cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
                 cpu.regs[d] = value
             return mov_imm
         base, disp = mem
 
         def mov_load(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.regs[d] = cpu.read_mem(
                 cpu.regs[base] + disp if base else disp, size) & MASK32
         return mov_load
@@ -1081,14 +1190,12 @@ def _specialised_mov(instr: Instruction, dst_size: int):
     base, disp = dst
     if s is not None:
         def mov_store(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             regs = cpu.regs
             cpu.write_mem(regs[base] + disp if base else disp, dst_size,
                           regs[s])
         return mov_store
 
     def mov_store_imm(cpu: Cpu):
-        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
         cpu.write_mem(cpu.regs[base] + disp if base else disp, dst_size,
                       value)
     return mov_store_imm
@@ -1104,7 +1211,6 @@ def _specialised_lea(instr: Instruction):
     base, index, scale, disp = op.base, op.index, op.scale, op.disp
 
     def op_lea(cpu: Cpu):
-        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
         regs = cpu.regs
         ea = disp
         if base:
@@ -1127,7 +1233,6 @@ def _specialised_alu(m: str, instr: Instruction):
 
     if m == "add":
         def op_add(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             regs = cpu.regs
             a = regs[d] & MASK32
             if s is not None:
@@ -1147,7 +1252,6 @@ def _specialised_alu(m: str, instr: Instruction):
         return op_add
     if m in ("sub", "cmp"):
         def op_sub(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             regs = cpu.regs
             a = regs[d] & MASK32
             if s is not None:
@@ -1168,7 +1272,6 @@ def _specialised_alu(m: str, instr: Instruction):
     bitwise = _BITWISE[m]
 
     def op_bitwise(cpu: Cpu):
-        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
         regs = cpu.regs
         a = regs[d] & MASK32
         if s is not None:
@@ -1196,10 +1299,9 @@ def _specialised_shift(m: str, instr: Instruction):
         return None
     count = instr.src.value & 0x1F
     if count == 0:
-        return _charge_alu          # no result, no flags: only the clock
+        return _no_op               # no result, no flags: only the clock
     if m == "shl":
         def op_shl(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             regs = cpu.regs
             r = (regs[d] & MASK32) << count
             flags = cpu.flags
@@ -1213,7 +1315,6 @@ def _specialised_shift(m: str, instr: Instruction):
     last_out = count - 1
 
     def op_shr(cpu: Cpu):
-        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
         regs = cpu.regs
         value = regs[d] & MASK32
         r = value >> count
@@ -1232,7 +1333,6 @@ def _specialised_jcc(m: str, target: int):
         flag, when_set = _FLAG_JUMPS[m]
 
         def jump_on_flag(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             if cpu.flags[flag] == when_set:
                 cpu.eip = target
         return jump_on_flag
@@ -1241,21 +1341,18 @@ def _specialised_jcc(m: str, target: int):
     taken = m in ("jl", "jle", "jbe")
     if m in ("jl", "jge"):
         def jump_less(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             f = cpu.flags
             if (f["sf"] != f["of"]) == taken:
                 cpu.eip = target
         return jump_less
     if m in ("jle", "jg"):
         def jump_less_equal(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             f = cpu.flags
             if (f["zf"] or f["sf"] != f["of"]) == taken:
                 cpu.eip = target
         return jump_less_equal
 
     def jump_below_equal(cpu: Cpu):
-        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
         f = cpu.flags
         if (f["cf"] or f["zf"]) == taken:
             cpu.eip = target
@@ -1275,22 +1372,19 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
     if special is not None:
         return special
     if m in ("nop", "sti", "cli"):
-        return _charge_alu
+        return _no_op
     if m == "cld":
         def op_cld(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.df = False
         return op_cld
     if m == "std":
         def op_std(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.df = True
         return op_std
     if m in ("int3", "ud2", "hlt"):
         message = f"{m} executed at {loaded.name}[{index}]"
 
         def op_trap(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             raise ExecutionFault(message)
         return op_trap
 
@@ -1299,7 +1393,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, size)
 
         def op_mov(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             write_dst(cpu, read_src(cpu))
         return op_mov
     if m in ("movzb", "movzw"):
@@ -1307,7 +1400,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, 4)
 
         def op_movz(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             write_dst(cpu, read_src(cpu))
         return op_movz
     if m == "movsx":
@@ -1318,7 +1410,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         extend = MASK32 ^ ((1 << bits) - 1)
 
         def op_movsx(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             value = read_src(cpu)
             if value & sign:
                 value |= extend
@@ -1329,7 +1420,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, 4)
 
         def op_lea(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             write_dst(cpu, ea(cpu))
         return op_lea
     if m == "xchg":
@@ -1339,7 +1429,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, size)
 
         def op_xchg(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             a = read_src(cpu)
             b = read_dst(cpu)
             write_src(cpu, b)
@@ -1377,7 +1466,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
                 return r
 
         def op_arith(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             r = combine(cpu, read_dst(cpu), read_src(cpu))
             if writeback is not None:
                 writeback(cpu, r)
@@ -1390,7 +1478,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         bits = size * 8
 
         def op_shift(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             count = read_count(cpu) & 0x1F
             value = read_dst(cpu)
             if count == 0:
@@ -1420,7 +1507,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         mask = (1 << (size * 8)) - 1
 
         def op_unary(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             value = read_dst(cpu)
             cf = cpu.flags["cf"]
             if m == "inc":
@@ -1440,24 +1526,20 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         read_src = _read_thunk(instr.src, 4)
 
         def op_push(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.push(read_src(cpu))
         return op_push
     if m == "pop":
         write_dst = _write_thunk(instr.dst, 4)
 
         def op_pop(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             write_dst(cpu, cpu.pop())
         return op_pop
     if m == "pushf":
         def op_pushf(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.push(cpu.flags_word())
         return op_pushf
     if m == "popf":
         def op_popf(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.set_flags_word(cpu.pop())
         return op_popf
 
@@ -1465,7 +1547,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         resolve = _target_thunk(instr, loaded, index)
 
         def op_call(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.account.charge(cpu._category[-1], cpu.scaled.call)
             target = resolve(cpu)
             routine = cpu.natives.by_addr.get(target)
@@ -1477,7 +1558,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         return op_call
     if m == "ret":
         def op_ret(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu.account.charge(cpu._category[-1], cpu.scaled.ret)
             cpu.eip = cpu.pop()
         return op_ret
@@ -1485,7 +1565,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         resolve = _target_thunk(instr, loaded, index)
 
         def op_jmp(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             target = resolve(cpu)
             routine = cpu.natives.by_addr.get(target)
             if routine is not None:
@@ -1497,11 +1576,9 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         return op_jmp
     if instr.is_string:
         def op_string(cpu: Cpu):
-            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
             cpu._execute_string(instr)
         return op_string
 
     def op_unknown(cpu: Cpu):  # pragma: no cover
-        cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
         raise ExecutionFault(f"unimplemented mnemonic {m!r}")
     return op_unknown

@@ -21,8 +21,9 @@ Correctness contract (the part worth reading twice):
   (``int(round(c * cycle_scale))``), so batching sums those
   *per-charge rounded* values, never rounds the sum. Every constant is
   taken from the same table at compile time; data-dependent costs
-  (hot-range memory pricing, MMIO) replicate the interpreter's exact
-  decision procedure. The accumulator is flushed before anything that
+  (a RAM page's price, read from its page-cache entry, and MMIO)
+  replicate the interpreter's exact decision procedure. The
+  accumulator is flushed before anything that
   can observe the clock — native routines (the tracer timestamps spans
   with ``account.total``) and MMIO dispatch (device models emit
   events) — and a ``finally`` flush covers faults, so totals and
@@ -34,8 +35,8 @@ Correctness contract (the part worth reading twice):
   ``cpu.executed``. Registers and flags are always architectural —
   superblocks write them in interpreter order, never cache them.
 * **Superblocks never run under a charge shadow.** The dispatcher
-  checks ``"charge" not in account.__dict__`` (the profiler or any
-  other shadow) and ``sb.scale == cpu.cycle_scale`` before entering;
+  checks ``sb.scale == cpu.cycle_scale`` and ``account.shadowed``
+  (the profiler or any other shadow of ``charge``) before entering;
   otherwise it falls back to ``step()``, whose behaviour is the
   definition of correct.
 * **Invalidation.** Superblocks cache on the ``LoadedProgram`` keyed by
@@ -283,7 +284,7 @@ class _Emitter:
         self.emit(
             f"if (cpu.eip != {next_addr} or cpu.code.epoch != ep0 "
             f"or L._igen != ig0 or cpu._category[-1] != cat "
-            f"or cpu.world_token != wt0 or 'charge' in accd):", ind)
+            f"or cpu.world_token != wt0 or acct.shadowed):", ind)
         self.emit("return", ind + 1)
         self.rehoist(ind)
         self.cur_eip = next_addr
@@ -345,19 +346,18 @@ class _Emitter:
 
     # -- memory --------------------------------------------------------------
 
-    def emit_cost(self, va: str, ind: int):
-        """Inline the interpreter's RAM pricing (hot range or not) into
-        the accumulator."""
-        memc = self.scaled.mem
-        hotc = self.scaled.mem_hot
+    def emit_cost(self, entry: str, va: str, ind: int) -> str:
+        """Unpack the page-cache ``entry`` of a hit and add its page's
+        RAM price to the accumulator (``cpu._ram_price`` of ``va`` when
+        a hot range edge falls inside the page); returns the frame."""
+        frame = self.temp("fr")
         c = self.temp("c")
-        self.emit(f"{c} = {memc}", ind)
-        self.emit("for lohi in hr:", ind)
-        self.emit(f"if lohi[0] <= {va} < lohi[1]:", ind + 1)
-        self.emit(f"{c} = {hotc}", ind + 2)
-        self.emit("break", ind + 2)
+        self.emit(f"{frame}, {c} = {entry}", ind)
+        self.emit(f"if {c} is None:", ind)
+        self.emit(f"{c} = price({va})", ind + 1)
         self.emit(f"acc += {c}", ind)
         self.acc_dirty = True
+        return frame
 
     def emit_miss(self, call: str, ind: int):
         """The other branch of an inline access: the interpreter's own
@@ -386,12 +386,12 @@ class _Emitter:
         self.emit(f"{d} = rp({va} >> 12)", ind)
         self.emit(f"if {d} is not None and ({va} & 4095) <= {4096 - size}:",
                   ind)
-        self.emit_cost(va, ind + 1)
+        frame = self.emit_cost(d, va, ind + 1)
         if size == 1:
-            self.emit(f"{v} = {d}[{va} & 4095]", ind + 1)
+            self.emit(f"{v} = {frame}[{va} & 4095]", ind + 1)
         else:
             un = "u2" if size == 2 else "u4"
-            self.emit(f"{v} = {un}({d}, {va} & 4095)[0]", ind + 1)
+            self.emit(f"{v} = {un}({frame}, {va} & 4095)[0]", ind + 1)
         self.emit("else:", ind)
         self.emit_miss(f"{v} = rm({va}, {size})", ind + 1)
         return v
@@ -409,12 +409,13 @@ class _Emitter:
         self.emit(f"{d} = wp({va} >> 12)", ind)
         self.emit(f"if {d} is not None and ({va} & 4095) <= {4096 - size}:",
                   ind)
-        self.emit_cost(va, ind + 1)
+        frame = self.emit_cost(d, va, ind + 1)
         if size == 1:
-            self.emit(f"{d}[{va} & 4095] = ({value}) & 255", ind + 1)
+            self.emit(f"{frame}[{va} & 4095] = ({value}) & 255", ind + 1)
         else:
             pk = "p2" if size == 2 else "p4"
-            self.emit(f"{pk}({d}, {va} & 4095, ({value}) & {mask})", ind + 1)
+            self.emit(f"{pk}({frame}, {va} & 4095, ({value}) & {mask})",
+                      ind + 1)
         self.emit("else:", ind)
         self.emit_miss(f"wm({va}, {size}, {value})", ind + 1)
 
@@ -527,14 +528,16 @@ class _Emitter:
         if m == "xchg" and not (isinstance(instr.src, (Reg, Mem))
                                 and isinstance(instr.dst, (Reg, Mem))):
             raise _Unsupported("unwritable xchg operand")
-        if index in loaded.instrument:
-            if instr.is_control_flow:
-                raise _Unsupported("instrumented control flow")
-            return self.delegate(index, next_addr, next_index)
+        instrumented = index in loaded.instrument
+        if instrumented and instr.is_control_flow:
+            raise _Unsupported("instrumented control flow")
 
         self.pending += 1
         self.n_instrs += 1
         self.buf += self.scaled.alu
+
+        if instrumented:
+            return self.delegate(index, next_addr, next_index)
 
         if m in ("nop", "sti", "cli"):
             return next_index
@@ -615,8 +618,7 @@ class _Emitter:
             if isinstance(instr.dst, Mem):
                 # a conditionally-skipped memory write would fork the
                 # accounting state; the handler does it exactly
-                return self.delegate(index, next_addr, next_index,
-                                     undo_inline=True)
+                return self.delegate(index, next_addr, next_index)
             bits = size * 8
             mask = (1 << bits) - 1
             sign = 1 << (bits - 1)
@@ -754,8 +756,7 @@ class _Emitter:
             return next_index
 
         if instr.is_string:
-            return self.delegate(index, next_addr, next_index,
-                                 undo_inline=True)
+            return self.delegate(index, next_addr, next_index)
 
         raise _Unsupported(f"unhandled mnemonic {m!r}")
 
@@ -772,20 +773,13 @@ class _Emitter:
         self.emit(f"r['esp'] = (r['esp'] + 4) & {MASK32}", ind)
         return v
 
-    def delegate(self, index: int, next_addr: int,
-                 next_index: int, undo_inline: bool = False) -> int:
+    def delegate(self, index: int, next_addr: int, next_index: int) -> int:
         """Run one instruction through its compiled PR 4 handler (string
-        ops, instrumented sites, shift-to-memory): sync and flush so the
-        handler sees exactly the state ``step()`` would give it."""
+        ops, instrumented sites, shift-to-memory). ``emit_instruction``
+        has counted the instruction and added its ``alu``, which a
+        handler does not charge, to the accumulator; sync and flush so
+        the handler sees exactly the state ``step()`` would give it."""
         from .cpu import _handler_for    # deferred: avoids module cycle
-        if undo_inline:
-            # emit_instruction already consumed the instruction and its
-            # base ALU charge; the handler charges it itself
-            self.pending -= 1
-            self.n_instrs -= 1
-            self.buf -= self.scaled.alu
-        self.pending += 1
-        self.n_instrs += 1
         self.sync(next_addr)
         self.flush()
         handler = self.loaded.handlers[index]
@@ -884,10 +878,10 @@ class _Emitter:
             prologue += [*_PAGE_CACHES,
                          "rm = cpu.read_mem",
                          "wm = cpu.write_mem",
-                         "hr = cpu.hot_ranges"]
+                         "price = cpu._ram_price"]
         if self.uses_natives or self.ns:
             prologue += [
-                "accd = cpu.account.__dict__",
+                "acct = cpu.account",
                 "ep0 = cpu.code.epoch",
                 "ig0 = L._igen",
                 "wt0 = cpu.world_token",

@@ -61,8 +61,9 @@ class PhysicalMemory:
         #: cache is simply cleared on registration.
         self._mmio_pages: Dict[int, Tuple[MMIORegion, ...]] = {}
         #: the RAM page caches of every address space over this memory
-        #: (see ``AddressSpace``); a new MMIO region clears them all.
-        self.page_caches: List[Dict[int, bytearray]] = []
+        #: (see ``AddressSpace``); a new MMIO region clears them all, and
+        #: so do a new hot range and a cycle-scale change (``Cpu``).
+        self.page_caches: List[Dict] = []
 
     # -- allocation --------------------------------------------------------------
 

@@ -18,6 +18,10 @@ from .memory import OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 #: Xen living in the top of every address space).
 HYPERVISOR_BASE = 0xF0000000
 
+#: A RAM page-cache value: the frame's bytes and the page's RAM price
+#: (None when only a per-access check can price it).
+PageEntry = Tuple[bytearray, Optional[int]]
+
 
 class PageFault(Exception):
     """Translation of an unmapped virtual address."""
@@ -51,7 +55,7 @@ class PageTable:
         #: the RAM page caches of every address space that translates
         #: through this table; changing a page's entry drops that page
         #: from each of them.
-        self.page_caches: List[Dict[int, bytearray]] = []
+        self.page_caches: List[Dict[int, PageEntry]] = []
 
     def map(self, vpage: int, frame: int, writable: bool = True):
         self.entries[vpage] = (frame, writable)
@@ -84,14 +88,19 @@ class AddressSpace:
         self.table = PageTable()
         self.hypervisor_table = hypervisor_table
         #: RAM page cache, filled by the CPU on a translation: virtual
-        #: page -> the frame ``bytearray`` it maps, for reads and for
-        #: writable mappings. Only plain RAM pages enter it
-        #: (``PhysicalMemory.ram_frame``). A translation changes only
-        #: through ``PageTable.map``/``unmap`` on either table or a new
-        #: MMIO region, and each of those drops what it affects; frames
-        #: are never freed, so a cached ``bytearray`` is always live.
-        self.read_pages: Dict[int, bytearray] = {}
-        self.write_pages: Dict[int, bytearray] = {}
+        #: page -> (the frame ``bytearray`` it maps, the page's price),
+        #: for reads and for writable mappings. The price is the scaled
+        #: ``mem_hot`` when one of the CPU's hot ranges covers the page,
+        #: ``mem`` when none touches it, and None when a range edge
+        #: falls inside it (the CPU then checks each access). Only plain
+        #: RAM pages enter it (``PhysicalMemory.ram_frame``). A
+        #: translation changes only through ``PageTable.map``/``unmap``
+        #: on either table or a new MMIO region, and a price only
+        #: through ``Cpu.add_hot_range`` or a ``cycle_scale`` change;
+        #: each of those drops what it affects. Frames are never freed,
+        #: so a cached ``bytearray`` is always live.
+        self.read_pages: Dict[int, PageEntry] = {}
+        self.write_pages: Dict[int, PageEntry] = {}
         for owner in (self.table, hypervisor_table, phys):
             if owner is not None:
                 owner.page_caches += (self.read_pages, self.write_pages)

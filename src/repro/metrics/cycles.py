@@ -49,6 +49,18 @@ class CycleAccount:
         except KeyError:
             raise KeyError(f"unknown cycle category {category!r}") from None
 
+    @property
+    def shadowed(self) -> bool:
+        """True unless ``charge`` resolves to this class's method bound
+        to this account: a profiler, a fault-injection hook, a plain
+        function or another account's bound ``charge`` stored on the
+        instance all count. Code that adds charges up before charging
+        them (the interpreter, superblocks) must charge item by item
+        while this holds, so the shadow sees every item."""
+        charge = self.charge
+        return (getattr(charge, "__self__", None) is not self
+                or charge.__func__ is not CycleAccount.charge)
+
     def count(self, event: str, n: int = 1):
         self.registry.counter(EVENTS_PREFIX + event).value += n
 

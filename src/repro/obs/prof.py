@@ -6,7 +6,9 @@ per-instruction costs, a native support routine, the hypervisor's
 mechanism costs, or a kernel model. The profiler exploits that choke
 point: :meth:`Profiler.enable` shadows the account's ``charge`` with a
 recording closure (an *instance* attribute, so the class method and
-every disabled-mode code path stay byte-identical), and
+every disabled-mode code path stay byte-identical; while it is there
+``CycleAccount.shadowed`` holds, and the interpreter, which otherwise
+adds its charges up, charges each cost item on its own), and
 :meth:`Profiler.disable` restores whatever ``charge`` resolved to
 before — the bare class method, or a pre-existing instance shadow such
 as a fault-injection hook, which the recorder chains to rather than
@@ -118,8 +120,9 @@ class Profiler:
         # is installed, else the plain bound class method. Chaining to
         # it (instead of the raw class method) keeps stacked shadows --
         # fault injection, a second recorder -- live while profiling.
-        self._saved_shadow = account.__dict__.get("charge", _NO_SHADOW)
         prior_charge = account.charge
+        self._saved_shadow = (prior_charge if account.shadowed
+                              else _NO_SHADOW)
         cpu = self._cpu
         samples = self._samples
 
@@ -147,13 +150,12 @@ class Profiler:
         if not self.enabled:
             return
         account = self._account
-        current = account.__dict__.get("charge")
-        if current is not self._installed:
+        if account.charge is not self._installed:
             raise RuntimeError(
                 "another charge shadow was installed on top of the "
                 "profiler; remove it before disable()")
         if self._saved_shadow is _NO_SHADOW:
-            account.__dict__.pop("charge", None)
+            del account.charge
         else:
             account.charge = self._saved_shadow
         self._installed = None

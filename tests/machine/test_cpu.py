@@ -14,9 +14,28 @@ from repro.machine import (
     Machine,
     PAGE_SIZE,
 )
+from repro.metrics import CycleAccount
 
 DATA = 0xC0000000
 STACK_TOP = 0xC0104000
+#: a page whose frame is a device that reads the clock (see
+#: ``TestDeferredCharges``)
+MMIO_VA = 0xC0200000
+
+
+class _ClockDevice:
+    """MMIO device that logs each access with ``account.total``."""
+
+    def __init__(self, account, log):
+        self.account = account
+        self.log = log
+
+    def mmio_read(self, offset, size):
+        self.log.append(("r", offset, self.account.total))
+        return 0
+
+    def mmio_write(self, offset, size, value):
+        self.log.append(("w", offset, self.account.total))
 
 
 def make_machine():
@@ -580,3 +599,215 @@ class TestChargeSequence:
             m.cpu.costs.mem = 1
         with pytest.raises(AttributeError):
             m.cpu.costs = m.cpu.costs
+
+
+class TestDeferredCharges:
+    """With no charge shadow installed, ``_run_loop`` adds charges up and
+    settles them before anything outside the interpreter can look. Each
+    case runs on two fresh machines, one under a pass-through shadow
+    (which makes the loop charge item by item through ``step()``), and
+    every observation of the account must be the same on both."""
+
+    @staticmethod
+    def observe(source, shadowed, natives=(), hook_at=None, device=False,
+                max_steps=None):
+        """Call ``f`` once under category e1000. Returns the log the
+        natives, the hook and the device append to, the exception's type
+        name (or None), the final cycles and the instruction count."""
+        m, space = make_machine()
+        log = []
+        extern = {}
+        for name, fn, options in natives:
+            m.register_native(name, lambda cpu, fn=fn: fn(cpu, log),
+                              **options)
+            extern[name] = m.natives.address_of(name)
+        if device:
+            frame = m.phys.allocate_frame()
+            m.phys.add_mmio_region(frame << 12, PAGE_SIZE,
+                                   _ClockDevice(m.account, log))
+            space.map_page(MMIO_VA, frame)
+        loaded = m.load_program(assemble(".globl f\n" + source), 0x08000000,
+                                extern=extern)
+        if hook_at is not None:
+            loaded.instrument[hook_at] = (
+                lambda cpu: log.append(("hook", cpu.account.total)))
+        if shadowed:
+            inner = m.account.charge
+            m.account.charge = lambda category, cycles: inner(category,
+                                                              cycles)
+            assert m.account.shadowed
+        if max_steps is not None:
+            m.cpu.max_steps_per_call = max_steps
+        error = None
+        try:
+            m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP,
+                                category="e1000")
+        except Exception as exc:  # noqa: BLE001 - compared by type
+            error = type(exc).__name__
+        return log, error, m.account.cycles, m.cpu.executed
+
+    def same(self, source, **kwargs):
+        plain = self.observe(source, False, **kwargs)
+        assert plain == self.observe(source, True, **kwargs)
+        return plain
+
+    #: e1000 work before an observation: ALU ops, a cold load and a
+    #: read-modify-write of memory
+    WORK = (f"movl $5, %ecx\nmovl {DATA}, %eax\naddl %ecx, %eax\n"
+            f"addl %eax, {DATA + 4}\n")
+
+    def test_native_reads_the_clock_mid_function(self):
+        clock = ("clock", lambda cpu, log: log.append(cpu.account.total), {})
+        log, error, _, _ = self.same(
+            "f: " + self.WORK + "call clock\n" + self.WORK
+            + "call clock\nret", natives=[clock])
+        assert error is None and len(log) == 2 and 0 < log[0] < log[1]
+
+    def test_page_fault_part_way(self):
+        _, error, cycles, executed = self.same(
+            "f: " + self.WORK + "movl 0x40000000, %edx\nret")
+        assert error == "PageFault" and executed == 5
+        assert cycles["e1000"] > 0
+
+    def test_budget_exceeded_part_way(self):
+        _, error, cycles, executed = self.same(
+            "f: " + self.WORK + "jmp f", max_steps=100)
+        assert error == "CpuBudgetExceeded" and executed == 101
+
+    def test_native_with_its_own_category(self):
+        # the e1000 instructions before the native stay in e1000
+        xen = ("xen", lambda cpu, log: log.append(cpu.account.cycles),
+               {"category": "Xen", "cost": 50})
+        log, _, cycles, _ = self.same(
+            "f: " + self.WORK + "call xen\n" + self.WORK + "ret",
+            natives=[xen])
+        assert log[0]["e1000"] > 0 and log[0]["Xen"] == 50
+        assert cycles["Xen"] == 50
+
+    def test_native_calls_back_into_driver_code(self):
+        # the upcall and interrupt shape: a nested loop settles on its
+        # own exit, and the outer one does not charge its work again
+        def trampoline(cpu, log):
+            log.append(cpu.account.total)
+            helper = cpu.code.program_at(0x08000000).symbol("helper")
+            cpu.call_function(helper, [], stack_top=STACK_TOP - 0x800)
+            log.append(cpu.account.total)
+
+        log, _, _, executed = self.same(
+            "f: " + self.WORK + "call trampoline\n" + self.WORK + "ret\n"
+            + "helper: " + self.WORK + "ret",
+            natives=[("trampoline", trampoline, {})])
+        assert len(log) == 2 and log[0] < log[1] and executed == 15
+
+    def test_native_runs_driver_code_under_a_shadow_of_its_own(self):
+        # that code goes through ``step()`` and charges as it runs; the
+        # outer loop, deferring again after the native, must not owe it
+        def traced(cpu, log):
+            outer = cpu.account.charge
+            cpu.account.charge = lambda category, cycles: outer(category,
+                                                                cycles)
+            helper = cpu.code.program_at(0x08000000).symbol("helper")
+            cpu.call_function(helper, [], stack_top=STACK_TOP - 0x800)
+            cpu.account.charge = outer
+            log.append(cpu.account.total)
+
+        log, _, _, _ = self.same(
+            "f: " + self.WORK + "call traced\n" + self.WORK + "ret\n"
+            + "helper: " + self.WORK + "ret",
+            natives=[("traced", traced, {})])
+        assert log[0] > 0
+
+    def test_a_call_after_one_under_a_shadow(self):
+        # the loop's count of instructions owed starts at its own entry
+        deltas = []
+        for shadow_first in (False, True):
+            m, _ = make_machine()
+            loaded = m.load_program(assemble(".globl f\nf: " + self.WORK
+                                             + "ret"), 0x08000000)
+            if shadow_first:
+                real = m.account.charge
+                m.account.charge = lambda category, cycles: real(category,
+                                                                 cycles)
+            m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+            if shadow_first:
+                del m.account.charge
+            before = m.account.total
+            m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+            deltas.append(m.account.total - before)
+        assert deltas[0] == deltas[1]
+
+    def test_instrument_hook_reads_the_clock(self):
+        log, _, _, _ = self.same("f: " + self.WORK + self.WORK + "ret",
+                                 hook_at=4)
+        assert len(log) == 1 and log[0][1] > 0
+
+    def test_device_reads_the_clock(self):
+        log, _, _, _ = self.same(
+            "f: " + self.WORK + f"movl %eax, {MMIO_VA}\n" + self.WORK
+            + f"movl {MMIO_VA + 4}, %edx\nret", device=True)
+        assert [entry[0] for entry in log] == ["w", "r"]
+
+    def test_shadow_installed_by_a_native_sees_every_item(self):
+        # after the native the call runs through ``step()``: the new
+        # shadow sees the same items as one installed from the start
+        source = "f: " + self.WORK + "call install\n" + self.WORK + "ret"
+
+        def install(cpu, log):
+            inner = cpu.account.charge
+
+            def shadow(category, cycles):
+                log.append((category, cycles))
+                inner(category, cycles)
+            cpu.account.charge = shadow
+            log.append("installed")
+
+        log, _, _, _ = self.same(source,
+                                 natives=[("install", install, {})])
+        d = "e1000"
+        assert log == [
+            "installed",
+            (d, 6),                            # pop the return address
+            (d, 1), (d, 1), (d, 6), (d, 1),    # movl, movl DATA, addl
+            (d, 1), (d, 6), (d, 6),            # addl to DATA + 4
+            (d, 1), (d, 8), (d, 6),            # ret
+        ]
+
+    def test_the_loop_defers(self, monkeypatch):
+        # a class-level wrapper counts calls without being a shadow. Once
+        # every page is cached, a call charges the sentinel push (made
+        # from Python), ``ret``, and at loop exit the rest in one settle:
+        # 4 + 1 alu, 2 loads and 1 store at mem 6, the return pop
+        m, _ = make_machine()
+        loaded = m.load_program(assemble(".globl f\nf: " + self.WORK
+                                         + "ret"), 0x08000000)
+        m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+        calls = []
+        real = CycleAccount.charge
+
+        def counting(self, category, cycles):
+            calls.append((category, cycles))
+            real(self, category, cycles)
+        monkeypatch.setattr(CycleAccount, "charge", counting)
+        assert not m.account.shadowed
+        m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+        assert calls == [("dom0", 6), ("dom0", 8), ("dom0", 5 + 18 + 6)]
+
+    def test_category_and_scale_changes_settle_first(self):
+        # no code in the tree changes the category or the scale while
+        # the loop defers (natives, hooks and devices run with deferral
+        # off); the settle in each keeps the account exact for one that
+        # does
+        m, _ = make_machine()
+        cpu = m.cpu
+        for change, category in ((lambda: cpu.push_category("Xen"), "dom0"),
+                                 (cpu.pop_category, "Xen"),
+                                 (lambda: setattr(cpu, "cycle_scale", 2.0),
+                                  "dom0")):
+            cpu._deferring = True
+            cpu._settled = cpu.executed
+            cpu.executed += 3
+            cpu._owed = 10
+            before = m.account.cycles[category]
+            change()
+            cpu._deferring = False
+            assert m.account.cycles[category] - before == 3 + 10

@@ -1,10 +1,14 @@
 """Differential fuzzing: interpreter vs superblock JIT (ISSUE 8).
 
-Every generated program is run on two fresh machines — ``jit_enabled``
-off and on (threshold 1, so traces compile immediately) — over several
-invocations, and the complete observable state must be bit-identical:
-registers, flags, direction flag, ``executed``, every per-category
-cycle counter, and the data pages. Separate properties drive natives,
+Every generated program is run on three fresh machines over several
+invocations: the interpreter as it runs by default (deferring its
+charges), the superblock JIT (threshold 1, so traces compile
+immediately), and the interpreter under a pass-through charge shadow
+(every cost item charged on its own through ``step()``, the reference).
+The complete observable state must be bit-identical: registers, flags,
+direction flag, ``executed``, every per-category cycle counter, the
+data pages, and ``account.total`` as the natives and the MMIO device
+saw it at each call and access. Separate properties drive natives,
 native-raised exceptions (the upcall shape), and page faults through
 the middle of hot superblocks. The "world" properties cover every branch
 of the interpreter's RAM fast path: 1/2/4-byte accesses at unaligned and
@@ -180,26 +184,32 @@ _PATTERN = bytes((i * 37 + 11) & 0xFF for i in range(DATA_BYTES))
 
 
 class _Recorder:
-    """MMIO device that logs every access; a read answers a value
-    derived from the log length, so a reordered or repeated access
-    changes the registers too."""
+    """MMIO device that logs every access with the clock it saw; a read
+    answers a value derived from the log length, so a reordered or
+    repeated access changes the registers too."""
 
-    def __init__(self):
-        self.log = []
+    def __init__(self, account, log):
+        self.account = account
+        self.log = log
 
     def mmio_read(self, offset, size):
-        self.log.append(("r", offset, size))
+        self.log.append(("r", offset, size, self.account.total))
         return (len(self.log) * 0x9E3779B1 + offset) & ((1 << size * 8) - 1)
 
     def mmio_write(self, offset, size, value):
-        self.log.append(("w", offset, size, value))
+        self.log.append(("w", offset, size, value, self.account.total))
 
 
-def _make_machine(jit, world=False):
-    """A bare machine with data and stack pages. ``world`` adds the
-    pricing and memory corners of the RAM fast path: cycle scale
-    ``SCALE``, the ``HOT`` range, the RAM+MMIO page at ``MMIO_VA`` and
-    the frameless pages at ``BUS_VA``. Returns the device's log too."""
+#: the three legs every program runs on
+LEGS = ("interp", "jit", "shadow")
+
+
+def _make_machine(leg, world=False):
+    """A bare machine with data and stack pages, set up for ``leg``.
+    ``world`` adds the pricing and memory corners of the RAM fast path:
+    cycle scale ``SCALE``, the ``HOT`` range, the RAM+MMIO page at
+    ``MMIO_VA`` and the frameless pages at ``BUS_VA``. Returns the log
+    the device and the natives append to, too."""
     m = Machine()
     space = AddressSpace("fuzz", m.phys, m.hypervisor_table)
     space.map_new_pages(DATA, 4)
@@ -207,9 +217,13 @@ def _make_machine(jit, world=False):
     # a byte pattern, so that loads of every width return non-zero bits
     space.write_bytes(DATA, _PATTERN)
     m.cpu.address_space = space
-    m.cpu.jit_enabled = jit
+    m.cpu.jit_enabled = leg == "jit"
     m.cpu.jit_threshold = 1
-    device = _Recorder()
+    if leg == "shadow":
+        inner = m.account.charge
+        m.account.charge = lambda category, cycles: inner(category, cycles)
+    log = []
+    device = _Recorder(m.account, log)
     if world:
         m.cpu.cycle_scale = SCALE
         m.cpu.add_hot_range(*HOT)
@@ -219,7 +233,7 @@ def _make_machine(jit, world=False):
         space.map_page(MMIO_VA, frame)
         for i in range(DATA_BYTES // 4096):
             space.map_page(BUS_VA + i * 4096, m.phys.max_frames - 1 - i)
-    return m, space, device.log
+    return m, space, log
 
 
 def _observe(m, space, results, errors, log):
@@ -228,12 +242,21 @@ def _observe(m, space, results, errors, log):
             space.read_bytes(DATA, DATA_BYTES), log)
 
 
-def _run_one(source, jit, natives=None, calls=4, world=False):
-    m, space, log = _make_machine(jit, world)
+def _legs(run, *args, **kwargs):
+    """``run`` on every leg; asserts the observations are equal and
+    returns the interpreter's."""
+    interp, jit, shadow = (run(*args, leg=leg, **kwargs) for leg in LEGS)
+    assert interp == jit
+    assert interp == shadow
+    return interp
+
+
+def _run_one(source, leg, natives=None, calls=4, world=False):
+    m, space, log = _make_machine(leg, world)
     extern = {}
     if natives:
         for name, factory in natives:
-            m.register_native(name, factory(m))
+            m.register_native(name, factory(log))
             extern[name] = m.natives.address_of(name)
     loaded = m.load_program(assemble(source), BASE, extern=extern or None)
     m.cpu.regs["ebx"] = DATA
@@ -248,10 +271,10 @@ def _run_one(source, jit, natives=None, calls=4, world=False):
     return _observe(m, space, results, errors, log)
 
 
-def _run_bad_base(source, jit, bad_call, bad_base, world=False):
+def _run_bad_base(source, bad_call, bad_base, leg, world=False):
     """Four calls; call ``bad_call`` points the data base at
     ``bad_base``, so its first body access through %ebx faults."""
-    m, space, log = _make_machine(jit, world)
+    m, space, log = _make_machine(leg, world)
     loaded = m.load_program(assemble(source), BASE)
     results, errors = [], []
     for i in range(4):
@@ -268,8 +291,7 @@ def _run_bad_base(source, jit, bad_call, bad_base, world=False):
 @given(_programs)
 def test_alu_memory_loops_bit_identical(spec):
     blocks, guards, iters = spec
-    source = _build_source(blocks, guards, iters)
-    assert _run_one(source, False) == _run_one(source, True)
+    _legs(_run_one, _build_source(blocks, guards, iters))
 
 
 @settings(max_examples=20, deadline=None)
@@ -280,14 +302,13 @@ def test_native_calls_mid_superblock(spec, salt):
         blocks, guards, iters,
         extra="    pushl %ecx\n    call mix\n    addl $4, %esp")
 
-    def mix_factory(m):
+    def mix_factory(log):
         def mix(cpu):
+            log.append(("mix", cpu.account.total))
             return (cpu.read_stack_arg(0) ^ salt) & 0xFFFFFFFF
         return mix
 
-    natives = [("mix", mix_factory)]
-    assert (_run_one(source, False, natives)
-            == _run_one(source, True, natives))
+    _legs(_run_one, source, natives=[("mix", mix_factory)])
 
 
 @settings(max_examples=20, deadline=None)
@@ -302,19 +323,18 @@ def test_native_raises_mid_superblock(spec, boom_at):
     source = _build_source(blocks, guards, iters,
                            extra="    call maybe")
 
-    def maybe_factory(m):
+    def maybe_factory(log):
         state = {"n": 0}
 
         def maybe(cpu):
+            log.append(("maybe", cpu.account.total))
             state["n"] += 1
             if state["n"] == boom_at:
                 raise Boom(f"at call {boom_at}")
             return None
         return maybe
 
-    natives = [("maybe", maybe_factory)]
-    assert (_run_one(source, False, natives)
-            == _run_one(source, True, natives))
+    _legs(_run_one, source, natives=[("maybe", maybe_factory)])
 
 
 @settings(max_examples=20, deadline=None)
@@ -326,9 +346,7 @@ def test_fault_mid_superblock(spec, bad_call):
     source = _build_source(blocks, guards, iters,
                            extra="    movl 0(%ebx), %esi")
 
-    off = _run_bad_base(source, False, bad_call, 0x40000000)
-    on = _run_bad_base(source, True, bad_call, 0x40000000)
-    assert off == on
+    off = _legs(_run_bad_base, source, bad_call, 0x40000000)
     assert off[1]                       # the fault actually fired
 
 
@@ -339,9 +357,7 @@ def test_world_loops_bit_identical(spec):
     # part of the data, RAM and MMIO sharing a page, at a cycle scale
     # where rounding each charge differs from rounding their sum
     blocks, guards, iters = spec
-    source = _build_source(blocks, guards, iters)
-    assert (_run_one(source, False, world=True)
-            == _run_one(source, True, world=True))
+    _legs(_run_one, _build_source(blocks, guards, iters), world=True)
 
 
 def test_world_corners_bit_identical():
@@ -358,9 +374,7 @@ def test_world_corners_bit_identical():
             ops += [("mmiostore", size, "edx", off),
                     ("mmioload", size, "esi", off),
                     ("alureg", "addl", "esi", "edx")]
-    source = _build_source([ops], [None] * 3, 3)
-    off = _run_one(source, False, world=True)
-    assert off == _run_one(source, True, world=True)
+    off = _legs(_run_one, _build_source([ops], [None] * 3, 3), world=True)
     assert not off[1] and off[-1]       # no fault; the device was used
 
 
@@ -372,7 +386,5 @@ def test_bus_error_mid_superblock(spec, bad_call):
     blocks, guards, iters = spec
     source = _build_source(blocks, guards, iters,
                            extra="    movl 0(%ebx), %esi")
-    off = _run_bad_base(source, False, bad_call, BUS_VA, world=True)
-    on = _run_bad_base(source, True, bad_call, BUS_VA, world=True)
-    assert off == on
+    off = _legs(_run_bad_base, source, bad_call, BUS_VA, world=True)
     assert off[1] and {kind for kind, _ in off[1]} == {"BusError"}

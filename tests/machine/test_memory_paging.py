@@ -207,8 +207,8 @@ class TestPageCache:
     """Ground truth for the RAM page cache, with the JIT off and on (a
     differential test cannot see a stale entry: both engines read the
     same cache). Each test fills the cache through a CPU load, changes
-    the translation one way, and checks the next access against what
-    the page tables and devices now say."""
+    the translation or the price one way, and checks the next access
+    against what the page tables, devices and hot ranges now say."""
 
     @pytest.fixture(params=[False, True], ids=["interp", "jit"])
     def m(self, request):
@@ -335,3 +335,57 @@ class TestPageCache:
         assert load() == 22
         m.cpu.address_space = a
         assert load() == 11
+
+    # A page-cache entry carries its page's RAM price, so a new hot
+    # range and a cycle-scale change must drop every entry. ``load()``
+    # pays two ``alu``, ``ret``, two stack accesses (sentinel push and
+    # return pop, on cold stack pages) and the load's own price.
+
+    @staticmethod
+    def load_cost(m, price):
+        costs = m.cpu.scaled
+        return 2 * costs.alu + costs.ret + 2 * costs.mem + price
+
+    @staticmethod
+    def charged(m, fn):
+        before = m.account.total
+        fn()
+        return m.account.total - before
+
+    def test_new_hot_range_reprices_a_cached_page(self, m):
+        space = m.cpu.address_space
+        space.map_page(VA, self.frame_holding(m, 11))
+        load, _ = self.accessors(m, VA)
+        load()
+        assert VA >> 12 in space.read_pages
+        assert self.charged(m, load) == self.load_cost(m, m.cpu.scaled.mem)
+        m.cpu.add_hot_range(VA, VA + PAGE_SIZE)
+        load()
+        assert self.charged(m, load) == self.load_cost(
+            m, m.cpu.scaled.mem_hot)
+
+    def test_cycle_scale_change_reprices_a_cached_page(self, m):
+        space = m.cpu.address_space
+        space.map_page(VA, self.frame_holding(m, 11))
+        load, _ = self.accessors(m, VA)
+        load()
+        assert self.charged(m, load) == self.load_cost(m, m.cpu.scaled.mem)
+        m.cpu.cycle_scale = 1.37          # mem 6 -> 8, alu 1, ret 8 -> 11
+        load()
+        assert VA >> 12 in space.read_pages
+        assert self.charged(m, load) == self.load_cost(m, 8) == 2 + 11 + 24
+
+    def test_hot_range_edge_inside_a_page_prices_each_access(self, m):
+        # the SVM runtime's return and spill slots end this way, 0x34
+        # bytes into the page after the stlb
+        space = m.cpu.address_space
+        space.map_page(VA, self.frame_holding(m, 11))
+        m.cpu.add_hot_range(VA - PAGE_SIZE, VA + 0x34)
+        hot, _ = self.accessors(m, VA + 0x30)
+        cold, _ = self.accessors(m, VA + 0x34, base=0x08100000)
+        for load in (hot, cold, hot, cold):
+            load()
+        assert VA >> 12 in space.read_pages
+        costs = m.cpu.scaled
+        assert self.charged(m, hot) == self.load_cost(m, costs.mem_hot)
+        assert self.charged(m, cold) == self.load_cost(m, costs.mem)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.machine import Machine
 from repro.metrics import (
     CycleAccount,
     PacketProfile,
@@ -110,6 +111,36 @@ class TestCycleAccount:
         acct.count("tx")
         acct.count("tx", 2)
         assert acct.events == {"tx": 3}
+
+
+class TestChargeShadow:
+    """``CycleAccount.shadowed``: the one test for a shadow of ``charge``
+    (the interpreter charges item by item while it holds)."""
+
+    def test_fresh_account(self):
+        assert not CycleAccount().shadowed
+
+    def test_profiler_enabled_then_disabled(self):
+        m = Machine()
+        m.obs.profiler.enable()
+        assert m.account.shadowed
+        m.obs.profiler.disable()
+        assert not m.account.shadowed
+
+    def test_plain_function(self):
+        acct = CycleAccount()
+        acct.charge = lambda category, cycles: None
+        assert acct.shadowed
+        del acct.charge
+        assert not acct.shadowed
+
+    def test_another_accounts_bound_charge(self):
+        acct, other = CycleAccount(), CycleAccount()
+        acct.charge = other.charge
+        assert acct.shadowed
+        del acct.charge
+        acct.charge = acct.charge       # its own bound method: no shadow
+        assert not acct.shadowed
 
 
 class TestPacketProfile:
