@@ -40,6 +40,11 @@ NATIVE_BASE = 0xFFF00000
 
 MASK32 = 0xFFFFFFFF
 
+#: a straight-line run: ``(handler, fall-through address)`` of each
+#: instruction from an entry up to and including the first control
+#: transfer (see ``_run_for``).
+Run = Tuple[Tuple[Callable[["Cpu"], None], int], ...]
+
 
 class ExecutionFault(Exception):
     """Control transferred outside any loaded program, or mid-instruction."""
@@ -174,6 +179,10 @@ class LoadedProgram:
         self.handlers: List[Optional[Callable[["Cpu"], None]]] = (
             [None] * len(program.instructions)
         )
+        #: per-entry straight-line runs for the deferring interpreter
+        #: loop, built lazily from ``handlers`` (see ``_run_for``) and
+        #: dropped with them.
+        self.runs: List[Optional[Run]] = [None] * len(program.instructions)
         #: optional per-instruction observers, wrapped into the compiled
         #: handler once at compile time so uninstrumented instructions pay
         #: nothing in the hot loop. Mutations invalidate the affected
@@ -211,12 +220,15 @@ class LoadedProgram:
 
     def _instrument_changed(self, indices):
         """A hook was added/removed: drop the baked handlers for those
-        sites and every superblock (traces may run through them)."""
+        sites, every run and every superblock (both may run through
+        them). The lists are cleared in place: ``_run_loop`` holds
+        them."""
         self._igen += 1
         n = len(self.handlers)
         for index in indices:
             if 0 <= index < n:
                 self.handlers[index] = None
+        self.runs[:] = [None] * n
         if self._jit is not None:
             self._jit.counts.clear()
             self._jit.superblocks.clear()
@@ -338,8 +350,15 @@ class Cpu:
         self._deferring = False
         self._owed = 0
         self._settled = 0
+        #: bumped by every ``_leave`` while deferring: a run of handlers
+        #: stops after an instruction that reached code outside the
+        #: interpreter.
+        self._leaves = 0
         #: virtual-address ranges treated as cache-hot (stacks, stlb).
         self.hot_ranges: List[Tuple[int, int]] = []
+        # every page-cache entry over this memory carries this CPU's
+        # price, whichever reader filled it
+        phys.page_price = self._page_price
         #: multiplies interpreter cycle charges (driver-speed calibration);
         #: setting it also sets ``scaled``, the pre-scaled cost table that
         #: every interpreter charge and every JIT constant is taken from.
@@ -420,6 +439,7 @@ class Cpu:
             return False
         self.settle()
         self._deferring = False
+        self._leaves += 1
         return True
 
     def _resume(self):
@@ -569,11 +589,7 @@ class Cpu:
             cost = self.scaled.mmio
         else:
             cost = self._ram_price(vaddr)
-            vpage = vaddr >> PAGE_SHIFT
-            data = phys.ram_frame(paddr >> PAGE_SHIFT)
-            if data is not None:
-                pages = space.write_pages if write else space.read_pages
-                pages[vpage] = (data, self._page_price(vpage))
+            space.cache_page(vaddr, paddr, write)
         self.account.charge(self._category[-1], cost)
         result = None
         # a page-straddling access goes through the address space: the
@@ -688,12 +704,16 @@ class Cpu:
 
     def _run_loop(self):
         """Run until the sentinel return address. With no charge shadow
-        installed the loop defers its charges: it runs ``step()``'s body
-        inlined minus the ``alu`` charge, and ``settle`` pays what it
-        owes before code outside the interpreter runs (``_leave``) and
-        when the loop exits, normally or by an exception. Under a shadow,
-        or once a native or hook installs one, it runs ``step()`` for
-        each instruction, which charges every cost item on its own."""
+        installed the loop defers its charges and dispatches a
+        straight-line run of handlers at a time (``_run_for``): for each
+        instruction it does what ``step()`` does minus the ``alu``
+        charge, and ``settle`` pays what it owes before code outside the
+        interpreter runs (``_leave``) and when the loop exits, normally
+        or by an exception. A run stops after an instruction that
+        reached such code, and is cut short where the call's budget
+        ends. Under a shadow, or once a native, hook or device installs
+        one, the loop runs ``step()`` for each instruction, which
+        charges every cost item on its own."""
         if self.jit_enabled:
             self._run_loop_jit()
             return
@@ -723,17 +743,23 @@ class Cpu:
                         self._prog_cache = (loaded, epoch)
                         lo, hi = loaded.base, loaded.end
                         index_of = loaded.addr_to_index.get
-                        next_addrs = loaded.next_addrs
-                        handlers = loaded.handlers
-                    handler = handlers[index]
-                    if handler is None:
-                        handler = _handler_for(loaded, index)
-                    self.executed += 1
-                    self.eip = next_addrs[index]
-                    handler(self)
+                        runs = loaded.runs
+                    run = runs[index]
+                    if run is None:
+                        run = _run_for(loaded, index)
+                    if steps + len(run) > budget:
+                        run = run[:budget + 1 - steps]
+                    leaves = self._leaves
+                    for count, (handler, next_addr) in enumerate(run, 1):
+                        self.executed += 1
+                        self.eip = next_addr
+                        handler(self)
+                        if self._leaves != leaves:
+                            break
+                    steps += count
                 else:
                     self.step()
-                steps += 1
+                    steps += 1
                 if steps > budget:
                     raise CpuBudgetExceeded(
                         f"driver executed more than {budget} instructions"
@@ -961,6 +987,33 @@ def _handler_for(loaded: LoadedProgram, index: int) -> Callable[[Cpu], None]:
             _inner(cpu)
     loaded.handlers[index] = handler
     return handler
+
+
+def _run_for(loaded: LoadedProgram, index: int) -> Run:
+    """Build (and cache) the run from ``index``: every instruction up to
+    and including the first ``jmp``/``jcc``/``call``/``ret``, or to the
+    program's end. Handlers are compiled here, ahead of execution; one
+    whose compilation fails ends the run before it, so the error is
+    raised when the loop reaches that instruction, as ``step()`` would
+    raise it."""
+    instructions = loaded.program.instructions
+    handlers = loaded.handlers
+    next_addrs = loaded.next_addrs
+    run = []
+    for i in range(index, len(instructions)):
+        handler = handlers[i]
+        if handler is None:
+            try:
+                handler = _handler_for(loaded, i)
+            except Exception:
+                if i == index:
+                    raise
+                break
+        run.append((handler, next_addrs[i]))
+        if instructions[i].is_control_flow:
+            break
+    loaded.runs[index] = run = tuple(run)
+    return run
 
 
 def _ea_thunk(mem: Mem) -> Callable[[Cpu], int]:

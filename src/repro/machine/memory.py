@@ -13,7 +13,7 @@ exactly how the driver's register reads/writes reach our e1000 model.
 from __future__ import annotations
 
 from struct import Struct
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -21,11 +21,38 @@ PAGE_MASK = ~(PAGE_SIZE - 1) & 0xFFFFFFFF
 OFFSET_MASK = PAGE_SIZE - 1
 
 #: little-endian accessors on a frame ``bytearray``, used by the RAM
-#: fast paths of the interpreter and of JIT superblocks.
+#: fast paths of the interpreter, of JIT superblocks and of
+#: ``read_frame``/``write_frame`` (every Python-side reader).
 UNPACK_U16 = Struct("<H").unpack_from
 UNPACK_U32 = Struct("<I").unpack_from
 PACK_U16 = Struct("<H").pack_into
 PACK_U32 = Struct("<I").pack_into
+
+
+def read_frame(data: bytearray, offset: int, size: int) -> int:
+    """The little-endian ``size``-byte value at ``offset`` in a frame;
+    the access must not cross the frame's end."""
+    if size == 4:
+        return UNPACK_U32(data, offset)[0]
+    if size == 1:
+        return data[offset]
+    if size == 2:
+        return UNPACK_U16(data, offset)[0]
+    return int.from_bytes(data[offset: offset + size], "little")
+
+
+def write_frame(data: bytearray, offset: int, size: int, value: int):
+    """Store ``value``, masked to ``size`` bytes, little-endian at
+    ``offset`` in a frame; the access must not cross the frame's end."""
+    if size == 4:
+        PACK_U32(data, offset, value & 0xFFFFFFFF)
+    elif size == 1:
+        data[offset] = value & 0xFF
+    elif size == 2:
+        PACK_U16(data, offset, value & 0xFFFF)
+    else:
+        data[offset: offset + size] = (
+            (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little"))
 
 
 class BusError(Exception):
@@ -34,6 +61,10 @@ class BusError(Exception):
     def __init__(self, paddr: int, why: str = "unallocated frame"):
         super().__init__(f"bus error at physical {paddr:#010x}: {why}")
         self.paddr = paddr
+
+
+def _unpriced(vpage: int) -> Optional[int]:
+    return None
 
 
 class MMIORegion:
@@ -64,6 +95,11 @@ class PhysicalMemory:
         #: (see ``AddressSpace``); a new MMIO region clears them all, and
         #: so do a new hot range and a cycle-scale change (``Cpu``).
         self.page_caches: List[Dict] = []
+        #: virtual page -> the RAM price its page-cache entry carries.
+        #: The ``Cpu`` running over this memory installs its own
+        #: ``_page_price``, so an entry filled by a Python-side read is
+        #: the one a CPU load would store; without a CPU it is None.
+        self.page_price: Callable[[int], Optional[int]] = _unpriced
 
     # -- allocation --------------------------------------------------------------
 
@@ -129,12 +165,20 @@ class PhysicalMemory:
             raise BusError(paddr)
         return data, paddr & OFFSET_MASK
 
+    # ``read``/``write`` unpack or pack an access inside one RAM frame
+    # on the frame itself. A device's ``mmio_read``/``mmio_write`` is
+    # looked up on each access, never cached: wrappers may replace it.
+
     def read(self, paddr: int, size: int) -> int:
         """Little-endian read of 1/2/4 bytes, MMIO-aware."""
         region = self.mmio_region_at(paddr)
         if region is not None:
             return region.device.mmio_read(paddr - region.start, size)
-        return int.from_bytes(self.read_bytes(paddr, size), "little")
+        data = self._frames.get(paddr >> PAGE_SHIFT)
+        offset = paddr & OFFSET_MASK
+        if data is None or offset + size > PAGE_SIZE:
+            return int.from_bytes(self.read_bytes(paddr, size), "little")
+        return read_frame(data, offset, size)
 
     def write(self, paddr: int, size: int, value: int):
         region = self.mmio_region_at(paddr)
@@ -142,8 +186,13 @@ class PhysicalMemory:
             region.device.mmio_write(paddr - region.start, size,
                                      value & ((1 << (size * 8)) - 1))
             return
-        self.write_bytes(paddr, (value & ((1 << (size * 8)) - 1))
-                         .to_bytes(size, "little"))
+        data = self._frames.get(paddr >> PAGE_SHIFT)
+        offset = paddr & OFFSET_MASK
+        if data is None or offset + size > PAGE_SIZE:
+            self.write_bytes(paddr, (value & ((1 << (size * 8)) - 1))
+                             .to_bytes(size, "little"))
+            return
+        write_frame(data, offset, size, value)
 
     def read_bytes(self, paddr: int, n: int) -> bytes:
         out = bytearray()

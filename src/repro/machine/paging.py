@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .memory import OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
+from .memory import (OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory,
+                     read_frame, write_frame)
 
 #: Virtual addresses at or above this are hypervisor territory (mirrors
 #: Xen living in the top of every address space).
@@ -87,18 +88,23 @@ class AddressSpace:
         self.phys = phys
         self.table = PageTable()
         self.hypervisor_table = hypervisor_table
-        #: RAM page cache, filled by the CPU on a translation: virtual
-        #: page -> (the frame ``bytearray`` it maps, the page's price),
-        #: for reads and for writable mappings. The price is the scaled
-        #: ``mem_hot`` when one of the CPU's hot ranges covers the page,
-        #: ``mem`` when none touches it, and None when a range edge
-        #: falls inside it (the CPU then checks each access). Only plain
-        #: RAM pages enter it (``PhysicalMemory.ram_frame``). A
-        #: translation changes only through ``PageTable.map``/``unmap``
-        #: on either table or a new MMIO region, and a price only
-        #: through ``Cpu.add_hot_range`` or a ``cycle_scale`` change;
-        #: each of those drops what it affects. Frames are never freed,
-        #: so a cached ``bytearray`` is always live.
+        #: RAM page cache: virtual page -> (the frame ``bytearray`` it
+        #: maps, the page's price), for reads and for writable mappings.
+        #: Every reader uses it: the CPU and JIT superblocks, and this
+        #: class's own ``read``/``write``/``read_bytes``/``write_bytes``,
+        #: which the kernel model, ``SvmView``, the support natives and
+        #: the twin glue go through. ``cache_page`` is the one place an
+        #: entry is stored, after a translation, and only for a plain
+        #: RAM page (``PhysicalMemory.ram_frame``). The price comes from
+        #: ``phys.page_price``, the CPU's: the scaled ``mem_hot`` when
+        #: one of its hot ranges covers the page, ``mem`` when none
+        #: touches it, and None when a range edge falls inside it (the
+        #: CPU then checks each access). A translation changes only
+        #: through ``PageTable.map``/``unmap`` on either table or a new
+        #: MMIO region, and a price only through ``Cpu.add_hot_range``
+        #: or a ``cycle_scale`` change; each of those drops what it
+        #: affects. Frames are never freed, so a cached ``bytearray`` is
+        #: always live.
         self.read_pages: Dict[int, PageEntry] = {}
         self.write_pages: Dict[int, PageEntry] = {}
         for owner in (self.table, hypervisor_table, phys):
@@ -155,28 +161,51 @@ class AddressSpace:
     def frame_of(self, vaddr: int) -> int:
         return self.translate(vaddr) >> PAGE_SHIFT
 
-    # -- convenience memory access (Python-side kernel code) ---------------------
+    def cache_page(self, vaddr: int, paddr: int,
+                   write: bool) -> Optional[bytearray]:
+        """Store the page-cache entry of ``vaddr``'s page, which has just
+        translated to ``paddr`` (for a write when ``write``), if that
+        page is plain RAM. Returns the frame's bytes, or None when the
+        page must not be cached (MMIO, no frame)."""
+        data = self.phys.ram_frame(paddr >> PAGE_SHIFT)
+        if data is not None:
+            vpage = (vaddr >> PAGE_SHIFT) & 0xFFFFF
+            pages = self.write_pages if write else self.read_pages
+            pages[vpage] = (data, self.phys.page_price(vpage))
+        return data
 
-    def read(self, vaddr: int, size: int, write_check: bool = False) -> int:
-        return self._access(vaddr, size, None)
+    # -- memory access (Python-side kernel, hypervisor and device code) -----------
+    #
+    # An access inside one page that the cache holds is one dict lookup
+    # and an unpack or pack on the frame. Anything else translates first
+    # (``PageFault``/``ProtectionFault``), caches the page, and goes
+    # through ``PhysicalMemory`` (device dispatch, ``BusError``). A
+    # page-crossing access is split on page lines.
+
+    def read(self, vaddr: int, size: int) -> int:
+        offset = vaddr & OFFSET_MASK
+        if offset + size > PAGE_SIZE:
+            return int.from_bytes(self.read_bytes(vaddr, size), "little")
+        entry = self.read_pages.get(vaddr >> PAGE_SHIFT)
+        if entry is not None:
+            return read_frame(entry[0], offset, size)
+        paddr = self.translate(vaddr)
+        self.cache_page(vaddr, paddr, False)
+        return self.phys.read(paddr, size)
 
     def write(self, vaddr: int, size: int, value: int):
-        self._access(vaddr, size, value)
-
-    def _access(self, vaddr: int, size: int, value: Optional[int]):
-        # Accesses may straddle a page boundary; split on page lines.
-        if (vaddr & OFFSET_MASK) + size <= PAGE_SIZE:
-            paddr = self.translate(vaddr, write=value is not None)
-            if value is None:
-                return self.phys.read(paddr, size)
-            self.phys.write(paddr, size, value)
-            return None
-        if value is None:
-            raw = self.read_bytes(vaddr, size)
-            return int.from_bytes(raw, "little")
-        self.write_bytes(vaddr, (value & ((1 << (size * 8)) - 1))
-                         .to_bytes(size, "little"))
-        return None
+        offset = vaddr & OFFSET_MASK
+        if offset + size > PAGE_SIZE:
+            self.write_bytes(vaddr, (value & ((1 << (size * 8)) - 1))
+                             .to_bytes(size, "little"))
+            return
+        entry = self.write_pages.get(vaddr >> PAGE_SHIFT)
+        if entry is not None:
+            write_frame(entry[0], offset, size, value)
+            return
+        paddr = self.translate(vaddr, write=True)
+        self.cache_page(vaddr, paddr, True)
+        self.phys.write(paddr, size, value)
 
     def read_u32(self, vaddr: int) -> int:
         return self.read(vaddr, 4)
@@ -184,22 +213,56 @@ class AddressSpace:
     def write_u32(self, vaddr: int, value: int):
         self.write(vaddr, 4, value)
 
-    def read_bytes(self, vaddr: int, n: int) -> bytes:
-        out = bytearray()
+    def _chunks(self, vaddr: int, n: int, write: bool):
+        """``(frame bytes or None, offset, physical address, length)`` of
+        each page-sized piece of ``n`` bytes at ``vaddr``, every page
+        translated before any is returned. None is a page that is not
+        plain RAM, which only the physical address reaches."""
+        pages = self.write_pages if write else self.read_pages
+        chunks = []
         while n > 0:
-            chunk = min(n, PAGE_SIZE - (vaddr & OFFSET_MASK))
-            paddr = self.translate(vaddr)
-            out += self.phys.read_bytes(paddr, chunk)
+            offset = vaddr & OFFSET_MASK
+            chunk = min(n, PAGE_SIZE - offset)
+            entry = pages.get(vaddr >> PAGE_SHIFT)
+            if entry is not None:
+                chunks.append((entry[0], offset, None, chunk))
+            else:
+                paddr = self.translate(vaddr, write)
+                chunks.append((self.cache_page(vaddr, paddr, write),
+                               offset, paddr, chunk))
             vaddr += chunk
             n -= chunk
+        return chunks
+
+    def read_bytes(self, vaddr: int, n: int) -> bytes:
+        offset = vaddr & OFFSET_MASK
+        if offset + n <= PAGE_SIZE:
+            entry = self.read_pages.get(vaddr >> PAGE_SHIFT)
+            if entry is not None:
+                return bytes(entry[0][offset: offset + n])
+        out = bytearray()
+        for data, offset, paddr, chunk in self._chunks(vaddr, n, False):
+            if data is None:
+                out += self.phys.read_bytes(paddr, chunk)
+            else:
+                out += data[offset: offset + chunk]
         return bytes(out)
 
     def write_bytes(self, vaddr: int, payload: bytes):
+        """Write ``payload`` at ``vaddr``. Every page it touches is
+        translated for a write first, so a fault on any of them leaves
+        memory unchanged."""
+        offset = vaddr & OFFSET_MASK
+        n = len(payload)
+        if offset + n <= PAGE_SIZE:
+            entry = self.write_pages.get(vaddr >> PAGE_SHIFT)
+            if entry is not None:
+                entry[0][offset: offset + n] = payload
+                return
         pos = 0
-        while pos < len(payload):
-            chunk = min(len(payload) - pos,
-                        PAGE_SIZE - (vaddr & OFFSET_MASK))
-            paddr = self.translate(vaddr, write=True)
-            self.phys.write_bytes(paddr, payload[pos: pos + chunk])
-            vaddr += chunk
+        for data, offset, paddr, chunk in self._chunks(vaddr, n, True):
+            if data is None:
+                self.phys.write_bytes(paddr, payload[pos: pos + chunk])
+            else:
+                data[offset: offset + chunk] = payload[pos: pos + chunk]
             pos += chunk

@@ -13,6 +13,7 @@ from repro.machine import (
     ExecutionFault,
     Machine,
     PAGE_SIZE,
+    PageFault,
 )
 from repro.metrics import CycleAccount
 
@@ -24,14 +25,18 @@ MMIO_VA = 0xC0200000
 
 
 class _ClockDevice:
-    """MMIO device that logs each access with ``account.total``."""
+    """MMIO device that logs each access with ``account.total``, then
+    runs ``on_read`` (if given) inside each read."""
 
-    def __init__(self, account, log):
+    def __init__(self, account, log, on_read=None):
         self.account = account
         self.log = log
+        self.on_read = on_read
 
     def mmio_read(self, offset, size):
         self.log.append(("r", offset, self.account.total))
+        if self.on_read is not None:
+            self.on_read()
         return 0
 
     def mmio_write(self, offset, size, value):
@@ -610,10 +615,12 @@ class TestDeferredCharges:
 
     @staticmethod
     def observe(source, shadowed, natives=(), hook_at=None, device=False,
-                max_steps=None):
+                max_steps=None, on_read=None):
         """Call ``f`` once under category e1000. Returns the log the
         natives, the hook and the device append to, the exception's type
-        name (or None), the final cycles and the instruction count."""
+        name (or None), the final cycles and the instruction count.
+        ``on_read(m, loaded, log)``, if given, runs inside every device
+        read (and implies the device)."""
         m, space = make_machine()
         log = []
         extern = {}
@@ -621,10 +628,12 @@ class TestDeferredCharges:
             m.register_native(name, lambda cpu, fn=fn: fn(cpu, log),
                               **options)
             extern[name] = m.natives.address_of(name)
-        if device:
+        loaded = None
+        if device or on_read is not None:
             frame = m.phys.allocate_frame()
-            m.phys.add_mmio_region(frame << 12, PAGE_SIZE,
-                                   _ClockDevice(m.account, log))
+            m.phys.add_mmio_region(frame << 12, PAGE_SIZE, _ClockDevice(
+                m.account, log,
+                on_read and (lambda: on_read(m, loaded, log))))
             space.map_page(MMIO_VA, frame)
         loaded = m.load_program(assemble(".globl f\n" + source), 0x08000000,
                                 extern=extern)
@@ -791,6 +800,123 @@ class TestDeferredCharges:
         assert not m.account.shadowed
         m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
         assert calls == [("dom0", 6), ("dom0", 8), ("dom0", 5 + 18 + 6)]
+
+    # The loop dispatches a straight-line run of handlers at a time (up
+    # to a jmp/jcc/call/ret). It stops after an instruction that reached
+    # code outside the interpreter, and is cut where the budget ends.
+
+    def test_budget_limit_inside_a_run(self):
+        # runs of 13 instructions: the second is cut after 8
+        _, error, cycles, executed = self.same(
+            "f: " + 3 * self.WORK + "jmp f", max_steps=20)
+        assert error == "CpuBudgetExceeded" and executed == 21
+        assert cycles["e1000"] > 0
+
+    def test_device_installs_a_shadow_mid_run(self):
+        # the rest of the run goes through ``step()``: the new shadow
+        # sees every later item, as one installed by a native does
+        def install(m, loaded, log):
+            inner = m.account.charge
+
+            def shadow(category, cycles):
+                log.append((category, cycles))
+                inner(category, cycles)
+            m.account.charge = shadow
+            log.append("installed")
+
+        log, _, _, _ = self.same(
+            "f: " + self.WORK + f"movl {MMIO_VA}, %edx\n" + self.WORK
+            + "ret", on_read=install)
+        d = "e1000"
+        assert log[0][0] == "r" and log[1:] == [
+            "installed",
+            (d, 1), (d, 1), (d, 6), (d, 1),    # movl, movl DATA, addl
+            (d, 1), (d, 6), (d, 6),            # addl to DATA + 4
+            (d, 1), (d, 8), (d, 6),            # ret
+        ]
+
+    def test_device_hooks_a_later_instruction_of_the_run(self):
+        # the hook on the second movl after the device read fires
+        def hook(m, loaded, log):
+            loaded.instrument[6] = lambda cpu: log.append(
+                ("hook", cpu.account.total))
+
+        log, _, _, _ = self.same(
+            "f: " + self.WORK + f"movl {MMIO_VA}, %edx\n" + self.WORK
+            + "ret", on_read=hook)
+        assert [entry[0] for entry in log] == ["r", "hook"]
+
+    def test_device_hooks_an_instruction_of_a_built_run(self):
+        # the second iteration builds the loop head's run, then its
+        # device read hooks the head: the third iteration must run the
+        # hooked handler, not the cached run
+        def hook(m, loaded, log):
+            if [entry[0] for entry in log] == ["r", "r"]:
+                loaded.instrument[1] = lambda cpu: log.append(
+                    ("hook", cpu.account.total))
+
+        log, _, _, executed = self.same(
+            "f: movl $3, %ebx\n"
+            "loop: movl $5, %ecx\n"
+            f"movl {MMIO_VA}, %edx\n"
+            "decl %ebx\njne loop\nret", on_read=hook)
+        assert [entry[0] for entry in log] == ["r", "r", "hook", "r"]
+        assert executed == 14
+
+    def test_device_replaces_the_program(self):
+        # the next instruction comes from the program now registered at
+        # the same base: it reads offset 8, where the old one read 4
+        def source(offset):
+            return (f"f: movl {MMIO_VA}, %edx\n"
+                    f"movl {MMIO_VA + offset}, %ecx\nret")
+
+        def replace(m, loaded, log):
+            if m.code.program_at(0x08000000) is loaded:
+                m.code.unregister(loaded)
+                new = m.load_program(assemble(".globl f\n" + source(8)),
+                                     0x08000000)
+                assert new.addrs == loaded.addrs
+
+        log, _, _, _ = self.same(source(4), on_read=replace)
+        assert [entry[:2] for entry in log] == [("r", 0), ("r", 8)]
+
+    def test_page_fault_mid_run(self):
+        # the fault sees the faulting instruction counted and eip on
+        # its fall-through, as ``step()`` leaves them
+        source = ("f: " + self.WORK + "movl 0x40000000, %edx\n" + self.WORK
+                  + "ret")
+        seen = []
+        for shadowed in (False, True):
+            m, space = make_machine()
+            loaded = m.load_program(assemble(".globl f\n" + source),
+                                    0x08000000)
+            translate = space.translate
+
+            def spy(vaddr, write=False, m=m, translate=translate):
+                if vaddr == 0x40000000:
+                    seen.append((shadowed, m.cpu.eip, m.cpu.executed))
+                return translate(vaddr, write)
+            space.translate = spy
+            if shadowed:
+                inner = m.account.charge
+                m.account.charge = lambda category, cycles: inner(category,
+                                                                  cycles)
+            with pytest.raises(PageFault):
+                m.cpu.call_function(loaded.symbol("f"), [],
+                                    stack_top=STACK_TOP, category="e1000")
+            seen.append((shadowed, m.cpu.executed, dict(m.account.cycles)))
+        plain_fault, plain_end, shadowed_fault, shadowed_end = seen
+        assert plain_fault[1:] == (loaded.addrs[5], 5)
+        assert plain_fault[1:] == shadowed_fault[1:]
+        assert plain_end[1:] == shadowed_end[1:]
+
+    def test_handler_that_fails_to_compile_mid_run(self):
+        # ``lea`` of a register assembles and loads, and its handler
+        # fails to compile: the error comes when the loop reaches it,
+        # after the instruction before it has run
+        _, error, _, executed = self.same(
+            "f: movl $1, %eax\nlea %eax, %ebx\nret")
+        assert error == "AttributeError" and executed == 1
 
     def test_category_and_scale_changes_settle_first(self):
         # no code in the tree changes the category or the scale while

@@ -1,10 +1,12 @@
 """Physical memory, MMIO dispatch, page tables, address spaces, and the
-per-address-space RAM page cache the CPU and the JIT share."""
+per-address-space RAM page cache that the CPU, the JIT and every
+Python-side reader share."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import SvmManager, SvmView
 from repro.isa import assemble
 from repro.machine import (
     AddressSpace,
@@ -98,13 +100,34 @@ class TestPhysicalMemory:
         with pytest.raises(ValueError):
             phys.add_mmio_region(0x1000_0800, 0x1000, FakeDevice())
 
-    @given(st.integers(0, PAGE_SIZE - 4), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_u32_roundtrip_property(self, offset, value):
+    @given(st.sampled_from([1, 2, 4]), st.integers(0, PAGE_SIZE + 8),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_u32_roundtrip_property(self, size, offset, value):
+        # sizes 1, 2 and 4, inside a frame, at its end and across two
         phys = PhysicalMemory()
-        addr = (phys.allocate_frame() << 12) + offset
-        phys.write_u32(addr, value)
-        assert phys.read_u32(addr) == value
+        f0, _ = phys.allocate_frames(2)
+        addr = (f0 << 12) + offset
+        phys.write(addr, size, value)
+        mask = (1 << (size * 8)) - 1
+        assert phys.read(addr, size) == value & mask
+        assert phys.read_bytes(addr, size) == (value & mask).to_bytes(
+            size, "little")
+        if size == 4:
+            phys.write_u32(addr, value)
+            assert phys.read_u32(addr) == value
+
+    @pytest.mark.parametrize("offset", [PAGE_SIZE - 4, PAGE_SIZE - 1,
+                                        PAGE_SIZE - 2])
+    def test_frame_end_and_crossing(self, offset):
+        phys = PhysicalMemory()
+        f0, _ = phys.allocate_frames(2)
+        addr = (f0 << 12) + offset
+        phys.write_bytes(addr, bytes(range(1, 9)))
+        assert phys.read(addr, 4) == int.from_bytes(bytes(range(1, 5)),
+                                                    "little")
+        assert phys.read(addr, 2) == 0x0201
+        assert phys.read(addr + 1, 1) == 2
 
 
 class TestAddressSpace:
@@ -195,6 +218,60 @@ class TestAddressSpace:
         payload = bytes(range(200)) * 30
         space.write_bytes(0xC0000F00, payload)
         assert space.read_bytes(0xC0000F00, len(payload)) == payload
+
+
+class TestStraddlingWrite:
+    """A write that crosses into a page it may not write raises before
+    it changes a byte of the first page: from Python (``write``,
+    ``write_bytes``) and from driver code, with the JIT off and on."""
+
+    @pytest.fixture(params=["unmapped", "read-only"])
+    def second(self, request):
+        return request.param
+
+    @staticmethod
+    def map_pages(phys, space, second):
+        """Map a writable first page at VA and the second page as the
+        case says; return the first page's frame."""
+        first = phys.allocate_frame()
+        space.map_page(VA, first)
+        if second == "read-only":
+            space.map_page(VA + PAGE_SIZE, phys.allocate_frame(),
+                           writable=False)
+        return first
+
+    @staticmethod
+    def fault(second):
+        return PageFault if second == "unmapped" else ProtectionFault
+
+    @pytest.mark.parametrize("how", ["write", "write_bytes"])
+    def test_python_write(self, second, how):
+        phys = PhysicalMemory()
+        space = AddressSpace("dom", phys, PageTable())
+        first = self.map_pages(phys, space, second)
+        addr = VA + PAGE_SIZE - 2
+        space.read(addr, 2)                     # the first page cached
+        with pytest.raises(self.fault(second)):
+            if how == "write":
+                space.write(addr, 4, 0x11223344)
+            else:
+                space.write_bytes(addr, b"\x44\x33\x22\x11")
+        assert phys.read_bytes((first << 12) + PAGE_SIZE - 2, 2) == b"\0\0"
+
+    @pytest.mark.parametrize("jit", [False, True], ids=["interp", "jit"])
+    def test_driver_store(self, second, jit):
+        m = Machine()
+        m.cpu.jit_enabled = jit
+        m.cpu.jit_threshold = 1
+        space = TestPageCache.space(m, "a")
+        m.cpu.address_space = space
+        first = self.map_pages(m.phys, space, second)
+        loaded = m.load_program(assemble(
+            f".globl f\nf: movl $0x11223344, %eax\n"
+            f"movl %eax, {VA + PAGE_SIZE - 2:#x}\nret\n"), 0x08000000)
+        with pytest.raises(self.fault(second)):
+            m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+        assert m.phys.read_bytes((first << 12) + PAGE_SIZE - 2, 2) == b"\0\0"
 
 
 #: a domain page and a hypervisor page the page-cache tests access
@@ -389,3 +466,122 @@ class TestPageCache:
         costs = m.cpu.scaled
         assert self.charged(m, hot) == self.load_cost(m, costs.mem_hot)
         assert self.charged(m, cold) == self.load_cost(m, costs.mem)
+
+    # Python-side readers (the kernel model, ``SvmView``, the support
+    # natives, the twin glue) go through ``AddressSpace`` and share the
+    # cache. In each test below a Python access caches the page before
+    # the change.
+
+    @staticmethod
+    def svm(m, dom0):
+        """A hypervisor SVM instance over ``dom0``, its stlb table in
+        hypervisor pages."""
+        table = HYPERVISOR_BASE + 0x300000
+        for i in range(8):
+            m.hypervisor_table.map((table >> 12) + i, m.phys.allocate_frame())
+        return SvmManager(m, table, dom0, identity=False,
+                          map_base=HYPERVISOR_BASE + 0x4000000, name="hyp")
+
+    def test_unmap_faults_the_next_python_read(self, m):
+        space = m.cpu.address_space
+        space.map_page(VA, self.frame_holding(m, 11))
+        assert space.read(VA, 4) == 11
+        assert VA >> 12 in space.read_pages
+        space.unmap_page(VA)
+        with pytest.raises(PageFault):
+            space.read(VA, 4)
+
+    def test_remap_serves_the_new_frame_to_python_readers(self, m):
+        dom0 = m.cpu.address_space
+        svm = self.svm(m, dom0)
+        view = SvmView(svm)
+        dom0.map_page(VA, self.frame_holding(m, 11))
+        assert dom0.read(VA, 4) == 11
+        assert dom0.read_bytes(VA, 4) == (11).to_bytes(4, "little")
+        assert view.read(VA, 4) == 11
+        dom0.map_page(VA, self.frame_holding(m, 22))
+        svm.flush()             # SVM re-maps dom0's new frame on its miss
+        assert dom0.read(VA, 4) == 22
+        assert dom0.read_bytes(VA, 4) == (22).to_bytes(4, "little")
+        assert view.read(VA, 4) == 22
+        assert view.read_bytes(VA, 4) == (22).to_bytes(4, "little")
+
+    def test_read_only_remap_faults_python_writes_not_reads(self, m):
+        space = m.cpu.address_space
+        frame = self.frame_holding(m, 11)
+        space.map_page(VA, frame)
+        space.write(VA, 4, 12)
+        space.write_bytes(VA + 4, b"\x01")
+        assert VA >> 12 in space.write_pages
+        space.map_page(VA, frame, writable=False)
+        with pytest.raises(ProtectionFault):
+            space.write(VA, 4, 13)
+        with pytest.raises(ProtectionFault):
+            space.write_bytes(VA, b"\x0d")
+        assert space.read(VA, 4) == 12
+
+    def test_hypervisor_table_change_reaches_python_readers(self, m):
+        a = m.cpu.address_space
+        b = self.space(m, "b")
+        svm = self.svm(m, a)
+        view = SvmView(svm)
+        a.map_page(VA, self.frame_holding(m, 5))
+        # the view reaches VA through its own space, at the SVM alias
+        alias = svm.translate(VA) >> 12
+        m.hypervisor_table.map(HYP_VA >> 12, self.frame_holding(m, 11))
+        assert [s.read(HYP_VA, 4) for s in (a, b)] == [11, 11]
+        assert view.read(VA, 4) == 5
+        m.hypervisor_table.map(HYP_VA >> 12, self.frame_holding(m, 22))
+        m.hypervisor_table.map(alias, self.frame_holding(m, 6))
+        assert [s.read(HYP_VA, 4) for s in (a, b)] == [22, 22]
+        assert view.read(VA, 4) == 6
+        m.hypervisor_table.unmap(HYP_VA >> 12)
+        m.hypervisor_table.unmap(alias)
+        for read in (lambda: a.read(HYP_VA, 4), lambda: b.read(HYP_VA, 4),
+                     lambda: view.read(VA, 4)):
+            with pytest.raises(PageFault):
+                read()
+
+    def test_new_mmio_region_reaches_python_readers(self, m):
+        space = m.cpu.address_space
+        frame = self.frame_holding(m, 11)
+        space.map_page(VA, frame)
+        assert space.read(VA, 4) == 11
+        space.write(VA + 4, 4, 5)
+        device = FakeDevice()
+        m.phys.add_mmio_region(frame << 12, PAGE_SIZE, device)
+        assert space.read(VA, 4) == 0xAB
+        space.write(VA + 4, 4, 6)
+        assert device.reads == [(0, 4)]
+        assert device.writes == [(4, 4, 6)]
+
+    @pytest.mark.parametrize("case", ["cold", "hot", "split", "scaled"])
+    def test_python_fill_stores_the_cpu_entry(self, m, case):
+        # the entry a Python read stores carries the price a CPU load
+        # would store, and the CPU's next load charges what it would
+        # charge on its own entry
+        space = m.cpu.address_space
+        space.map_page(VA, self.frame_holding(m, 11))
+        costs = m.cpu.scaled
+        price, charged_price = costs.mem, costs.mem
+        if case == "hot":
+            m.cpu.add_hot_range(VA, VA + PAGE_SIZE)
+            price = charged_price = costs.mem_hot
+        elif case == "split":                   # the load is on the hot side
+            m.cpu.add_hot_range(VA - PAGE_SIZE, VA + 0x34)
+            price, charged_price = None, costs.mem_hot
+        elif case == "scaled":
+            m.cpu.cycle_scale = 1.37
+            price = charged_price = 8
+        load, _ = self.accessors(m, VA + 0x30)
+        assert space.read(VA, 4) == 11          # Python caches the page
+        python_entry = space.read_pages[VA >> 12]
+        assert python_entry[1] == price
+        load()
+        python_cost = self.charged(m, load)
+        del space.read_pages[VA >> 12]
+        load()                                  # the CPU caches it
+        assert space.read_pages[VA >> 12] == python_entry
+        assert space.read_pages[VA >> 12][0] is python_entry[0]
+        assert self.charged(m, load) == python_cost == self.load_cost(
+            m, charged_price)
