@@ -26,7 +26,6 @@ from .instructions import (
     READS_FLAGS,
     STRING,
     WRITES_FLAGS,
-    DefUse,
     Instruction,
 )
 from .liveness import LivenessAnalysis
@@ -42,7 +41,6 @@ __all__ = [
     "CALLEE_SAVED",
     "CALLER_SAVED",
     "ControlFlowGraph",
-    "DefUse",
     "GPRS",
     "Imm",
     "Instruction",

@@ -36,9 +36,6 @@ class BasicBlock:
     #: verifier's stack tracking) must treat such blocks specially.
     unknown_successors: bool = False
 
-    def instruction_indices(self):
-        return range(self.start, self.end)
-
 
 class ControlFlowGraph:
     """Basic blocks keyed by their start instruction index."""

@@ -70,16 +70,6 @@ STRING_IMPLICIT_WRITES = {
 
 
 @dataclass(frozen=True)
-class DefUse:
-    """Register/flags def-use summary of one instruction."""
-
-    reads: frozenset
-    writes: frozenset
-    reads_flags: bool
-    writes_flags: bool
-
-
-@dataclass(frozen=True)
 class Instruction:
     """One assembled instruction.
 
@@ -230,17 +220,6 @@ class Instruction:
                 if isinstance(op, Reg):
                     written.add(op.parent)
         return frozenset(written)
-
-    def defs_uses(self) -> "DefUse":
-        """Complete def/use summary: the metadata an external analysis
-        (e.g. the static driver verifier) needs without re-deriving the
-        classification tables."""
-        return DefUse(
-            reads=self.registers_read(),
-            writes=self.registers_written(),
-            reads_flags=self.reads_flags,
-            writes_flags=self.writes_flags,
-        )
 
     # -- memory classification ----------------------------------------------
 

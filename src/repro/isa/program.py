@@ -57,17 +57,6 @@ class Program:
                     needed.add(op.name)
         return frozenset(needed)
 
-    def data_symbols_referenced(self) -> frozenset:
-        """Data symbols referenced through memory or immediate operands."""
-        refs = set()
-        for instr in self.instructions:
-            for op in instr.operands:
-                if isinstance(op, Mem) and op.symbol is not None:
-                    refs.add(op.symbol)
-                elif isinstance(op, Imm) and op.symbol is not None:
-                    refs.add(op.symbol)
-        return frozenset(refs)
-
     # -- transformations ------------------------------------------------------
 
     def resolve(self, symbols: Dict[str, int]) -> "Program":

@@ -27,7 +27,7 @@ from ..isa.encoder import layout_with_end
 from ..isa.instructions import Instruction
 from ..isa.operands import Imm, Label, Mem, Reg
 from ..isa.program import Program
-from ..isa.registers import SUBREGISTERS
+from ..isa.registers import GPRS, SUBREGISTERS
 from .jit import JitState, compile_superblock
 from .memory import (OFFSET_MASK, PACK_U16, PACK_U32, PAGE_SHIFT, PAGE_SIZE,
                      UNPACK_U16, UNPACK_U32, PhysicalMemory)
@@ -179,9 +179,9 @@ class LoadedProgram:
         self.handlers: List[Optional[Callable[["Cpu"], None]]] = (
             [None] * len(program.instructions)
         )
-        #: per-entry straight-line runs for the deferring interpreter
-        #: loop, built lazily from ``handlers`` (see ``_run_for``) and
-        #: dropped with them.
+        #: per-entry straight-line runs for ``Cpu._run_loop``, built
+        #: lazily from ``handlers`` (see ``_run_for``) and dropped with
+        #: them.
         self.runs: List[Optional[Run]] = [None] * len(program.instructions)
         #: optional per-instruction observers, wrapped into the compiled
         #: handler once at compile time so uninstrumented instructions pay
@@ -238,7 +238,7 @@ class LoadedProgram:
         (stale state from before a reload/re-verification is reset)."""
         js = self._jit
         if js is None:
-            js = self._jit = JitState(self, epoch)
+            js = self._jit = JitState(epoch)
         elif js.epoch != epoch:
             js.reset(epoch)
         return js
@@ -331,10 +331,7 @@ class Cpu:
         self.natives = natives
         self.account = account
         self._costs = costs or InstructionCosts()
-        self.regs: Dict[str, int] = {
-            r: 0 for r in
-            ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi")
-        }
+        self.regs: Dict[str, int] = {r: 0 for r in GPRS}
         self.flags = {"zf": False, "sf": False, "cf": False, "of": False}
         self.df = False
         self.eip = SENTINEL_RETURN
@@ -350,9 +347,8 @@ class Cpu:
         self._deferring = False
         self._owed = 0
         self._settled = 0
-        #: bumped by every ``_leave`` while deferring: a run of handlers
-        #: stops after an instruction that reached code outside the
-        #: interpreter.
+        #: bumped by every ``_leave``: a run of handlers stops after an
+        #: instruction that reached code outside the interpreter.
         self._leaves = 0
         #: virtual-address ranges treated as cache-hot (stacks, stlb).
         self.hot_ranges: List[Tuple[int, int]] = []
@@ -365,20 +361,17 @@ class Cpu:
         self.cycle_scale = 1.0
         #: bumped whenever the hypervisor rotates the active vCPU; JIT
         #: superblock world guards compare it so a mid-trace vCPU change
-        #: (natives can run the scheduler) bails to the dispatcher.
+        #: (natives can run the scheduler) bails to ``_run_loop``.
         self.world_token = 0
         #: trace ring (set by Machine); None for bare test CPUs.
         self.tracer = None
         #: cycle-attribution profiler (set by Machine); None for bare
         #: test CPUs. Guarded exactly like the tracer on hot paths.
         self.profiler = None
-        #: (LoadedProgram, registry-epoch) of the last fetch — straight-line
-        #: execution skips the registry bisect entirely.
-        self._prog_cache: Optional[Tuple[LoadedProgram, int]] = None
         #: trace-JIT (superblock compilation): off by default, enabled
         #: per-configuration via ``configs.build(..., jit=True)``.
         self.jit_enabled = False
-        #: block-head executions before a trace is compiled.
+        #: jumps to a run head before its superblock is compiled.
         self.jit_threshold = 16
         #: compile-time stats (kept off the metrics registry so enabling
         #: the JIT does not perturb any observable counter set).
@@ -432,21 +425,22 @@ class Cpu:
 
     def _leave(self) -> bool:
         """Before code outside the interpreter runs from a handler (a
-        native, an instrument hook, a device): settle and stop
-        deferring, so that code reads an exact account and its own
-        charges land at once. Returns whether the loop was deferring."""
+        native, an instrument hook, a device): count the exit, which
+        ends the running run, then settle and stop deferring, so that
+        code reads an exact account and its own charges land at once.
+        Returns whether the loop was deferring."""
+        self._leaves += 1
         if not self._deferring:
             return False
         self.settle()
         self._deferring = False
-        self._leaves += 1
         return True
 
     def _resume(self):
-        """Back from that code: defer again, owing ``alu`` only from
-        here on (driver code it ran has been charged already), unless it
-        installed a charge shadow, in which case ``_run_loop`` runs the
-        rest of the call through ``step()``."""
+        """Back from that code, or from a superblock: defer again, owing
+        ``alu`` only from here on (driver code it ran has been charged
+        already), unless it installed a charge shadow, in which case
+        ``_run_loop`` charges the rest of the call item by item."""
         self._settled = self.executed
         self._deferring = not self.account.shadowed
 
@@ -703,26 +697,35 @@ class Cpu:
             self.eip = saved_eip
 
     def _run_loop(self):
-        """Run until the sentinel return address. With no charge shadow
-        installed the loop defers its charges and dispatches a
-        straight-line run of handlers at a time (``_run_for``): for each
-        instruction it does what ``step()`` does minus the ``alu``
-        charge, and ``settle`` pays what it owes before code outside the
-        interpreter runs (``_leave``) and when the loop exits, normally
-        or by an exception. A run stops after an instruction that
-        reached such code, and is cut short where the call's budget
-        ends. Under a shadow, or once a native, hook or device installs
-        one, the loop runs ``step()`` for each instruction, which
-        charges every cost item on its own."""
-        if self.jit_enabled:
-            self._run_loop_jit()
-            return
+        """Run until the sentinel return address: the one loop that
+        dispatches driver instructions. Per run head it resolves the
+        program once and takes one of three branches:
+
+        * superblock (JIT on, no charge shadow, head hot): settle, run
+          the superblock with deferral off, ``_resume``, and count its
+          instructions against the budget. A head is hot once the loop
+          has jumped to it ``jit_threshold`` times; one it fell through
+          to (``fall``: a branch not taken, a native's return, a run
+          stopped early) continues an earlier head's path, which that
+          head's trace covers. A blacklisted head, or one compiled at
+          another cycle scale, takes the next branch;
+        * deferring (no shadow): the head's run (``_run_for``) runs
+          without its ``alu`` charges; ``settle`` pays them and the RAM
+          hits before outside code runs (``_leave``) and at loop exit;
+        * shadow: each ``alu`` is charged before its handler, so the
+          shadow sees every cost item on its own.
+
+        A run stops after a handler that reached outside code (a native,
+        a hook, a device), which may shadow, hook or replace what runs
+        next, and is cut where the budget ends."""
+        budget = self.max_steps_per_call
+        code = self.code
+        jit = self.jit_enabled
+        steps = 0
+        fall = None     # fall-through address of the last run's last insn
         # the program of the last fetch and its tables are kept in
         # locals and re-resolved only on a registry change or on leaving
         # its address range
-        budget = self.max_steps_per_call
-        code = self.code
-        steps = 0
         loaded = None
         epoch = -1
         lo = hi = 0
@@ -733,33 +736,67 @@ class Cpu:
                 eip = self.eip
                 if eip == SENTINEL_RETURN:
                     return
-                if self._deferring:
-                    index = None
-                    if epoch == code.epoch and lo <= eip < hi:
-                        index = index_of(eip)
-                    if index is None:
-                        loaded, index = code.lookup(eip)
-                        epoch = code.epoch
-                        self._prog_cache = (loaded, epoch)
-                        lo, hi = loaded.base, loaded.end
-                        index_of = loaded.addr_to_index.get
-                        runs = loaded.runs
+                index = None
+                if epoch == code.epoch and lo <= eip < hi:
+                    index = index_of(eip)
+                if index is None:
+                    loaded, index = code.lookup(eip)
+                    epoch = code.epoch
+                    lo, hi = loaded.base, loaded.end
+                    index_of = loaded.addr_to_index.get
+                    runs = loaded.runs
+                    if jit:
+                        js = loaded.jit_state(epoch)
+                sb = None
+                if jit and self._deferring:
+                    sb = js.superblocks.get(eip)
+                    if sb is None and eip != fall:
+                        hits = js.counts.get(eip, 0) + 1
+                        if hits < self.jit_threshold:
+                            js.counts[eip] = hits
+                        else:
+                            js.counts.pop(eip, None)
+                            sb = compile_superblock(self, loaded, eip)
+                            if sb is None:
+                                sb = False
+                                self.jit_blacklisted += 1
+                            else:
+                                self.jit_compiles += 1
+                            js.superblocks[eip] = sb
+                if sb and sb.scale == self._cycle_scale:
+                    self.settle()
+                    self._deferring = False
+                    start = self.executed
+                    sb.entries += 1
+                    sb.fn(self)
+                    self._resume()
+                    steps += self.executed - start
+                    fall = None
+                else:
                     run = runs[index]
                     if run is None:
                         run = _run_for(loaded, index)
                     if steps + len(run) > budget:
                         run = run[:budget + 1 - steps]
                     leaves = self._leaves
-                    for count, (handler, next_addr) in enumerate(run, 1):
-                        self.executed += 1
-                        self.eip = next_addr
-                        handler(self)
-                        if self._leaves != leaves:
-                            break
+                    if self._deferring:
+                        for count, (handler, next_addr) in enumerate(run, 1):
+                            self.executed += 1
+                            self.eip = next_addr
+                            handler(self)
+                            if self._leaves != leaves:
+                                break
+                    else:
+                        for count, (handler, next_addr) in enumerate(run, 1):
+                            self.executed += 1
+                            self.eip = next_addr
+                            self.account.charge(self._category[-1],
+                                                self.scaled.alu)
+                            handler(self)
+                            if self._leaves != leaves:
+                                break
                     steps += count
-                else:
-                    self.step()
-                    steps += 1
+                    fall = next_addr
                 if steps > budget:
                     raise CpuBudgetExceeded(
                         f"driver executed more than {budget} instructions"
@@ -767,64 +804,6 @@ class Cpu:
         finally:
             self.settle()
             self._deferring = False
-
-    def _run_loop_jit(self):
-        """The superblock dispatcher. Hot block heads are counted and
-        promoted to compiled traces; everything else (cold code, heads
-        under a charge shadow or a changed cycle scale, blacklisted
-        heads) falls back to ``step()``, whose behaviour defines
-        correctness. The budget is measured in executed instructions,
-        like the interpreter loop's step count."""
-        budget = self.max_steps_per_call
-        start = self.executed
-        code = self.code
-        threshold = self.jit_threshold
-        account = self.account
-        while True:
-            eip = self.eip
-            if eip == SENTINEL_RETURN:
-                return
-            loaded = None
-            cache = self._prog_cache
-            if cache is not None and cache[1] == code.epoch:
-                candidate = cache[0]
-                if candidate.base <= eip < candidate.end:
-                    loaded = candidate
-            if loaded is None:
-                # registry miss/stale: step() re-resolves (and raises
-                # the right fault for unmapped/native addresses)
-                self.step()
-            else:
-                js = loaded.jit_state(code.epoch)
-                sb = js.superblocks.get(eip)
-                if sb is None:
-                    if eip in js.leaders:
-                        count = js.counts.get(eip, 0) + 1
-                        if count >= threshold:
-                            compiled = compile_superblock(self, loaded, eip)
-                            js.counts.pop(eip, None)
-                            if compiled is None:
-                                js.superblocks[eip] = False
-                                self.jit_blacklisted += 1
-                            else:
-                                js.superblocks[eip] = compiled
-                                self.jit_compiles += 1
-                                continue
-                        else:
-                            js.counts[eip] = count
-                    self.step()
-                elif sb is False:
-                    self.step()
-                elif (sb.scale == self._cycle_scale
-                        and not account.shadowed):
-                    sb.entries += 1
-                    sb.fn(self)
-                else:
-                    self.step()
-            if self.executed - start > budget:
-                raise CpuBudgetExceeded(
-                    f"driver executed more than {budget} instructions"
-                )
 
     def _invoke_native(self, routine: NativeRoutine):
         deferring = self._leave()
@@ -857,30 +836,6 @@ class Cpu:
             self._resume()
 
     # -- the interpreter ---------------------------------------------------------------
-
-    def step(self):
-        """Execute one instruction: the reference semantics, one
-        ``account.charge`` per cost item, that the JIT dispatcher and
-        ``_run_loop`` under a charge shadow fall back to. The ``alu``
-        charge every instruction pays is made here, before the handler
-        runs; ``_run_loop`` inlines the rest of the body."""
-        eip = self.eip
-        cache = self._prog_cache
-        index = None
-        if cache is not None and cache[1] == self.code.epoch:
-            loaded = cache[0]
-            if loaded.base <= eip < loaded.end:
-                index = loaded.addr_to_index.get(eip)
-        if index is None:
-            loaded, index = self.code.lookup(eip)
-            self._prog_cache = (loaded, self.code.epoch)
-        handler = loaded.handlers[index]
-        if handler is None:
-            handler = _handler_for(loaded, index)
-        self.executed += 1
-        self.eip = loaded.next_addrs[index]
-        self.account.charge(self._category[-1], self.scaled.alu)
-        handler(self)
 
     def jit_stats(self) -> Dict[str, int]:
         """Superblock statistics summed over every registered program
@@ -955,22 +910,21 @@ class Cpu:
 # the mnemonic test, operand decoding and branch-target resolution happen
 # once, at first execution, and the closure is cached on the LoadedProgram
 # keyed by instruction index. These closures *are* the instruction
-# semantics: ``step()`` runs them after charging the instruction's
-# ``alu``, and the superblock JIT must reproduce their effects and their
-# charges (one ``account.charge`` per cost item, in order, valued from
-# ``cpu.scaled``) bit for bit. A handler never charges ``alu`` itself:
-# ``step()`` does, and the deferring ``_run_loop`` owes it per executed
+# semantics: ``_run_loop`` runs them, and the superblock JIT must
+# reproduce their effects and their charges (one ``account.charge`` per
+# cost item, in order, valued from ``cpu.scaled``) bit for bit. A handler
+# never charges ``alu`` itself: under a charge shadow ``_run_loop``
+# charges it before the handler, and otherwise owes it per executed
 # instruction.
 
 #: full (32-bit) register names — sub-register access goes through
 #: get_reg/set_reg, full registers are read/written directly.
-_FULL_REGS = frozenset(
-    ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
+_FULL_REGS = frozenset(GPRS)
 
 
 def _handler_for(loaded: LoadedProgram, index: int) -> Callable[[Cpu], None]:
     """Compile (and cache) the handler for one instruction, wrapping the
-    instrument hook registered for that site. Shared by ``step()`` and
+    instrument hook registered for that site. Shared by ``_run_for`` and
     the superblock compiler so both see identical hook semantics."""
     handler = _compile_instruction(
         loaded.program.instructions[index], loaded, index
@@ -994,8 +948,8 @@ def _run_for(loaded: LoadedProgram, index: int) -> Run:
     and including the first ``jmp``/``jcc``/``call``/``ret``, or to the
     program's end. Handlers are compiled here, ahead of execution; one
     whose compilation fails ends the run before it, so the error is
-    raised when the loop reaches that instruction, as ``step()`` would
-    raise it."""
+    raised when the loop reaches that instruction, after the ones before
+    it have run."""
     instructions = loaded.program.instructions
     handlers = loaded.handlers
     next_addrs = loaded.next_addrs

@@ -1,18 +1,19 @@
 """Trace-JIT: superblock compilation for the twin interpreter.
 
-PR 4 replaced the mnemonic-dispatch interpreter with per-instruction
-compiled closures (~26%). This module is the next rung on the same
-ladder, the one the dynamic-translation literature (QEMU's TCG, the
-software-only passthrough line of work) climbs after per-instruction
-caching: *superblocks*. When a basic-block head gets hot, the chain of
-blocks starting there is compiled into a single straight-line Python
-function — operand thunks fused into expressions, per-instruction
-``account.charge`` calls batched into one accumulated charge per block, the
-registry/handler/dispatch overhead of ``step()`` paid once per entry
-instead of once per instruction. The 10-instruction SVM fast path (and
-its proof-elided anchor-reload form) inlines like any other run of
-straight-line code, which is the point: that sequence dominates the
-twin driver's dynamic instruction count.
+The interpreter runs each instruction as a compiled handler closure,
+a straight-line run of them per dispatch. This module is the next rung
+on the same ladder, the one the dynamic-translation literature (QEMU's
+TCG, the software-only passthrough line of work) climbs after
+per-instruction caching: *superblocks*. ``Cpu._run_loop`` counts the
+jumps to each run head; when one gets hot, the trace starting there
+is compiled into a single straight-line Python function —
+operand thunks fused into expressions, per-instruction
+``account.charge`` calls batched into one accumulated charge, the
+loop's program lookup and handler calls paid once per entry instead of
+once per run. The 10-instruction SVM fast path (and its proof-elided
+anchor-reload form) inlines like any other run of straight-line code,
+which is the point: that sequence dominates the twin driver's dynamic
+instruction count.
 
 Correctness contract (the part worth reading twice):
 
@@ -22,26 +23,25 @@ Correctness contract (the part worth reading twice):
   *per-charge rounded* values, never rounds the sum. Every constant is
   taken from the same table at compile time; data-dependent costs
   (a RAM page's price, read from its page-cache entry, and MMIO)
-  replicate the interpreter's exact decision procedure. The
-  accumulator is flushed before anything that
-  can observe the clock — native routines (the tracer timestamps spans
-  with ``account.total``) and MMIO dispatch (device models emit
-  events) — and a ``finally`` flush covers faults, so totals and
-  ordering across observable boundaries match ``step()`` exactly.
+  replicate the interpreter's exact decision procedure. The loop
+  settles what it owes before it enters a superblock, and the
+  accumulator is flushed before anything that can observe the clock —
+  native routines (the tracer timestamps spans with ``account.total``)
+  and MMIO dispatch (device models emit events) — and a ``finally``
+  flush covers faults, so totals and ordering across observable
+  boundaries match the interpreter exactly.
 * **Side exits are precise.** Before any operation that can fault or
   escape (memory access, native call, delegated handler), the emitted
   code materializes ``cpu.eip`` (the faulting instruction's
-  fall-through, exactly what ``step()`` leaves there) and
+  fall-through, exactly what the interpreter leaves there) and
   ``cpu.executed``. Registers and flags are always architectural —
   superblocks write them in interpreter order, never cache them.
-* **Superblocks never run under a charge shadow.** The dispatcher
-  checks ``sb.scale == cpu.cycle_scale`` and ``account.shadowed``
-  (the profiler or any other shadow of ``charge``) before entering;
-  otherwise it falls back to ``step()``, whose behaviour is the
-  definition of correct.
+* **Superblocks never run under a charge shadow.** ``Cpu._run_loop``
+  enters one only while it defers its charges (no shadow) and at the
+  ``cycle_scale`` it was compiled for; otherwise it runs the head's run.
 * **Invalidation.** Superblocks cache on the ``LoadedProgram`` keyed by
   the ``CodeRegistry`` epoch (reload/recovery/re-verification bumps it,
-  exactly like the PR 4 handler tables) and by the program's
+  exactly like the handler tables) and by the program's
   instrument generation (hooks registered after warm-up must fire).
   Both are also re-checked after any mid-trace native call, because a
   native can reload programs or install shadows.
@@ -51,8 +51,10 @@ jumps; conditional branches are predicted not-taken and compile to a
 guarded side exit; a branch back to the trace head turns the whole
 trace into a capped loop (the common ``while`` shape of the driver's
 copy and descriptor-ring loops); indirect branches, traps and
-unsupported forms end the trace *before* the instruction so ``step()``
-executes it from an architecturally clean state.
+unsupported forms end the trace *before* the instruction so the
+interpreter executes it from an architecturally clean state, and a
+trace ends where another superblock begins. The loop counts the head a
+trace exits to, so what follows an exit is promoted in turn.
 """
 
 from __future__ import annotations
@@ -61,13 +63,13 @@ from typing import Dict, List, Optional
 
 from ..isa.instructions import Instruction
 from ..isa.operands import Imm, Mem, Reg
-from ..isa.registers import SUBREGISTERS
+from ..isa.registers import GPRS, SUBREGISTERS
 from .memory import PACK_U16, PACK_U32, UNPACK_U16, UNPACK_U32
 
 MASK32 = 0xFFFFFFFF
 
 #: growth caps: instructions per trace, and loop iterations a compiled
-#: back-edge may take before returning to the dispatcher (which
+#: back-edge may take before returning to ``Cpu._run_loop`` (which
 #: re-checks the call budget).
 MAX_TRACE_INSTRS = 512
 LOOP_CAP = 1024
@@ -86,8 +88,7 @@ _MEM_HELPERS = {
 _PAGE_CACHES = ("rp = cpu.address_space.read_pages.get",
                 "wp = cpu.address_space.write_pages.get")
 
-_FULL_REGS = frozenset(
-    ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
+_FULL_REGS = frozenset(GPRS)
 
 #: condition expressions over the hoisted flags dict ``f`` — same truth
 #: tables as the interpreter's jcc handlers.
@@ -108,7 +109,7 @@ _COND_EXPR = {
 
 
 class Superblock:
-    """One compiled trace: entry point plus the metadata the dispatcher
+    """One compiled trace: entry point plus the metadata ``Cpu._run_loop``
     needs to decide whether it may run."""
 
     __slots__ = ("fn", "head", "scale", "n_instrs", "source", "entries")
@@ -128,15 +129,14 @@ class Superblock:
 
 
 class JitState:
-    """Per-LoadedProgram JIT state: hot counters keyed by block-head
+    """Per-LoadedProgram JIT state: arrival counters keyed by run-head
     address, compiled superblocks, and the registry epoch they are
     valid for. ``False`` in ``superblocks`` blacklists a head whose
     trace could not be compiled."""
 
-    __slots__ = ("epoch", "counts", "superblocks", "leaders")
+    __slots__ = ("epoch", "counts", "superblocks")
 
-    def __init__(self, loaded, epoch: int):
-        self.leaders = _block_leaders(loaded)
+    def __init__(self, epoch: int):
         self.counts: Dict[int, int] = {}
         self.superblocks: Dict[int, object] = {}
         self.epoch = epoch
@@ -145,28 +145,6 @@ class JitState:
         self.counts.clear()
         self.superblocks.clear()
         self.epoch = epoch
-
-
-def _block_leaders(loaded) -> frozenset:
-    """Addresses where a superblock may start: function entries, branch
-    targets, and fall-throughs of control flow (so side-exit landing
-    pads are themselves promotable — nested loops each get their own
-    trace)."""
-    addrs = loaded.addrs
-    if not addrs:
-        return frozenset()
-    leaders = {addrs[0]}
-    for addr in loaded.symbols.values():
-        if addr in loaded.addr_to_index:
-            leaders.add(addr)
-    for i, instr in enumerate(loaded.program.instructions):
-        if instr.is_control_flow:
-            if i + 1 < len(addrs):
-                leaders.add(addrs[i + 1])
-            target = loaded.targets.get(i)
-            if target is not None and target in loaded.addr_to_index:
-                leaders.add(target)
-    return frozenset(leaders)
 
 
 class _Unsupported(Exception):
@@ -279,8 +257,8 @@ class _Emitter:
 
     def native_guard(self, next_addr: int, ind: int = 0):
         """After a mid-trace native call or delegated handler: bail to
-        the dispatcher unless the world still matches what the rest of
-        the trace was compiled against."""
+        ``Cpu._run_loop`` unless the world still matches what the rest
+        of the trace was compiled against."""
         self.emit(
             f"if (cpu.eip != {next_addr} or cpu.code.epoch != ep0 "
             f"or L._igen != ig0 or cpu._category[-1] != cat "
@@ -774,11 +752,13 @@ class _Emitter:
         return v
 
     def delegate(self, index: int, next_addr: int, next_index: int) -> int:
-        """Run one instruction through its compiled PR 4 handler (string
+        """Run one instruction through its compiled handler (string
         ops, instrumented sites, shift-to-memory). ``emit_instruction``
         has counted the instruction and added its ``alu``, which a
         handler does not charge, to the accumulator; sync and flush so
-        the handler sees exactly the state ``step()`` would give it."""
+        the handler sees exactly the state ``Cpu._run_loop`` gives it:
+        the instruction counted, ``eip`` on its fall-through and the
+        account exact."""
         from .cpu import _handler_for    # deferred: avoids module cycle
         self.sync(next_addr)
         self.flush()
@@ -831,16 +811,20 @@ class _Emitter:
         n = len(loaded.program.instructions)
         index = self.head_index
         visited = set()
+        compiled = loaded._jit.superblocks
         while True:
             if index is None:
                 break
             if index >= n:
-                # fell off the end of the program: step() faults there
+                # fell off the end of the program: the interpreter
+                # faults there
                 self.end_trace(str(loaded.end))
                 break
-            if index in visited:
+            if index in visited or (visited and compiled.get(
+                    loaded.addrs[index])):
                 # rejoined an already-emitted address (jmp into the
-                # trace body): exit and let the dispatcher continue
+                # trace body) or reached another superblock's head: exit
+                # there rather than compile that code a second time
                 self.end_trace(str(loaded.addrs[index]))
                 break
             if self.n_instrs >= MAX_TRACE_INSTRS:
@@ -904,7 +888,8 @@ class _Emitter:
 
 def compile_superblock(cpu, loaded, head_addr: int) -> Optional[Superblock]:
     """Compile the trace starting at ``head_addr``; None if the head's
-    first instruction is not compilable (the dispatcher blacklists it)."""
+    first instruction is not compilable (``Cpu._run_loop`` blacklists
+    the head)."""
     head_index = loaded.addr_to_index[head_addr]
     emitter = _Emitter(cpu, loaded, head_index)
     source = emitter.build()

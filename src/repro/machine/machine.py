@@ -96,12 +96,6 @@ class Machine:
             nic.iommu = self.iommu
         return self.iommu
 
-    def nic_by_irq(self, irq: int) -> Optional[E1000Device]:
-        for nic in self.nics:
-            if nic.irq == irq:
-                return nic
-        return None
-
     # -- native routines ------------------------------------------------------------
 
     def register_native(self, name: str, fn, cost: int = 0,

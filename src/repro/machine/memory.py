@@ -118,10 +118,6 @@ class PhysicalMemory:
     def frame_allocated(self, frame: int) -> bool:
         return frame in self._frames
 
-    @property
-    def allocated_frames(self) -> int:
-        return len(self._frames)
-
     # -- MMIO --------------------------------------------------------------------
 
     def add_mmio_region(self, start: int, size: int, device) -> MMIORegion:

@@ -10,7 +10,7 @@ hypervisor driver instance runs without an address-space switch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .memory import (OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory,
                      read_frame, write_frame)
@@ -138,9 +138,6 @@ class AddressSpace:
         except PageFault:
             return False
 
-    def pages_mapped(self) -> Iterable[int]:
-        return (vpage << PAGE_SHIFT for vpage in self.table.entries)
-
     # -- translation -----------------------------------------------------------
 
     def translate(self, vaddr: int, write: bool = False) -> int:
@@ -157,9 +154,6 @@ class AddressSpace:
         if write and not writable:
             raise ProtectionFault(vaddr, self.name)
         return (frame << PAGE_SHIFT) | (vaddr & OFFSET_MASK)
-
-    def frame_of(self, vaddr: int) -> int:
-        return self.translate(vaddr) >> PAGE_SHIFT
 
     def cache_page(self, vaddr: int, paddr: int,
                    write: bool) -> Optional[bytearray]:

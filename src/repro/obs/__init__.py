@@ -64,14 +64,6 @@ class Obs:
     def disable_tracing(self):
         self.tracer.enabled = False
 
-    # -- profiling toggle ---------------------------------------------------
-
-    def enable_profiling(self):
-        self.profiler.enable()
-
-    def disable_profiling(self):
-        self.profiler.disable()
-
     def set_clock(self, clock: Callable[[], int]):
         self.tracer.clock = clock
 

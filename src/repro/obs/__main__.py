@@ -179,6 +179,14 @@ def _cmd_health(args) -> int:
     return 0 if doc["ok"] else 1
 
 
+def _count(text: str) -> int:
+    """An argparse type: a record or span count, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("trace")
     ren.add_argument("--span", default=None,
                      help="only spans with this name (e.g. packet.tx)")
-    ren.add_argument("--limit", type=int, default=4,
+    ren.add_argument("--limit", type=_count, default=4,
                      help="render at most N spans (newest)")
     ren.add_argument("--no-events", action="store_true",
                      help="span skeleton only, hide correlated records")
@@ -212,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tail = sub.add_parser("tail", help="last N trace-ring records")
     tail.add_argument("trace")
-    tail.add_argument("-n", type=int, default=16)
+    tail.add_argument("-n", type=_count, default=16)
     tail.set_defaults(fn=_cmd_tail)
 
     chrome = sub.add_parser("chrome", help="export Chrome trace_event JSON")
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     pdf = prof_sub.add_parser("diff", help="stack-by-stack profile diff")
     pdf.add_argument("before")
     pdf.add_argument("after")
-    pdf.add_argument("--limit", type=int, default=30)
+    pdf.add_argument("--limit", type=_count, default=30)
     pdf.set_defaults(fn=_cmd_prof_diff)
 
     health = sub.add_parser("health",

@@ -89,8 +89,9 @@ def _fmt_val(v) -> str:
 
 def render_tail(events: List[Dict], n: int = 16,
                 title: str = "trace ring tail") -> str:
-    """The crash-forensics view: the last ``n`` ring records."""
-    chosen = events[-n:]
+    """The crash-forensics view: the last ``n`` ring records (none for
+    ``n <= 0``)."""
+    chosen = events[max(len(events) - n, 0):]
     lines = [f"{title} (last {len(chosen)} of {len(events)} records)"]
     lines += ["  " + format_event(ev) for ev in chosen]
     return "\n".join(lines)
@@ -156,7 +157,8 @@ def render_span(doc: Dict, root: Dict, show_events: bool = True) -> str:
 
 def render_spans(doc: Dict, name: Optional[str] = None,
                  limit: int = 4, show_events: bool = True) -> str:
-    """Render up to ``limit`` top-level spans (optionally filtered)."""
+    """Render up to ``limit`` top-level spans, the newest (optionally
+    filtered); none for ``limit <= 0``."""
     spans = doc.get("spans") or []
     roots = [s for s in spans
              if s["parent"] == 0 and (name is None or s["name"] == name)]
@@ -165,7 +167,7 @@ def render_spans(doc: Dict, name: Optional[str] = None,
                 + (f" named {name!r}" if name else "")
                 + " in this trace")
     out = []
-    for root in roots[-limit:]:
+    for root in roots[max(len(roots) - limit, 0):]:
         out.append(render_span(doc, root, show_events=show_events))
         out.append("")
     return "\n".join(out).rstrip()

@@ -181,7 +181,9 @@ class Tracer:
                 if e is not None]
 
     def tail(self, n: int) -> List[TraceEvent]:
-        return self.events()[-n:]
+        """The newest ``n`` records; none for ``n <= 0``."""
+        events = self.events()
+        return events[max(len(events) - n, 0):]
 
     def spans(self, name: Optional[str] = None) -> List[Span]:
         """Completed spans, oldest first (optionally filtered by name)."""

@@ -104,10 +104,6 @@ class SkBuff:
     def pool(self, value: int):
         self._set(L.SKB_POOL, value)
 
-    @property
-    def truesize(self) -> int:
-        return self._get(L.SKB_TRUESIZE)
-
     # -- buffer manipulation (skb_put / skb_reserve / frags) ---------------------------
 
     def reserve(self, n: int):

@@ -128,15 +128,11 @@ COPY_PER_BYTE = 1.2
 COPY_SETUP = 85
 #: chaining one guest page fragment into a dom0 sk_buff.
 FRAG_CHAIN = 120
-#: residual virtualization overhead of the twin guest kernel per tx packet.
-TWIN_TX_GUEST_OVERHEAD = 1100
 #: fig 8 shows ~3525 cyc/pkt copying rx packets into the guest; with
 #: COPY_PER_BYTE * 1500 + COPY_SETUP + page-crossing checks this lands there.
 TWIN_RX_COPY_EXTRA = 1300
 #: MAC-address demultiplexing of a received packet to its guest.
 TWIN_RX_DEMUX = 300
-#: residual hypervisor overhead on the twin rx path (fig 8 Xen bar ~6514).
-TWIN_RX_XEN_MISC = 1810
 #: dom0-context bookkeeping on the twin rx path (fig 8 small dom0 bar).
 TWIN_RX_DOM0_SHARE = 1330
 
@@ -313,10 +309,8 @@ class CostModel:
     copy_per_byte: float = COPY_PER_BYTE
     copy_setup: int = COPY_SETUP
     frag_chain: int = FRAG_CHAIN
-    twin_tx_guest_overhead: int = TWIN_TX_GUEST_OVERHEAD
     twin_rx_copy_extra: int = TWIN_RX_COPY_EXTRA
     twin_rx_demux: int = TWIN_RX_DEMUX
-    twin_rx_xen_misc: int = TWIN_RX_XEN_MISC
     twin_rx_dom0_share: int = TWIN_RX_DOM0_SHARE
     upcall_round_trip: int = UPCALL_ROUND_TRIP
     upcall_first_extra: int = UPCALL_FIRST_EXTRA

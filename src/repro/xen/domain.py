@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..machine.memory import PAGE_SIZE
 from ..machine.paging import AddressSpace
 
 
@@ -72,14 +71,6 @@ class Domain:
     def fire_unmask_hooks(self):
         for hook in list(self.unmask_hooks):
             hook(self)
-
-    # -- memory helpers ----------------------------------------------------------
-
-    def map_new_region(self, vaddr: int, nbytes: int) -> int:
-        """Allocate and map ``nbytes`` (page-rounded) at ``vaddr``."""
-        pages = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
-        self.aspace.map_new_pages(vaddr, pages)
-        return vaddr
 
     def __repr__(self):  # pragma: no cover
         return f"<Domain {self.domid} {self.name}>"

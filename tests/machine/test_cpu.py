@@ -610,7 +610,7 @@ class TestDeferredCharges:
     """With no charge shadow installed, ``_run_loop`` adds charges up and
     settles them before anything outside the interpreter can look. Each
     case runs on two fresh machines, one under a pass-through shadow
-    (which makes the loop charge item by item through ``step()``), and
+    (which makes the loop charge item by item), and
     every observation of the account must be the same on both."""
 
     @staticmethod
@@ -709,7 +709,7 @@ class TestDeferredCharges:
         assert len(log) == 2 and log[0] < log[1] and executed == 15
 
     def test_native_runs_driver_code_under_a_shadow_of_its_own(self):
-        # that code goes through ``step()`` and charges as it runs; the
+        # that code is charged item by item as it runs; the
         # outer loop, deferring again after the native, must not owe it
         def traced(cpu, log):
             outer = cpu.account.charge
@@ -757,7 +757,7 @@ class TestDeferredCharges:
         assert [entry[0] for entry in log] == ["w", "r"]
 
     def test_shadow_installed_by_a_native_sees_every_item(self):
-        # after the native the call runs through ``step()``: the new
+        # after the native the call charges item by item: the new
         # shadow sees the same items as one installed from the start
         source = "f: " + self.WORK + "call install\n" + self.WORK + "ret"
 
@@ -813,7 +813,7 @@ class TestDeferredCharges:
         assert cycles["e1000"] > 0
 
     def test_device_installs_a_shadow_mid_run(self):
-        # the rest of the run goes through ``step()``: the new shadow
+        # the rest of the call charges item by item: the new shadow
         # sees every later item, as one installed by a native does
         def install(m, loaded, log):
             inner = m.account.charge
@@ -882,7 +882,7 @@ class TestDeferredCharges:
 
     def test_page_fault_mid_run(self):
         # the fault sees the faulting instruction counted and eip on
-        # its fall-through, as ``step()`` leaves them
+        # its fall-through, as one dispatch per instruction leaves them
         source = ("f: " + self.WORK + "movl 0x40000000, %edx\n" + self.WORK
                   + "ret")
         seen = []

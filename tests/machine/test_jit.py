@@ -2,16 +2,17 @@
 
 The contract under test: with ``jit_enabled`` the interpreter's
 *observable* behaviour — registers, flags, memory, ``executed``, and
-every per-category cycle counter — is bit-identical to ``step()``;
+every per-category cycle counter — is bit-identical to the JIT off;
 only host wall time changes. Plus the three ISSUE 8 bugfixes:
-instrument hooks on warm code, charge-shadow layering (the dispatcher
-side), and ``_prog_cache`` staleness across a mid-run reload.
+instrument hooks on warm code, charge-shadow layering (the loop's
+side), and stale program state across a mid-run reload.
 """
 
 import pytest
 
 from repro.isa import assemble
 from repro.machine import AddressSpace, Machine, PageFault
+from repro.metrics.cycles import CycleAccount
 
 DATA = 0xC0000000
 STACK_TOP = 0xC0104000
@@ -87,6 +88,60 @@ class TestSuperblockFormation:
         assert results == [3]
         assert m.cpu.jit_stats()["compiles"] == 0
 
+    def test_heads_fallen_through_to_are_not_counted(self):
+        # ``body`` (after the untaken jae) is a run head on every
+        # iteration, but the loop falls through to it, so it never
+        # counts; ``f`` (a call's entry) and ``loop`` (jumped to from the
+        # second iteration on) do, and their traces cover ``body``
+        src = """
+.globl f
+f: movl $0, %eax
+   movl $0, %ecx
+loop:
+   incl %ecx
+   cmpl $100, %ecx
+   jae never
+body:
+   addl %ecx, %eax
+   cmpl $2, %ecx
+   jne loop
+   ret
+never:
+   ud2
+"""
+        m, _ = make_machine(jit=True, threshold=2)
+        loaded = m.load_linked_program(assemble(src), BASE)
+        m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+        assert m.cpu.jit_stats()["compiles"] == 0
+        assert m.cpu.call_function(loaded.symbol("f"), [],
+                                   stack_top=STACK_TOP) == 3
+        assert set(loaded._jit.superblocks) == {loaded.symbol("f"),
+                                                 loaded.symbol("loop")}
+
+    def test_trace_ends_at_another_superblock_head(self):
+        # ``loop`` compiles in the first call; ``f``, a call's entry,
+        # compiles in the second, and its trace exits where ``loop``'s
+        # begins instead of compiling the loop a second time
+        src = """
+.globl f
+f: movl $0, %eax
+   movl $0, %ecx
+loop:
+   incl %ecx
+   addl %ecx, %eax
+   cmpl $4, %ecx
+   jne loop
+   ret
+"""
+        m, _ = make_machine(jit=True, threshold=2)
+        loaded = m.load_linked_program(assemble(src), BASE)
+        f, loop = loaded.symbol("f"), loaded.symbol("loop")
+        m.cpu.call_function(f, [], stack_top=STACK_TOP)
+        assert list(loaded._jit.superblocks) == [loop]
+        assert m.cpu.call_function(f, [], stack_top=STACK_TOP) == 10
+        assert loaded._jit.superblocks[f].n_instrs == 2
+        assert loaded._jit.superblocks[loop].entries == 2
+
     def test_jit_off_by_default(self):
         m = Machine()
         assert m.cpu.jit_enabled is False
@@ -113,7 +168,8 @@ class TestSuperblockFormation:
     def test_side_exit_when_branch_flips(self):
         # the trace is laid out for the warm-up iteration count; calls
         # with a different count must side-exit mid-superblock with
-        # registers, flags, and cycles exactly as step() leaves them
+        # registers, flags, and cycles exactly as the interpreter leaves
+        # them
         src = """
 .globl f
 f: movl 4(%esp), %ecx
@@ -173,8 +229,8 @@ loop:
 
 class TestDispatcherGuards:
     def test_profiler_shadow_bypasses_superblocks_exactly(self):
-        # with a charge shadow installed the dispatcher must fall back
-        # to step() so per-charge attribution stays per-instruction
+        # with a charge shadow installed the loop must run the runs
+        # instead, so per-charge attribution stays per-instruction
         m, space = make_machine(jit=True)
         loaded = m.load_linked_program(assemble(LOOP_SRC), BASE)
         for i in range(16):
@@ -213,6 +269,47 @@ class TestDispatcherGuards:
                                     stack_top=STACK_TOP)
             outs.append((r, m.account.delta_since(before)))
         assert outs[0] == outs[1]
+
+    def test_loop_defers_again_after_a_superblock(self, monkeypatch):
+        # the loop head compiles in the first call. In the second, the
+        # trace side-exits to ``cold``, dispatched for the second time
+        # (threshold 3), so it runs as a run that must defer again: the
+        # three addl and the ret owe ``alu``, the ret's pop a RAM hit,
+        # all settled in one charge at loop exit
+        src = """
+.globl f
+f: movl $0, %eax
+   movl $0, %ecx
+loop:
+   addl $1, %eax
+   incl %ecx
+   cmpl $8, %ecx
+   jne loop
+   cmpl $0, %eax
+   jne cold
+   ret
+cold:
+   addl $2, %eax
+   addl $3, %eax
+   addl $4, %eax
+   ret
+"""
+        m, _ = make_machine(jit=True, threshold=3)
+        loaded = m.load_linked_program(assemble(src), BASE)
+        f = loaded.symbol("f")
+        m.cpu.call_function(f, [], stack_top=STACK_TOP)
+        assert m.cpu.jit_stats()["entries"] == 1
+        calls = []
+        real = CycleAccount.charge
+
+        def counting(self, category, cycles):
+            calls.append((category, cycles))
+            real(self, category, cycles)
+        monkeypatch.setattr(CycleAccount, "charge", counting)
+        assert not m.account.shadowed
+        assert m.cpu.call_function(f, [], stack_top=STACK_TOP) == 8 + 9
+        assert m.cpu.jit_stats()["entries"] == 2
+        assert calls[-2:] == [("dom0", 8), ("dom0", 4 + 6)]
 
 
 class TestInstrumentHooks:
@@ -281,8 +378,8 @@ class TestInstrumentHooks:
 
 
 class TestReloadInvalidation:
-    """ISSUE 8 satellite: ``_prog_cache`` and superblocks across
-    recovery reload (unregister + reload at the same base)."""
+    """The loop's cached program and superblocks across recovery
+    reload (unregister + reload at the same base)."""
 
     V1 = ".globl f\nf: call swap\nmovl $1, %eax\nret"
     V2 = ".globl f\nf: call swap\nmovl $2, %eax\nret"

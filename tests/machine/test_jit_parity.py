@@ -1,10 +1,12 @@
 """Differential fuzzing: interpreter vs superblock JIT (ISSUE 8).
 
-Every generated program is run on three fresh machines over several
+Every generated program is run on four fresh machines over several
 invocations: the interpreter as it runs by default (deferring its
-charges), the superblock JIT (threshold 1, so traces compile
-immediately), and the interpreter under a pass-through charge shadow
-(every cost item charged on its own through ``step()``, the reference).
+charges), the superblock JIT at threshold 1 (a head compiles the first
+time the loop jumps to it), the interpreter under a pass-through
+charge shadow (every cost item charged on its own, the reference), and
+the JIT at threshold 3, where a loop head runs as deferred runs,
+compiles part-way through a call and is entered from a deferring run.
 The complete observable state must be bit-identical: registers, flags,
 direction flag, ``executed``, every per-category cycle counter, the
 data pages, and ``account.total`` as the natives and the MMIO device
@@ -200,8 +202,9 @@ class _Recorder:
         self.log.append(("w", offset, size, value, self.account.total))
 
 
-#: the three legs every program runs on
-LEGS = ("interp", "jit", "shadow")
+#: the legs every program runs on, and the JIT threshold of each JIT leg
+LEGS = ("interp", "jit", "shadow", "jit3")
+_THRESHOLDS = {"jit": 1, "jit3": 3}
 
 
 def _make_machine(leg, world=False):
@@ -217,8 +220,8 @@ def _make_machine(leg, world=False):
     # a byte pattern, so that loads of every width return non-zero bits
     space.write_bytes(DATA, _PATTERN)
     m.cpu.address_space = space
-    m.cpu.jit_enabled = leg == "jit"
-    m.cpu.jit_threshold = 1
+    m.cpu.jit_enabled = leg in _THRESHOLDS
+    m.cpu.jit_threshold = _THRESHOLDS.get(leg, 1)
     if leg == "shadow":
         inner = m.account.charge
         m.account.charge = lambda category, cycles: inner(category, cycles)
@@ -245,9 +248,9 @@ def _observe(m, space, results, errors, log):
 def _legs(run, *args, **kwargs):
     """``run`` on every leg; asserts the observations are equal and
     returns the interpreter's."""
-    interp, jit, shadow = (run(*args, leg=leg, **kwargs) for leg in LEGS)
-    assert interp == jit
-    assert interp == shadow
+    interp, *others = (run(*args, leg=leg, **kwargs) for leg in LEGS)
+    for leg, other in zip(LEGS[1:], others):
+        assert other == interp, leg
     return interp
 
 

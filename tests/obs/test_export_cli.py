@@ -110,6 +110,24 @@ class TestCli:
         assert obs_main(["tail", tx_trace, "-n", "4"]) == 0
         assert "trace ring tail" in capsys.readouterr().out
 
+    def test_a_count_of_zero_shows_nothing(self, tx_trace, capsys):
+        assert obs_main(["tail", tx_trace, "-n", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("trace ring tail (last 0 of ")
+        assert out.count("\n") == 1
+        assert render_spans(load_trace(tx_trace), limit=0) == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "TRACE", "-n", "-1"],
+        ["render", "TRACE", "--limit", "-1"],
+        ["prof", "diff", "TRACE", "TRACE", "--limit", "-2"],
+    ])
+    def test_negative_counts_are_rejected(self, tx_trace, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            obs_main([tx_trace if arg == "TRACE" else arg for arg in argv])
+        assert exc.value.code == 2
+        assert "must be 0 or more" in capsys.readouterr().err
+
 
 class TestProfileFlameChart:
     """``prof flame --chrome``: a profile has no timeline, so the call

@@ -63,6 +63,17 @@ class TestRing:
             tracer.emit("k", i=i)
         assert [e.args["i"] for e in tracer.tail(3)] == [7, 8, 9]
 
+    def test_tail_of_zero_is_empty(self):
+        # a slice from -0 would be the whole ring, and one from a
+        # negative count would drop the oldest records
+        tracer, _ = make_tracer()
+        tracer.enabled = True
+        for i in range(5):
+            tracer.emit("k", i=i)
+        assert tracer.tail(0) == []
+        assert tracer.tail(-2) == []
+        assert [e.args["i"] for e in tracer.tail(9)] == [0, 1, 2, 3, 4]
+
 
 class TestSpans:
     def test_nesting_and_correlation(self):
