@@ -231,9 +231,8 @@ class HypervisorDriver:
             self.abort_cause = exc
             obs = self.xen.machine.obs
             obs.registry.counter("driver.abort").value += 1
-            if obs.tracer.enabled:
-                obs.tracer.emit(DRIVER_ABORT, cause=type(exc).__name__,
-                                detail=str(exc))
+            obs.tracer.emit(DRIVER_ABORT, cause=type(exc).__name__,
+                            detail=str(exc))
             raise DriverAborted(exc) from exc
         finally:
             self.xen.driver_depth -= 1

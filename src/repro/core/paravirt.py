@@ -58,10 +58,10 @@ class ParavirtNetDevice:
         """Send one frame: guest TCP/IP stack -> hypercall -> hypervisor
         driver. Returns False if the driver reported ring-full."""
         costs = self.kernel.costs
-        self.kernel.charge(costs.kernel_tx_stack, phase="tx_stack")
+        self.kernel.charge(costs.kernel_tx_stack, phase="kernel:tx_stack")
         if self.kernel.paravirtual:
             self.kernel.charge(costs.pv_kernel_tx_overhead, "Xen",
-                               phase="pv_tx_overhead")
+                               phase="kernel:pv_tx_overhead")
         frame_len = L.ETH_HLEN + payload_len
         header = (bytes(dst_mac) + self.mac
                   + (0x0800).to_bytes(2, "big"))
@@ -102,10 +102,10 @@ class ParavirtNetDevice:
         header_base = bytes(dst_mac) + self.mac + (0x0800).to_bytes(2, "big")
         frames: List[Tuple[int, int]] = []
         for i, payload_len in enumerate(payload_lens):
-            self.kernel.charge(costs.kernel_tx_stack, phase="tx_stack")
+            self.kernel.charge(costs.kernel_tx_stack, phase="kernel:tx_stack")
             if self.kernel.paravirtual:
                 self.kernel.charge(costs.pv_kernel_tx_overhead, "Xen",
-                               phase="pv_tx_overhead")
+                               phase="kernel:pv_tx_overhead")
             buf = self._tx_slots[i]
             aspace.write_bytes(buf, header_base)
             if payloads is not None and payloads[i] is not None:
@@ -157,10 +157,10 @@ class ParavirtNetDevice:
         costs = self.kernel.costs
         self.rx_interrupts += 1
         for payload in payloads:
-            self.kernel.charge(costs.kernel_rx_stack, phase="rx_stack")
+            self.kernel.charge(costs.kernel_rx_stack, phase="kernel:rx_stack")
             if self.kernel.paravirtual:
                 self.kernel.charge(costs.pv_kernel_rx_overhead, "Xen",
-                               phase="pv_rx_overhead")
+                               phase="kernel:pv_rx_overhead")
             self.rx_packets += 1
             self.rx_bytes += len(payload)
             if self.keep_rx_payloads:

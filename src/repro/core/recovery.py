@@ -139,14 +139,8 @@ class RecoveryManager:
         else:
             self._consecutive_relapses = 0
         self._reloaded_at_invocations = None
-        span = (self._tracer.begin_span(SPAN_RECOVERY,
-                                        cause=type(exc).__name__)
-                if self._tracer.enabled else None)
-        try:
+        with self._tracer.span(SPAN_RECOVERY, cause=type(exc).__name__):
             self._quarantine(exc)
-        finally:
-            if span is not None:
-                self._tracer.end_span(span)
         if (self._consecutive_relapses >= self.policy.breaker_threshold
                 or self._reload_attempts >= self.policy.max_reload_attempts):
             self._open_breaker()
@@ -210,11 +204,9 @@ class RecoveryManager:
             self._saved_rx_handler = twin.dom0_kernel.rx_handler
             twin.dom0_kernel.rx_handler = self._demux_rx
         self._c["quarantine"].value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(
-                RECOVERY_QUARANTINE, cause=type(exc).__name__,
-                detail=str(exc), frames=frames, locks=locks, skbs=skbs,
-            )
+        self._tracer.emit(RECOVERY_QUARANTINE, cause=type(exc).__name__,
+                          detail=str(exc), frames=frames, locks=locks,
+                          skbs=skbs)
 
     def _unmask_lines(self):
         for nic in self.twin.nics_by_irq.values():
@@ -225,12 +217,8 @@ class RecoveryManager:
     def _open_breaker(self):
         self.state = "broken"
         self._c["breaker_open"].value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(
-                RECOVERY_BREAKER,
-                reloads=self._reload_attempts,
-                relapses=self._consecutive_relapses,
-            )
+        self._tracer.emit(RECOVERY_BREAKER, reloads=self._reload_attempts,
+                          relapses=self._consecutive_relapses)
 
     # -- degraded data path --------------------------------------------------
 
@@ -240,8 +228,7 @@ class RecoveryManager:
         frame out of guest memory and push it through the VM instance
         (dom0's own twin) — the split-driver fallback."""
         self._c["degraded_tx"].value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(RECOVERY_DEGRADED, op="tx", len=frame_len)
+        self._tracer.emit(RECOVERY_DEGRADED, op="tx", len=frame_len)
         twin = self.twin
         costs = self.xen.costs
         frame = dev.kernel.domain.aspace.read_bytes(buf, frame_len)
@@ -271,8 +258,7 @@ class RecoveryManager:
         """Serve a NIC interrupt in dom0: the VM instance runs its own
         ISR; receives are demultiplexed to guests by :meth:`_demux_rx`."""
         self._c["degraded_rx"].value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(RECOVERY_DEGRADED, op="irq", irq=irq)
+        self._tracer.emit(RECOVERY_DEGRADED, op="irq", irq=irq)
         twin = self.twin
         self.xen.charge_xen(self.xen.costs.virq_delivery)
         self.xen.run_in_domain(
@@ -345,8 +331,7 @@ class RecoveryManager:
             return False
         self._reload_attempts += 1
         self._c["reload_attempt"].value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(RECOVERY_RELOAD, attempt=self._reload_attempts)
+        self._tracer.emit(RECOVERY_RELOAD, attempt=self._reload_attempts)
         twin = self.twin
         try:
             # re-verify before trusting the binary again
@@ -358,10 +343,8 @@ class RecoveryManager:
         except Exception as exc:   # verification or load failure
             self._c["reload_failure"].value += 1
             self._consecutive_relapses += 1
-            if self._tracer.enabled:
-                self._tracer.emit(RECOVERY_RELOAD,
-                                  attempt=self._reload_attempts,
-                                  ok=False, error=type(exc).__name__)
+            self._tracer.emit(RECOVERY_RELOAD, attempt=self._reload_attempts,
+                              ok=False, error=type(exc).__name__)
             if (self._consecutive_relapses >= self.policy.breaker_threshold
                     or self._reload_attempts
                     >= self.policy.max_reload_attempts):
@@ -380,7 +363,6 @@ class RecoveryManager:
         self._reloaded_at_invocations = 0
         self._c["reload_success"].value += 1
         self._c["recovered"].value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(RECOVERY_RELOAD, attempt=self._reload_attempts,
-                              ok=True)
+        self._tracer.emit(RECOVERY_RELOAD, attempt=self._reload_attempts,
+                          ok=True)
         return True

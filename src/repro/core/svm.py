@@ -233,9 +233,7 @@ class SvmManager:
         mappings are kept cached and reused (with their frames
         re-translated) when pages come back."""
         self._c_flush.value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(SVM_FLUSH, stlb=self.name,
-                              entries=self.entries)
+        self._tracer.emit(SVM_FLUSH, stlb=self.name, entries=self.entries)
         self._reset_table()
         self.chains.clear()
 
@@ -244,8 +242,7 @@ class SvmManager:
         it is a standalone pair no neighbour extension depends on."""
         page = vaddr & PAGE_ADDR_MASK
         self._c_invalidate.value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(SVM_INVALIDATE, stlb=self.name, page=page)
+        self._tracer.emit(SVM_INVALIDATE, stlb=self.name, page=page)
         self.chains.pop(page, None)
         index = stlb_index(page, self.entries)
         tag, _ = self.read_entry(index)
@@ -274,9 +271,8 @@ class SvmManager:
         """Full teardown: no translation, chain, or hypervisor mapping
         survives. Used by recovery to quarantine a faulted instance."""
         self._c_invalidate.value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(SVM_INVALIDATE, stlb=self.name, page=None,
-                              full=True)
+        self._tracer.emit(SVM_INVALIDATE, stlb=self.name, page=None,
+                          full=True)
         self._reset_table()
         self.chains.clear()
         if not self.identity:
@@ -320,9 +316,8 @@ class SvmManager:
 
     def _note_fault(self, page_addr: int, why: str):
         self._c_fault.value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(SVM_FAULT, stlb=self.name, vaddr=page_addr,
-                              why=why)
+        self._tracer.emit(SVM_FAULT, stlb=self.name, vaddr=page_addr,
+                          why=why)
 
     # -- miss handling -----------------------------------------------------------------
 

@@ -612,22 +612,18 @@ class TwinDriverManager:
             return
         entry_vm, arg = self.dom0_kernel.irq_handlers[irq]
         entry = self.hyp_driver.entry_for_vm_address(entry_vm)
-        tracer = self.machine.obs.tracer
-        span = (tracer.begin_span(SPAN_IRQ, irq=irq)
-                if tracer.enabled else None)
-        try:
-            self.hyp_driver.invoke(entry, [irq, arg], upcalls=self.upcalls)
-            self.flush_rx()
-        except CONTAINABLE_FAULTS as exc:
-            if self.recovery is None:
-                raise
-            self.recovery.handle_abort(exc)
-            # serve this interrupt on the degraded dom0 path (the device
-            # may still have unconsumed causes / ring entries)
-            self.recovery.degraded_interrupt(irq)
-        finally:
-            if span is not None:
-                tracer.end_span(span)
+        with self.machine.obs.tracer.span(SPAN_IRQ, irq=irq):
+            try:
+                self.hyp_driver.invoke(entry, [irq, arg],
+                                       upcalls=self.upcalls)
+                self.flush_rx()
+            except CONTAINABLE_FAULTS as exc:
+                if self.recovery is None:
+                    raise
+                self.recovery.handle_abort(exc)
+                # serve this interrupt on the degraded dom0 path (the
+                # device may still have unconsumed causes / ring entries)
+                self.recovery.degraded_interrupt(irq)
 
     def retry_deferred_interrupts(self):
         """Re-run the held NIC interrupts in arrival order, observing how
@@ -705,14 +701,8 @@ class TwinDriverManager:
         """The hypervisor half of the paravirtual transmit path."""
         if dev.netdev_addr is None:
             raise RuntimeError("guest device not bound to a NIC")
-        tracer = self.machine.obs.tracer
-        if tracer.enabled:
-            span = tracer.begin_span(SPAN_PACKET_TX, len=frame_len)
-            try:
-                return self._contained_transmit(dev, buf, frame_len)
-            finally:
-                tracer.end_span(span)
-        return self._contained_transmit(dev, buf, frame_len)
+        with self.machine.obs.tracer.span(SPAN_PACKET_TX, len=frame_len):
+            return self._contained_transmit(dev, buf, frame_len)
 
     def _contained_transmit(self, dev: ParavirtNetDevice, buf: int,
                             frame_len: int) -> bool:
@@ -801,16 +791,10 @@ class TwinDriverManager:
         if not frames:
             return []
         self._h_tx_batch.observe(len(frames))
-        tracer = self.machine.obs.tracer
         total = sum(frame_len for _, frame_len in frames)
-        span = (tracer.begin_span(SPAN_PACKET_TX, len=total,
-                                  batch=len(frames))
-                if tracer.enabled else None)
-        try:
+        with self.machine.obs.tracer.span(SPAN_PACKET_TX, len=total,
+                                          batch=len(frames)):
             return self._guest_transmit_burst(dev, frames)
-        finally:
-            if span is not None:
-                tracer.end_span(span)
 
     def _guest_transmit_burst(self, dev: ParavirtNetDevice,
                               frames: List[Tuple[int, int]]) -> List[bool]:
@@ -924,7 +908,7 @@ class TwinDriverManager:
     def _flush_queue(self, q: TwinQueue) -> bool:
         """Flush one queue shard; returns True when leftovers remain."""
         costs = self.xen.costs
-        tracer = self.machine.obs.tracer
+        obs = self.machine.obs
         multi = self.num_queues > 1
         if multi:
             # flush-lock contention model: taking a queue lock last held
@@ -972,22 +956,15 @@ class TwinDriverManager:
             for skb_addr in batch:
                 skb = SkBuff(self.hyp_support.view, skb_addr)
                 payload = self.hyp_support.view.read_bytes(skb.data, skb.len)
-                span = (tracer.begin_span(SPAN_PACKET_RX, len=len(payload))
-                        if tracer.enabled else None)
-                self.xen.charge_xen(costs.copy_cost(len(payload))
-                                    + costs.twin_rx_copy_extra,
-                                    phase="twin:rx_copy")
-                prof = self.machine.obs.profiler
-                if prof.enabled:
-                    prof.push_phase("twin:rx_dom0_share")
-                self.machine.account.charge("dom0", costs.twin_rx_dom0_share)
-                if prof.enabled:
-                    prof.pop_phase()
-                self.hyp_support.dev_kfree_skb_any(skb_addr)
-                self._charge_support("dev_kfree_skb_any")
-                payloads.append(payload)
-                if span is not None:
-                    tracer.end_span(span)
+                with obs.tracer.span(SPAN_PACKET_RX, len=len(payload)):
+                    self.xen.charge_xen(costs.copy_cost(len(payload))
+                                        + costs.twin_rx_copy_extra,
+                                        phase="twin:rx_copy")
+                    obs.charge("dom0", costs.twin_rx_dom0_share,
+                               phase="twin:rx_dom0_share")
+                    self.hyp_support.dev_kfree_skb_any(skb_addr)
+                    self._charge_support("dev_kfree_skb_any")
+                    payloads.append(payload)
             # ONE virtual interrupt for the whole batch (was one per
             # packet): the coalescing §5.3 promises
             self._h_rx_batch.observe(len(payloads))

@@ -118,9 +118,8 @@ class UpcallManager:
         count = len(self._frames)
         if count:
             self._c_aborts.value += count
-            if self._tracer.enabled:
-                self._tracer.emit(UPCALL_ABORT, frames=count,
-                                  names=[f.name for f in self._frames])
+            self._tracer.emit(UPCALL_ABORT, frames=count,
+                              names=[f.name for f in self._frames])
             self._frames.clear()
         return count
 
@@ -159,40 +158,38 @@ class UpcallManager:
         def stub(cpu: Cpu):
             self._c_upcalls.value += 1
             counter.value += 1
-            span = (tracer.begin_span(span_name)
-                    if tracer.enabled else None)
-            # stub bookkeeping: save parameters, switch to the upcall stack
-            cpu.charge_raw(costs.upcall_stub, "Xen")
-            if not self._invocation_upcalled:
-                self._invocation_upcalled = True
-                cpu.charge_raw(costs.upcall_first_extra, "Xen")
-            cpu.charge_raw(self.cache_residual, "Xen")
-            # synchronous virtual interrupt into dom0 (switches domains,
-            # runs the handler under dom0 accounting, switches back).
-            # Each call gets its own frame so nested upcalls (a dom0
-            # handler re-entering the driver) cannot clobber outer state.
-            frame = UpcallFrame(name, dom0_routine, cpu)
-            self._frames.append(frame)
-            try:
-                self.xen.send_event(self.dom0_kernel.domain, self.port,
-                                    synchronous=True)
-                if not frame.delivered:
-                    # dom0 has virtual interrupts masked: the synchronous
-                    # delivery was queued, so the call environment on the
-                    # upcall stack will never be consumed. Unwind cleanly.
-                    self._c_aborts.value += 1
-                    if tracer.enabled:
+            with tracer.span(span_name):
+                # stub bookkeeping: save parameters, switch stacks
+                cpu.charge_raw(costs.upcall_stub, "Xen")
+                if not self._invocation_upcalled:
+                    self._invocation_upcalled = True
+                    cpu.charge_raw(costs.upcall_first_extra, "Xen")
+                cpu.charge_raw(self.cache_residual, "Xen")
+                # synchronous virtual interrupt into dom0 (switches
+                # domains, runs the handler under dom0 accounting,
+                # switches back). Each call gets its own frame so nested
+                # upcalls (a dom0 handler re-entering the driver) cannot
+                # clobber outer state.
+                frame = UpcallFrame(name, dom0_routine, cpu)
+                self._frames.append(frame)
+                try:
+                    self.xen.send_event(self.dom0_kernel.domain, self.port,
+                                        synchronous=True)
+                    if not frame.delivered:
+                        # dom0 has virtual interrupts masked: the
+                        # synchronous delivery was queued, so the call
+                        # environment on the upcall stack will never be
+                        # consumed. Unwind cleanly.
+                        self._c_aborts.value += 1
                         tracer.emit(UPCALL_ABORT, frames=1, names=[name])
-                    raise UpcallAborted(
-                        name, "synchronous delivery blocked (virq masked)")
-                # 'return' hypercall back into the hypervisor
-                self.xen.hypercall(f"upcall-return:{name}")
-                return frame.result
-            finally:
-                if frame in self._frames:
-                    self._frames.remove(frame)
-                if span is not None:
-                    tracer.end_span(span)
+                        raise UpcallAborted(name, "synchronous delivery "
+                                            "blocked (virq masked)")
+                    # 'return' hypercall back into the hypervisor
+                    self.xen.hypercall(f"upcall-return:{name}")
+                    return frame.result
+                finally:
+                    if frame in self._frames:
+                        self._frames.remove(frame)
 
         addr = self.machine.register_native(f"upcall.{name}", stub)
         self._stubs[name] = addr

@@ -105,7 +105,6 @@ class NativeRoutine:
         self.fn = fn
         self.cost = cost
         self.category = category
-        self.calls = 0
 
     def __repr__(self):  # pragma: no cover
         return f"<native {self.name}>"
@@ -363,10 +362,8 @@ class Cpu:
         #: superblock world guards compare it so a mid-trace vCPU change
         #: (natives can run the scheduler) bails to ``_run_loop``.
         self.world_token = 0
-        #: trace ring (set by Machine); None for bare test CPUs.
+        #: trace ring and cycle-attribution profiler (set by Machine).
         self.tracer = None
-        #: cycle-attribution profiler (set by Machine); None for bare
-        #: test CPUs. Guarded exactly like the tracer on hot paths.
         self.profiler = None
         #: trace-JIT (superblock compilation): off by default, enabled
         #: per-configuration via ``configs.build(..., jit=True)``.
@@ -807,12 +804,10 @@ class Cpu:
 
     def _invoke_native(self, routine: NativeRoutine):
         deferring = self._leave()
-        routine.calls += 1
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit(NATIVE_CALL, name=routine.name)
+        if self.tracer.enabled:
+            self.tracer.emit(NATIVE_CALL, name=routine.name)
         prof = self.profiler
-        profiled = prof is not None and prof.enabled
+        profiled = prof.enabled
         if profiled:
             prof.push_phase("native:" + routine.name)
         try:

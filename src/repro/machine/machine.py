@@ -54,6 +54,7 @@ class Machine:
         # the profiler shadows account.charge when enabled; bind it to
         # this machine's CPU (pc capture + symbolization) and account
         self.obs.profiler.bind(self.cpu, self.account)
+        self.obs.account = self.account
         self.cpu.profiler = self.obs.profiler
         self.cpu_hz = cpu_hz
         #: hypervisor page table, shared into every domain's address space.

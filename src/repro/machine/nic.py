@@ -143,7 +143,7 @@ class E1000Device:
         #: optional DMA protection (paper §4.5): when set, every DMA this
         #: device performs is checked against programmed windows.
         self.iommu: Optional[Iommu] = None
-        #: trace ring (set by Machine.add_nic); None for bare devices.
+        #: trace ring (set by Machine.add_nic).
         self.tracer = None
         #: multiqueue (RSS): N tx/rx queue pairs demuxed by flow hash.
         #: The descriptor rings stay shared (the driver binary programs
@@ -171,9 +171,8 @@ class E1000Device:
         return flow_hash(frame) % self.num_queues
 
     def _trace(self, kind: str, **args):
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit(kind, nic=self.name, **args)
+        if self.tracer.enabled:
+            self.tracer.emit(kind, nic=self.name, **args)
 
     # -- MMIO interface ------------------------------------------------------
 

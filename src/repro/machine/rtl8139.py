@@ -89,7 +89,7 @@ class Rtl8139Device:
         self.interrupt_batch = 1
         self._coalesced = 0
         self.iommu: Optional[Iommu] = None
-        #: trace ring (set by Machine.add_nic); None for bare devices.
+        #: trace ring (set by Machine.add_nic).
         self.tracer = None
         #: multiqueue (RSS) — same facade as E1000Device so the Machine
         #: and twin treat both models uniformly. The 8139 hardware never
@@ -114,9 +114,8 @@ class Rtl8139Device:
         return flow_hash(frame) % self.num_queues
 
     def _trace(self, kind: str, **args):
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit(kind, nic=self.name, **args)
+        if self.tracer.enabled:
+            self.tracer.emit(kind, nic=self.name, **args)
 
     # -- MMIO ------------------------------------------------------------------
 

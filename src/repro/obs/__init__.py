@@ -8,7 +8,12 @@ One :class:`Obs` instance hangs off every
   instrumented subsystem (stlb, upcalls, support routines, hypervisor,
   NICs) write here, and the figure 7/8 profiles are views over it;
 * ``tracer`` — the bounded trace ring with per-packet span correlation,
-  off by default and near-zero-cost while off.
+  off by default and near-zero-cost while off;
+* ``profiler`` — the cycle-attribution profiler.
+
+Layers mark spans with ``with tracer.span(...)`` and profile frames with
+``obs.charge(category, cycles, phase="xen:hypercall")``, the phase
+written in full, as the profile shows it.
 
 Quickstart::
 
@@ -51,12 +56,27 @@ class Obs:
         #: cycle-attribution profiler; inert until bound to a machine
         #: (Machine.__init__) and enabled.
         self.profiler = Profiler(registry=self.registry)
+        #: the machine's cycle account (set by Machine), which
+        #: :meth:`charge` charges.
+        self.account = None
+
+    def charge(self, category: str, cycles: int,
+               phase: Optional[str] = None):
+        """Charge ``cycles`` to ``category``; while the profiler records,
+        under the frame ``phase`` when one is given. Apart from the
+        interpreter's ``native:`` frame, the only code that pushes a
+        profile frame."""
+        prof = self.profiler
+        if phase is not None and prof.enabled:
+            prof.push_phase(phase)
+            try:
+                self.account.charge(category, int(cycles))
+            finally:
+                prof.pop_phase()
+        else:
+            self.account.charge(category, int(cycles))
 
     # -- tracing toggle -----------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled
 
     def enable_tracing(self):
         self.tracer.enabled = True

@@ -157,11 +157,12 @@ def render_span(doc: Dict, root: Dict, show_events: bool = True) -> str:
 
 def render_spans(doc: Dict, name: Optional[str] = None,
                  limit: int = 4, show_events: bool = True) -> str:
-    """Render up to ``limit`` top-level spans, the newest (optionally
-    filtered); none for ``limit <= 0``."""
+    """Render up to ``limit`` spans, the newest: top-level ones, or every
+    span named ``name`` wherever it nests (``packet.rx`` sits under an
+    ``irq``); none for ``limit <= 0``."""
     spans = doc.get("spans") or []
     roots = [s for s in spans
-             if s["parent"] == 0 and (name is None or s["name"] == name)]
+             if (s["parent"] == 0 if name is None else s["name"] == name)]
     if not roots:
         return (f"no completed spans"
                 + (f" named {name!r}" if name else "")

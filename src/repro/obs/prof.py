@@ -18,14 +18,17 @@ is attributed to a key of
     ``(category, context, pc)``
 
 where ``category`` is the paper's profile category (``dom0`` / ``domU``
-/ ``Xen`` / ``e1000``), ``context`` is a small stack of coarse frames
-pushed around rare events (native-routine invocations, hypervisor
-phases such as ``xen:hypercall``, twin fast-path stages), and ``pc`` is
-the interpreter's program counter at charge time. Because the recording
-closure calls the original ``charge`` first and adds exactly the cycles
-it accepted, per-category sample sums equal the ``cycles.*`` counter
-movement **bit-exactly, by construction** — the figure 7/8 profiles are
-regenerated from profiler output and asserted against the account.
+/ ``Xen`` / ``e1000``), ``context`` is a small stack of coarse frames,
+and ``pc`` is the interpreter's program counter at charge time. Frames
+come from two places: :meth:`repro.obs.Obs.charge` pushes a charge's
+``phase``, written in full as the profile shows it (``xen:hypercall``,
+``kernel:tx_stack``, ``netback:tx``, ``twin:rx_copy``), and the
+interpreter pushes ``native:<routine>`` around each native-routine
+invocation. Because the recording closure calls the original
+``charge`` first and adds exactly the cycles it accepted, per-category
+sample sums equal the ``cycles.*`` counter movement **bit-exactly, by
+construction** — the figure 7/8 profiles are regenerated from profiler
+output and asserted against the account.
 
 Symbolization is lazy (at :meth:`Profiler.snapshot` time): a pc inside
 a loaded program resolves through the :class:`CodeRegistry` to the
@@ -61,8 +64,8 @@ class Profiler:
 
     Zero-cost while disabled: nothing is installed anywhere, the
     account's ``charge`` resolves to the plain class method, and the
-    interpreter's guards are the same shape as the tracer's
-    (``prof is not None and prof.enabled``).
+    two places that push frames (``Obs.charge`` and the interpreter's
+    native frame) test ``enabled`` once.
     """
 
     def __init__(self, registry=None):

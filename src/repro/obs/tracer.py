@@ -9,16 +9,21 @@ parent — so one transmit packet can be reconstructed end-to-end from the
 ring.
 
 Tracing is toggleable: with ``enabled = False`` (the default), ``emit``
-returns after one attribute test and span helpers return ``None``, so
-the always-on metrics counters are the only cost the fast path pays.
+returns after one attribute test and ``span`` hands out a shared no-op
+context manager, so the always-on metrics counters are the only cost
+the fast path pays.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Dict, List, Optional
 
 from .events import SPAN_BEGIN, SPAN_END
 from .metrics import MetricsRegistry
+
+#: what :meth:`Tracer.span` hands out while tracing is off
+_NO_SPAN = contextlib.nullcontext()
 
 
 class TraceEvent:
@@ -44,12 +49,14 @@ class TraceEvent:
 
 
 class Span:
-    """An open or completed interval: a packet, an upcall, an ISR."""
+    """An open or completed interval: a packet, an upcall, an ISR. As a
+    context manager it closes itself however its block exits."""
 
-    __slots__ = ("id", "name", "parent", "t0", "t1", "args")
+    __slots__ = ("tracer", "id", "name", "parent", "t0", "t1", "args")
 
-    def __init__(self, span_id: int, name: str, parent: int, t0: int,
-                 args: Dict):
+    def __init__(self, tracer: "Tracer", span_id: int, name: str,
+                 parent: int, t0: int, args: Dict):
+        self.tracer = tracer
         self.id = span_id
         self.name = name
         self.parent = parent
@@ -64,6 +71,12 @@ class Span:
     def to_dict(self) -> Dict[str, object]:
         return {"id": self.id, "name": self.name, "parent": self.parent,
                 "t0": self.t0, "t1": self.t1, "args": self.args}
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.tracer.end_span(self)
 
 
 class Tracer:
@@ -129,12 +142,19 @@ class Tracer:
         """Open a span; returns ``None`` (a no-op handle) when disabled."""
         if not self.enabled:
             return None
-        span = Span(self._next_span, name, self.current_span, self.clock(),
-                    args)
+        span = Span(self, self._next_span, name, self.current_span,
+                    self.clock(), args)
         self._next_span += 1
         self.emit(SPAN_BEGIN, id=span.id, name=name, **args)
         self._span_stack.append(span)
         return span
+
+    def span(self, name: str, **args):
+        """A span around a ``with`` block: the opened :class:`Span`, or a
+        shared no-op context manager while tracing is off."""
+        if not self.enabled:
+            return _NO_SPAN
+        return self.begin_span(name, **args)
 
     def end_span(self, span: Optional[Span]):
         """Close ``span`` (tolerates None and out-of-order closes from

@@ -84,9 +84,7 @@ class Kernel:
         #: when an skb with SKB_POOL set is freed, it is returned here
         #: instead of to the heap (the hypervisor buffer-pool hook).
         self.pool_release: Optional[Callable[[int], None]] = None
-        # dynamic support-routine trace (Table 1 benchmark)
-        self.tracing = False
-        self.trace: Set[str] = set()
+        #: support routine -> calls from this kernel's drivers (Table 1)
         self.support_call_counts: Dict[str, int] = {}
         self._module_code_next = L.MODULE_CODE_BASE
         self._module_data_next = L.MODULE_DATA_BASE
@@ -105,21 +103,10 @@ class Kernel:
 
     def charge(self, cycles: int, category: Optional[str] = None,
                phase: Optional[str] = None):
-        """Charge modelled kernel cycles; ``phase`` names the kernel
-        stage for the cycle-attribution profiler (profiler-guarded, so
-        the disabled path is unchanged)."""
-        prof = self.machine.obs.profiler
-        if phase is not None and prof.enabled:
-            # pre-namespaced phases (netback:tx) pass through verbatim
-            prof.push_phase(phase if ":" in phase else "kernel:" + phase)
-            try:
-                self.machine.account.charge(
-                    category or self.domain.category, int(cycles))
-            finally:
-                prof.pop_phase()
-        else:
-            self.machine.account.charge(category or self.domain.category,
-                                        int(cycles))
+        """Charge modelled kernel cycles (to the domain's category unless
+        ``category`` is given) under profile frame ``phase``."""
+        self.machine.obs.charge(category or self.domain.category, cycles,
+                                phase)
 
     @property
     def jiffies(self) -> int:
@@ -135,16 +122,6 @@ class Kernel:
         self.support_call_counts[name] = (
             self.support_call_counts.get(name, 0) + 1
         )
-        if self.tracing:
-            self.trace.add(name)
-
-    def start_trace(self):
-        self.tracing = True
-        self.trace = set()
-
-    def stop_trace(self) -> Set[str]:
-        self.tracing = False
-        return set(self.trace)
 
     # -- sk_buffs --------------------------------------------------------------------
 
@@ -210,10 +187,10 @@ class Kernel:
     def _rx_deliver_local(self, skb_addr: int):
         """Local protocol-stack delivery: TCP/IP receive processing."""
         skb = SkBuff(self.memory_view(), skb_addr)
-        self.charge(self.costs.kernel_rx_stack, phase="rx_stack")
+        self.charge(self.costs.kernel_rx_stack, phase="kernel:rx_stack")
         if self.paravirtual:
             self.charge(self.costs.pv_kernel_rx_overhead, "Xen",
-                        phase="pv_rx_overhead")
+                        phase="kernel:pv_rx_overhead")
         self.rx_delivered += 1
         self.rx_bytes += skb.len
         self.free_skb(skb_addr)
@@ -238,10 +215,10 @@ class Kernel:
                      payload: Optional[bytes] = None) -> bool:
         """One MTU-or-less TCP segment through the stack and the driver."""
         ndev = self.netdev(netdev_addr)
-        self.charge(self.costs.kernel_tx_stack, phase="tx_stack")
+        self.charge(self.costs.kernel_tx_stack, phase="kernel:tx_stack")
         if self.paravirtual:
             self.charge(self.costs.pv_kernel_tx_overhead, "Xen",
-                        phase="pv_tx_overhead")
+                        phase="kernel:pv_tx_overhead")
         skb = self.build_tx_skb(ndev, payload_len, dst_mac, payload)
         return self.transmit_skb(skb, ndev)
 

@@ -8,8 +8,10 @@ with the machine so the driver binary calls it by symbol through the
 normal call instruction — the same boundary the paper's loader manages.
 
 Each call charges its calibrated cost to the owning domain's category and
-is recorded in the kernel's dynamic trace, which is how the Table 1
-benchmark discovers the fast-path set.
+is counted in the kernel's ``support_call_counts``. The Table 1 benchmark
+takes the fast-path set from the hypervisor support library's call
+counters over error-free transmit and receive, and the full support
+surface from ``support_call_counts``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ per-packet costs whose sums reproduce the ``domU`` bars of figures 7/8.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..machine.memory import PAGE_SIZE
 from ..xen.hypervisor import Hypervisor
@@ -45,9 +45,9 @@ class XenNetFront:
     def transmit(self, payload_len: int, dst_mac: bytes = BROADCAST_MAC,
                  payload: Optional[bytes] = None) -> bool:
         costs = self.kernel.costs
-        self.kernel.charge(costs.kernel_tx_stack, phase="tx_stack")
+        self.kernel.charge(costs.kernel_tx_stack, phase="kernel:tx_stack")
         self.kernel.charge(costs.pv_kernel_tx_overhead, "Xen",
-                           phase="pv_tx_overhead")
+                           phase="kernel:pv_tx_overhead")
         frame_len = min(L.ETH_HLEN + payload_len, PAGE_SIZE)
         header = bytes(dst_mac) + self.mac + (0x0800).to_bytes(2, "big")
         aspace = self.kernel.domain.aspace
@@ -59,13 +59,13 @@ class XenNetFront:
         xen = self.backend.xen
         frame = aspace.translate(self._tx_buf) >> 12
         table = xen.grant_tables[self.kernel.domain.domid]
-        xen.charge_xen(xen.costs.grant_issue, phase="grant_issue")
+        xen.charge_xen(xen.costs.grant_issue, phase="xen:grant_issue")
         ref = table.issue(frame, self.backend.dom0_kernel.domain.domid)
-        xen.charge_xen(xen.costs.event_channel_send, phase="event_send")
+        xen.charge_xen(xen.costs.event_channel_send, phase="xen:event_send")
         ok = self.backend.transmit_from_guest(self, ref,
                                               self._tx_buf & 0xFFF,
                                               frame_len)
-        xen.charge_xen(xen.costs.grant_revoke, phase="grant_revoke")
+        xen.charge_xen(xen.costs.grant_revoke, phase="xen:grant_revoke")
         table.revoke(ref)
         if ok:
             self.tx_packets += 1
@@ -78,9 +78,9 @@ class XenNetFront:
         """Receive side: the packet has been grant-copied into the guest;
         process it up the guest stack."""
         costs = self.kernel.costs
-        self.kernel.charge(costs.kernel_rx_stack, phase="rx_stack")
+        self.kernel.charge(costs.kernel_rx_stack, phase="kernel:rx_stack")
         self.kernel.charge(costs.pv_kernel_rx_overhead, "Xen",
-                           phase="pv_rx_overhead")
+                           phase="kernel:pv_rx_overhead")
         self.rx_packets += 1
         self.rx_bytes += len(payload)
 
@@ -92,13 +92,11 @@ class XenNetBack:
         self.xen = xen
         self.dom0_kernel = dom0_kernel
         self.bridge = Bridge()
-        self.fronts: List[XenNetFront] = []
         self.rx_no_front = 0
         # bridge-forwarding receive disposition for the dom0 kernel
         dom0_kernel.rx_handler = self.backend_rx
 
     def register_front(self, front: XenNetFront):
-        self.fronts.append(front)
         self.bridge.learn(front.mac, front)
 
     # -- guest -> NIC ------------------------------------------------------------
@@ -109,13 +107,13 @@ class XenNetBack:
         costs = xen.costs
         dom0 = self.dom0_kernel
         # I/O-channel crossing into the driver domain.
-        xen.charge_xen(costs.domain_switch, phase="domain_switch")
-        xen.charge_xen(costs.xen_std_tx_misc, phase="std_tx_misc")
+        xen.charge_xen(costs.domain_switch, phase="xen:domain_switch")
+        xen.charge_xen(costs.xen_std_tx_misc, phase="xen:std_tx_misc")
         frame = xen.grant_map(front.kernel.domain, ref, dom0.domain)
         dom0.charge(costs.backend_tx, phase="netback:tx")
         dom0.charge(costs.bridge_forward, phase="netback:bridge")
         self.bridge.learn(front.mac, front)
-        dom0.charge(costs.dom0_tx_stack, phase="tx_stack")
+        dom0.charge(costs.dom0_tx_stack, phase="kernel:tx_stack")
         # Build a dom0 skb: header pulled into the linear area, packet body
         # chained as a fragment of the granted (guest) page.
         skb = dom0.alloc_skb(L.ETH_HLEN + 64)
@@ -146,28 +144,28 @@ class XenNetBack:
 
     def backend_rx(self, skb_addr: int):
         """dom0 receive disposition in bridge mode: the driver handed the
-        packet to netif_rx; bridge it to the owning guest and grant-copy."""
+        packet to netif_rx; bridge it to the front owning its destination
+        MAC, or to every front (broadcast, unknown unicast); grant-copy."""
         xen = self.xen
         costs = xen.costs
         dom0 = self.dom0_kernel
         skb = SkBuff(dom0.memory_view(), skb_addr)
         dom0.charge(costs.kernel_rx_stack,      # dom0 softirq + skb handling
-                    phase="rx_stack")
+                    phase="kernel:rx_stack")
         dom0.charge(costs.bridge_forward, phase="netback:bridge")
         dom0.charge(costs.backend_rx, phase="netback:rx")
         dst_mac = dom0.memory_view().read_bytes(skb.data - L.ETH_HLEN,
                                                 L.ETH_ALEN)
-        front = self.bridge.lookup(dst_mac)
-        if front is None and self.fronts:
-            front = self.fronts[0]
+        # the ingress port is the physical uplink, never a front
+        fronts = self.bridge.forward_targets(dst_mac, ingress=None)
         payload = skb.read_payload()
         dom0.free_skb(skb_addr)
-        if front is None:
+        if not fronts:
             self.rx_no_front += 1
-            return
-        # hypervisor grant-copies the packet into the guest and switches
-        xen.charge_xen(costs.grant_copy_per_packet, phase="grant_copy")
-        xen.charge_xen(costs.event_channel_send, phase="event_send")
-        xen.charge_xen(costs.domain_switch, phase="domain_switch")
-        xen.charge_xen(costs.xen_std_rx_misc, phase="std_rx_misc")
-        front.deliver(payload)
+        for front in fronts:
+            # the hypervisor grant-copies the packet into the guest
+            xen.charge_xen(costs.grant_copy_per_packet, phase="xen:grant_copy")
+            xen.charge_xen(costs.event_channel_send, phase="xen:event_send")
+            xen.charge_xen(costs.domain_switch, phase="xen:domain_switch")
+            xen.charge_xen(costs.xen_std_rx_misc, phase="xen:std_rx_misc")
+            front.deliver(payload)

@@ -74,7 +74,6 @@ class Hypervisor:
         self.scheduler = CreditScheduler(self, self.vcpus)
         # mechanism counters live in the machine-wide registry
         self._tracer = machine.obs.tracer
-        self._profiler = machine.obs.profiler
         self._c_switch = machine.obs.registry.counter("xen.switch")
         self._c_hypercall = machine.obs.registry.counter("xen.hypercall")
         self._c_event = machine.obs.registry.counter("xen.event_send")
@@ -132,20 +131,8 @@ class Hypervisor:
     # -- accounting helpers ------------------------------------------------------
 
     def charge_xen(self, cycles: int, phase: Optional[str] = None):
-        """Charge hypervisor cycles; ``phase`` names the mechanism for
-        the cycle-attribution profiler (guarded like tracing — the
-        disabled path is one attribute test)."""
-        prof = self._profiler
-        if phase is not None and prof.enabled:
-            # callers may pass an already-namespaced phase (twin:rx_copy,
-            # support:netdev_alloc_skb); bare names are hypervisor phases
-            prof.push_phase(phase if ":" in phase else "xen:" + phase)
-            try:
-                self.machine.account.charge("Xen", int(cycles))
-            finally:
-                prof.pop_phase()
-        else:
-            self.machine.account.charge("Xen", int(cycles))
+        """Charge hypervisor cycles under profile frame ``phase``."""
+        self.machine.obs.charge("Xen", cycles, phase)
 
     # -- counter views (registry-backed) -----------------------------------------
 
@@ -182,7 +169,7 @@ class Hypervisor:
         """Synchronous domain switch; charges the big TLB/cache cost."""
         if self.current is domain:
             return
-        self.charge_xen(self.costs.domain_switch, phase="domain_switch")
+        self.charge_xen(self.costs.domain_switch, phase="xen:domain_switch")
         self._c_switch.value += 1
         if len(self.vcpus) > 1:
             # per-vCPU labels only exist on SMP configs so single-vCPU
@@ -215,7 +202,7 @@ class Hypervisor:
         self._c_hypercall.value += 1
         if self._tracer.enabled:
             self._tracer.emit(HYPERCALL, name=name)
-        self.charge_xen(self.costs.hypercall, phase="hypercall")
+        self.charge_xen(self.costs.hypercall, phase="xen:hypercall")
 
     # -- event channels --------------------------------------------------------------------
 
@@ -226,7 +213,7 @@ class Hypervisor:
         interrupt' used by upcalls: delivery happens immediately, in the
         target domain's context. Asynchronous events are queued and
         delivered when the domain is next scheduled."""
-        self.charge_xen(self.costs.event_channel_send, phase="event_send")
+        self.charge_xen(self.costs.event_channel_send, phase="xen:event_send")
         self._c_event.value += 1
         if self._tracer.enabled:
             self._tracer.emit(EVENT_SEND, domain=domain.name, port=port,
@@ -243,7 +230,7 @@ class Hypervisor:
         handler = domain.event_handlers.get(port)
         if handler is None:
             raise KeyError(f"domain {domain.name} has no handler on port {port}")
-        self.charge_xen(self.costs.virq_delivery, phase="virq_delivery")
+        self.charge_xen(self.costs.virq_delivery, phase="xen:virq_delivery")
         self._c_virq.value += 1
         if self._tracer.enabled:
             self._tracer.emit(VIRQ, domain=domain.name, port=port)
@@ -266,7 +253,7 @@ class Hypervisor:
         self.charge_xen(
             self.costs.virq_coalesced
             + (npackets - 1) * self.costs.virq_coalesced_per_packet,
-            phase="virq_coalesced",
+            phase="xen:virq_coalesced",
         )
         self._c_virq_coalesced.value += 1
         if self._tracer.enabled:
@@ -282,7 +269,8 @@ class Hypervisor:
             handler = domain.event_handlers.get(port)
             if handler is None:
                 continue
-            self.charge_xen(self.costs.virq_delivery, phase="virq_delivery")
+            self.charge_xen(self.costs.virq_delivery,
+                            phase="xen:virq_delivery")
             self._c_virq.value += 1
             if self._tracer.enabled:
                 self._tracer.emit(VIRQ, domain=domain.name, port=port)
@@ -300,7 +288,7 @@ class Hypervisor:
 
     def _dispatch_irq(self, irq: int):
         self.charge_xen(self.costs.interrupt_virtualization,
-                        phase="interrupt")
+                        phase="xen:interrupt")
         handler = self._irq_handlers.get(irq)
         if handler is not None:
             handler(irq)
@@ -308,7 +296,7 @@ class Hypervisor:
     # -- softirqs ------------------------------------------------------------------------------------
 
     def raise_softirq(self, fn: Callable[[], None]):
-        self.charge_xen(self.costs.softirq_schedule, phase="softirq")
+        self.charge_xen(self.costs.softirq_schedule, phase="xen:softirq")
         self._c_softirq.value += 1
         if self._tracer.enabled:
             self._tracer.emit(SOFTIRQ, pending=len(self._softirqs) + 1)
@@ -364,7 +352,7 @@ class Hypervisor:
     # -- grant operations (charged wrappers) ------------------------------------------------------------
 
     def grant_map(self, granter: Domain, ref: int, grantee: Domain) -> int:
-        self.charge_xen(self.costs.grant_map, phase="grant_map")
+        self.charge_xen(self.costs.grant_map, phase="xen:grant_map")
         return self.grant_tables[granter.domid].map(ref, grantee.domid)
 
     def grant_unmap(self, granter: Domain, ref: int, grantee: Domain):
@@ -372,9 +360,9 @@ class Hypervisor:
         # cycles or skew the grant accounting (GrantDoubleUnmap and the
         # other GrantError cases propagate before any charge lands)
         self.grant_tables[granter.domid].unmap(ref, grantee.domid)
-        self.charge_xen(self.costs.grant_unmap, phase="grant_unmap")
+        self.charge_xen(self.costs.grant_unmap, phase="xen:grant_unmap")
 
     def grant_copy_packet(self, granter: Domain, ref: int, grantee: Domain) -> int:
         self.charge_xen(self.costs.grant_copy_per_packet,
-                        phase="grant_copy")
+                        phase="xen:grant_copy")
         return self.grant_tables[granter.domid].copy_frame(ref, grantee.domid)

@@ -151,7 +151,7 @@ class CreditScheduler:
             domain.vcpu = vcpu
             self.steals += 1
             self.xen.charge_xen(self.xen.costs.sched_steal,
-                                phase="sched_steal")
+                                phase="xen:sched_steal")
             self.xen.machine.obs.registry.counter(
                 f"sched.vcpu{vcpu.id}.steals").value += 1
             return domain
@@ -171,7 +171,7 @@ class CreditScheduler:
             domain = self._steal(vcpu)
         if domain is None:
             return False
-        xen.charge_xen(xen.costs.sched_pick, phase="sched_pick")
+        xen.charge_xen(xen.costs.sched_pick, phase="xen:sched_pick")
         self._seq += 1
         domain.sched_seq = self._seq
         account = xen.machine.account
@@ -184,7 +184,7 @@ class CreditScheduler:
         xen.run_softirqs()
         # credit accounting: debit what the quantum actually consumed,
         # straight off the machine-wide cycle account.
-        xen.charge_xen(xen.costs.sched_credit_tick, phase="sched_tick")
+        xen.charge_xen(xen.costs.sched_credit_tick, phase="xen:sched_tick")
         domain.credits -= account.total - start
         self.quanta += 1
         self.xen.machine.obs.registry.counter(

@@ -106,6 +106,18 @@ class TestCli:
         doc = json.loads(chrome.read_text())
         assert doc["traceEvents"]
 
+    def test_render_a_span_nested_under_an_irq(self, tmp_path, capsys):
+        trace = tmp_path / "rx.json"
+        assert obs_main(["record", "--config", "domU-twin", "--direction",
+                         "rx", "--packets", "2", "--warmup", "8",
+                         "-o", str(trace)]) == 0
+        capsys.readouterr()
+        assert obs_main(["render", str(trace), "--span", "packet.rx",
+                         "--no-events"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("▶ packet.rx") == 2
+        assert "irq" not in out          # the enclosing span is not shown
+
     def test_tail(self, tx_trace, capsys):
         assert obs_main(["tail", tx_trace, "-n", "4"]) == 0
         assert "trace ring tail" in capsys.readouterr().out

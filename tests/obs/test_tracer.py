@@ -134,6 +134,22 @@ class TestSpans:
         assert tracer.current_span == 0
         assert {s.name for s in tracer.spans()} == {"packet.tx", "upcall:z"}
 
+    def test_span_block_closes_however_it_exits(self):
+        tracer, tick = make_tracer()
+        with tracer.span("packet.tx") as off:     # tracing off: a no-op
+            tracer.emit("svm.hit")
+        assert off is None and tracer.spans() == [] and tracer.emitted == 0
+        tracer.enabled = True
+        try:
+            with tracer.span("packet.tx", len=60) as span:
+                tick(7)
+                raise RuntimeError("fault mid-packet")
+        except RuntimeError:
+            pass
+        assert tracer.current_span == 0
+        assert tracer.spans() == [span] and span.duration == 7
+        assert span.args == {"len": 60}
+
     def test_span_duration_histogram(self):
         registry = MetricsRegistry()
         clock = {"t": 0}

@@ -97,3 +97,50 @@ class TestSplitPath:
         before = system.snapshot()
         front.transmit(600)
         assert system.delta_since(before)["e1000"] > 0
+
+
+class TestBridgedReceive:
+    """dom0's bridge forwards a received frame to the front that owns
+    its destination MAC and floods everything else to every front."""
+
+    @staticmethod
+    def _receive(system, dst_mac):
+        nic = system.nics[0]
+        nic.receive(dst_mac + b"\x00\x22\x33\x44\x55\x66" + b"\x08\x00"
+                    + bytes(600))
+        nic.flush_interrupts()
+
+    @staticmethod
+    def _rx_counts(system):
+        return [front.rx_packets for front in system.extras["fronts"]]
+
+    @pytest.mark.parametrize("dst_mac", [b"\xff" * 6,
+                                         b"\x02\x00\x00\x00\x00\x99"],
+                             ids=["broadcast", "unknown_unicast"])
+    def test_flooded_to_every_front(self, dst_mac):
+        system = build_domU_standard(n_nics=2)
+        self._receive(system, dst_mac)
+        assert self._rx_counts(system) == [1, 1]
+        assert system.extras["backend"].rx_no_front == 0
+
+    def test_known_unicast_reaches_its_front_only(self):
+        system = build_domU_standard(n_nics=2)
+        self._receive(system, system.extras["fronts"][1].mac)
+        assert self._rx_counts(system) == [0, 1]
+
+    def test_copies_charged_per_front_and_frame_once(self):
+        system = build_domU_standard(n_nics=2)
+        costs = system.costs
+        self._receive(system, b"\xff" * 6)                  # warm up
+        deltas = []
+        for dst_mac in (system.extras["fronts"][0].mac, b"\xff" * 6):
+            before = system.snapshot()
+            self._receive(system, dst_mac)
+            deltas.append(system.delta_since(before))
+        unicast, flooded = deltas
+        per_copy = (costs.grant_copy_per_packet + costs.event_channel_send
+                    + costs.domain_switch + costs.xen_std_rx_misc
+                    + costs.pv_kernel_rx_overhead)
+        assert flooded["Xen"] - unicast["Xen"] == per_copy
+        assert flooded["dom0"] == unicast["dom0"]
+        assert flooded["domU"] - unicast["domU"] == costs.kernel_rx_stack
