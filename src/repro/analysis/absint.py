@@ -88,12 +88,13 @@ TOP = ("T",)
 _RI = {name: i for i, name in enumerate(GPRS)}
 _NREGS = len(GPRS)
 
-#: The toy ABI's callee-saved registers. The whole analysis stack (the
-#: PR 1 must-TRANSLATED dataflow included) models internal calls as
-#: preserving these; register-keyed availability facts inherit the same
-#: contract, additionally guarded by a per-callee summary of which
-#: fast-path sites the callee can transitively re-execute (re-executing
-#: the anchor site rebinds its stored translation).
+#: The toy ABI's callee-saved registers. The value tracking models
+#: internal calls as preserving these (a call redefines only eax, ecx and
+#: edx), as the rewriter's liveness analysis does; register-keyed
+#: availability facts inherit the same contract, additionally guarded by
+#: a per-callee summary of which fast-path sites the callee can
+#: transitively re-execute (re-executing the anchor site rebinds its
+#: stored translation).
 _CALLEE_SAVED = frozenset(("ebx", "esi", "edi", "ebp"))
 
 #: runtime helpers that preserve all registers, spill slots, and every

@@ -1,11 +1,12 @@
 """A generic forward dataflow / abstract-interpretation solver.
 
-The verifier grew several hand-rolled fixpoints (the must-TRANSLATED
-register analysis, flags liveness, the stack walk); this module factors
-the forward ones onto a single worklist solver over the existing
-:class:`~repro.isa.cfg.ControlFlowGraph` so new analyses — the value
-tracking in :mod:`repro.analysis.absint` in particular — share one
-carefully-reviewed engine.
+One worklist solver over the existing
+:class:`~repro.isa.cfg.ControlFlowGraph`. Its one client is the value
+tracking in :mod:`repro.analysis.absint`, which is also where the
+verifier learns which registers hold translated pointers. The backward
+facts (register and condition-code liveness) come from
+:class:`~repro.isa.liveness.LivenessAnalysis`, and the verifier's stack
+and lock passes walk each function directly.
 
 The solver is parameterized over the abstract domain:
 

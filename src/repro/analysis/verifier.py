@@ -7,8 +7,10 @@ instead of trusting the rewriter that produced it:
 * **svm** — SVM completeness: every memory access is stack-relative with a
   constant offset, targets an ``__svm_*`` runtime slot under the read/write
   policy, is the translated output of a recognized fast-path / stack-check
-  sequence, or (for string ops) runs with must-TRANSLATED pointers as
-  established by a forward dataflow over ``__svm_translate`` results.
+  sequence, or goes through a pointer the value tracking
+  (:mod:`repro.analysis.absint`) holds as a translation result (an ``X``
+  value): a string op's pointer registers must each hold one unwalked,
+  and any other access through one is left to the range pass.
 * **flow** — control-flow containment: direct branches stay inside the
   program, indirect calls/jumps are routed through ``__stlb_call_xlate``,
   and no label lets execution enter the middle of an instrumentation
@@ -17,10 +19,12 @@ instead of trusting the rewriter that produced it:
   push/pop balance at every ``ret``, agreeing depths at joins, a bounded
   frame, no untracked writes to ``esp``, and (with ``protect_stack``) no
   stores that leak the stack pointer into driver-reachable memory.
-* **clobber** — an independent liveness recomputation on the *rewritten*
-  binary cross-checks the rewriter's scratch-register and ``pushf`` choices:
-  a scratch register the sequence does not restore must be dead afterwards,
-  and the condition codes must not be live across an unwrapped sequence.
+* **clobber** — the rewriter's liveness analysis
+  (:class:`~repro.isa.liveness.LivenessAnalysis`, condition codes
+  included), re-run on the *rewritten* binary, cross-checks the
+  rewriter's scratch-register and ``pushf`` choices: a scratch register
+  the sequence does not restore must be dead afterwards, and the
+  condition codes must not be live across an unwrapped sequence.
 * **range** — value-tracking abstract interpretation
   (:mod:`repro.analysis.absint`): proves per-site that a translated
   pointer's constant-offset accesses stay inside their 2-page SVM pair
@@ -48,27 +52,24 @@ safety passes on the bare binary ("hostile" mode).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.rewriter import (
     CALL_XLATE_SYMBOL,
     RET_SLOT_SYMBOL,
-    SLOW_PATH_SYMBOL,
     STACK_FAULT_SYMBOL,
     STACK_HI_SYMBOL,
     STACK_LO_SYMBOL,
     STLB_SYMBOL,
-    TRANSLATE_SYMBOL,
     SiteAnnotation,
 )
-from ..isa.cfg import ControlFlowGraph
 from ..isa.instructions import (
     STRING_IMPLICIT_READS,
     STRING_IMPLICIT_WRITES,
     Instruction,
 )
-from ..isa.liveness import LivenessAnalysis
-from ..isa.operands import Imm, Label, Mem, Reg
+from ..isa.liveness import FLAGS, LivenessAnalysis
+from ..isa.operands import Imm, Label, Reg
 from ..isa.program import Program
 from .absint import (
     AbsintResult,
@@ -77,7 +78,6 @@ from .absint import (
     range_pass,
     translated_address,
 )
-from .dataflow import solve_forward
 from .patterns import (
     _SPILL_PREFIX,
     SvmSite,
@@ -94,12 +94,6 @@ from .report import VerifyReport
 
 #: Runtime data slots the driver may read but never write.
 READ_ONLY_SLOTS = (RET_SLOT_SYMBOL, STACK_LO_SYMBOL, STACK_HI_SYMBOL)
-
-#: Runtime helpers that preserve all registers (results come back through
-#: the ``__svm_ret`` slot) — the register-clobber ABI does not apply.
-PRESERVING_HELPERS = frozenset(
-    (SLOW_PATH_SYMBOL, TRANSLATE_SYMBOL, CALL_XLATE_SYMBOL)
-)
 
 #: Largest stack frame (bytes below function-entry esp) the verifier
 #: accepts; the hypervisor's per-instance driver stack is small.
@@ -133,56 +127,6 @@ def _function_entries(program: Program) -> List[Tuple[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# TRANSLATED-pointer forward dataflow
-# ---------------------------------------------------------------------------
-
-
-def _translated_in_states(program: Program,
-                          translate_points: Dict[int, TranslatePoint],
-                          entries: Sequence[Tuple[str, int]],
-                          cfg: Optional[ControlFlowGraph] = None
-                          ) -> List[FrozenSet[str]]:
-    """For each instruction: the registers that *must* hold an
-    ``__svm_translate`` result on every path reaching it.
-
-    Forward must-analysis (meet = intersection) on the shared
-    :func:`~repro.analysis.dataflow.solve_forward` engine. Seeded at the
-    ``mov __svm_ret, dest`` of each matched translate quadruple; plain
-    ``mov`` propagates; any other write kills; the register-preserving
-    runtime helpers kill nothing; function entries start empty. Blocks no
-    entry reaches come back as ``None`` and get the pessimistic empty set
-    — dead code is still mappable (and reachable through a translated
-    function pointer), so nothing in it may be sanctioned."""
-
-    def transfer(i: int, state: FrozenSet[str]) -> FrozenSet[str]:
-        ins = program.instructions[i]
-        if ins.is_call:
-            target = _direct_call_target(ins)
-            if target in PRESERVING_HELPERS or target == STACK_FAULT_SYMBOL:
-                return state
-        new = state - ins.registers_written()
-        point = translate_points.get(i)
-        if point is not None:
-            return new | {point.dest}
-        if (ins.mnemonic == "mov" and ins.size == 4
-                and isinstance(ins.operands[0], Reg)
-                and isinstance(ins.operands[1], Reg)
-                and ins.operands[0].parent in state):
-            new = new | {ins.operands[1].parent}
-        return new
-
-    states = solve_forward(
-        program,
-        entries=[index for _, index in entries],
-        entry_state=lambda start: frozenset(),
-        transfer=transfer,
-        join=lambda a, b: a & b,
-        cfg=cfg,
-    )
-    return [frozenset() if state is None else state for state in states]
-
-
-# ---------------------------------------------------------------------------
 # Pass 1: SVM completeness
 # ---------------------------------------------------------------------------
 
@@ -206,13 +150,19 @@ def _sanctioned_indices(program: Program, sites: List[SvmSite],
     return sanctioned
 
 
+def _unwalked_translation(value) -> bool:
+    """Is the absint register ``value`` a translation result itself, not a
+    pointer walked from one? String ops need this of their pointers: the
+    range pass, which bounds walks, skips them. Code no entry reaches
+    reads as top, so nothing in it is accepted."""
+    return value[0] == "X" and value[2] == value[3] == 0
+
+
 def _svm_pass(program: Program, report: VerifyReport, protect_stack: bool,
               sites: List[SvmSite], stack_sites: List[StackCheckSite],
               translate_points: Dict[int, TranslatePoint],
-              routed: Set[int],
-              translated_in: List[FrozenSet[str]],
-              sanctioned: Set[int],
-              absres: Optional[AbsintResult] = None):
+              routed: Set[int], sanctioned: Set[int],
+              absres: AbsintResult):
     stats = report.pass_stats("svm")
     stats["fast_path_sites"] = len(sites)
     stats["stack_check_sites"] = len(stack_sites)
@@ -224,7 +174,8 @@ def _svm_pass(program: Program, report: VerifyReport, protect_stack: bool,
             needed = set(STRING_IMPLICIT_READS[ins.mnemonic])
             needed |= set(STRING_IMPLICIT_WRITES[ins.mnemonic])
             needed -= {"eax"}  # data register, not a pointer
-            missing = sorted(needed - translated_in[i])
+            missing = sorted(r for r in needed if not _unwalked_translation(
+                absres.reg_value(i, r)))
             if missing:
                 report.add("svm", i,
                            f"string op {ins.format()!r} runs with "
@@ -271,14 +222,9 @@ def _svm_pass(program: Program, report: VerifyReport, protect_stack: bool,
                 stats["stack_variable_accesses"] = (
                     stats.get("stack_variable_accesses", 0) + 1)
             continue
-        if (mem.base is not None and mem.index is None and mem.disp == 0
-                and mem.base in translated_in[i]):
-            stats["translated_accesses"] = (
-                stats.get("translated_accesses", 0) + 1)
-            continue
-        if absres is not None and translated_address(absres, i, mem):
-            # provably a translated pointer walked by an offset: the range
-            # pass decides whether the walk can leave the SVM pair window
+        if translated_address(absres, i, mem):
+            # provably a translated pointer, possibly walked by an offset:
+            # the range pass decides whether it can leave the SVM pair window
             stats["range_delegated"] = stats.get("range_delegated", 0) + 1
             continue
         report.add("svm", i,
@@ -506,35 +452,6 @@ def _stack_pass(program: Program, report: VerifyReport, protect_stack: bool,
 # ---------------------------------------------------------------------------
 
 
-def _flags_live_out(program: Program) -> List[bool]:
-    """Per instruction: may the condition codes it leaves behind be read
-    before being rewritten? Independent recomputation on the rewritten
-    binary (deliberately not shared with the rewriter's own analysis)."""
-    cfg = ControlFlowGraph(program)
-    n = len(program.instructions)
-    block_in: Dict[int, bool] = {start: False for start in cfg.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for start in sorted(cfg.blocks, reverse=True):
-            block = cfg.blocks[start]
-            live = any(block_in.get(s, False) for s in block.successors)
-            for i in reversed(range(block.start, block.end)):
-                ins = program.instructions[i]
-                live = ins.reads_flags or (live and not ins.writes_flags)
-            if live != block_in[start]:
-                block_in[start] = live
-                changed = True
-    out = [False] * n
-    for start, block in cfg.blocks.items():
-        live = any(block_in.get(s, False) for s in block.successors)
-        for i in reversed(range(block.start, block.end)):
-            out[i] = live
-            ins = program.instructions[i]
-            live = ins.reads_flags or (live and not ins.writes_flags)
-    return out
-
-
 class _SpillTransparentLiveness(LivenessAnalysis):
     """Liveness on the rewritten binary with spill save/restore pairs
     modelled as transparent: ``mov %r, __svm_spillN`` does not *use* the
@@ -559,7 +476,6 @@ def _clobber_pass(program: Program, report: VerifyReport,
                   sites: List[SvmSite], stack_sites: List[StackCheckSite]):
     stats = report.pass_stats("clobber")
     liveness = _SpillTransparentLiveness(program)
-    flags_out = _flags_live_out(program)
 
     def check_site(regs, restored, access_index, end, flags_wrapped):
         access = program.instructions[access_index]
@@ -569,7 +485,8 @@ def _clobber_pass(program: Program, report: VerifyReport,
             report.add("clobber", end,
                        f"scratch register %{reg} is live after the "
                        f"instrumentation sequence but is not restored")
-        if not flags_wrapped and not access.writes_flags and flags_out[end]:
+        if not flags_wrapped and not access.writes_flags \
+                and FLAGS in liveness.live_out[end]:
             report.add("clobber", end,
                        "condition codes are live across an unwrapped "
                        "instrumentation sequence")
@@ -836,18 +753,14 @@ def verify_program(program: Program,
         if ins.indirect and is_routed_indirect(program, i)
     }
     entries = _function_entries(program)
-    cfg = ControlFlowGraph(program)
-    translated_in = _translated_in_states(program, translate_points, entries,
-                                          cfg=cfg)
     sanctioned = _sanctioned_indices(program, sites, stack_sites,
                                      translate_points, routed)
     absres = analyze_program(program, sites=sites,
                              translate_points=translate_points,
-                             entries=[index for _, index in entries],
-                             cfg=cfg)
+                             entries=[index for _, index in entries])
 
     _svm_pass(program, report, protect_stack, sites, stack_sites,
-              translate_points, routed, translated_in, sanctioned, absres)
+              translate_points, routed, sanctioned, absres)
     _flow_pass(program, report, sites, stack_sites, translate_points, routed)
     _stack_pass(program, report, protect_stack, entries)
     _clobber_pass(program, report, sites, stack_sites)

@@ -26,7 +26,7 @@ from .core.paravirt import ParavirtNetDevice
 from .core.twin import TwinDriverManager
 from .drivers.e1000 import build_e1000_program
 from .machine.machine import Machine
-from .machine.nic import E1000Device
+from .machine.nic import NicDevice
 from .machine.paging import AddressSpace
 from .obs.health import HealthMonitor
 from .osmodel import layout as L
@@ -80,7 +80,7 @@ class SystemUnderTest:
     name: str
     machine: Machine
     costs: CostModel
-    nics: List[E1000Device]
+    nics: List[NicDevice]
     _tx_one: Callable[[int, int], bool]       # (endpoint index, payload_len)
     _rx_macs: List[bytes]                     # destination MAC per endpoint
     _rx_count: Callable[[], int]
@@ -145,7 +145,7 @@ class _Host(NamedTuple):
     costs: CostModel
     xen: Optional[Hypervisor]
     dom0_kernel: Kernel
-    nics: List[E1000Device]
+    nics: List[NicDevice]
 
 
 def _host(n_nics: int, costs: Optional[CostModel] = None,
@@ -273,7 +273,8 @@ def build_dom0(n_nics: int = 5, costs: Optional[CostModel] = None,
     def irq_handler(irq: int):
         # interrupt virtualization was charged by the dispatcher; Xen now
         # delivers a virtual interrupt into dom0.
-        host.xen.charge_xen(host.costs.virq_delivery)
+        host.xen.charge_xen(host.costs.virq_delivery,
+                            phase="xen:virq_delivery")
         host.dom0_kernel.handle_irq(irq)
 
     for nic in host.nics:
@@ -299,8 +300,9 @@ def build_domU_standard(n_nics: int = 5, costs: Optional[CostModel] = None,
     ]
 
     def irq_handler(irq: int):
-        xen.charge_xen(costs.virq_delivery)
-        xen.charge_xen(costs.domain_switch)     # enter dom0 for the ISR
+        xen.charge_xen(costs.virq_delivery, phase="xen:virq_delivery")
+        # enter dom0 for the ISR
+        xen.charge_xen(costs.domain_switch, phase="xen:domain_switch")
         prev = machine.cpu.address_space
         machine.cpu.address_space = dom0_kernel.domain.aspace
         try:

@@ -18,7 +18,7 @@ nothing may be dropped and the dom0 path is never entered. The
   interrupts held: their frames are still in the source NIC's ring and
   would demux to no guest once the guest has moved.
 * **drain** — stop admitting work (NIC lines masked so new device
-  interrupts latch in ICR instead of firing; ``twin.frozen`` makes the
+  interrupts latch in the device instead of firing; ``twin.frozen`` makes the
   twin hold new guest tx frames, byte-snapshotted, and NIC interrupts in
   its ``held`` ledger), then complete what is already in flight: flush
   every rx queue shard and drain softirqs on every vCPU. Batches
@@ -65,7 +65,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..machine.nic import REG_ICR, REG_IMS
 from .twin import RX_KINDS
 
 #: state-machine phases, in order (``idle`` between handovers).
@@ -321,8 +320,7 @@ class HandoverManager:
             report.replayed_irqs = len(held_irqs)
             now = self._now()
             for nic in nics:
-                if (nic.irq not in held_irqs
-                        and nic.regs[REG_ICR] & nic.regs[REG_IMS]):
+                if nic.irq not in held_irqs and nic.pending_cause():
                     # causes latched while masked: the unmask below fires
                     # them; observe how long they waited (the p99 blip).
                     # A held irq's own sample starts earlier and covers it.

@@ -57,11 +57,7 @@ class ParavirtNetDevice:
                  payload: Optional[bytes] = None) -> bool:
         """Send one frame: guest TCP/IP stack -> hypercall -> hypervisor
         driver. Returns False if the driver reported ring-full."""
-        costs = self.kernel.costs
-        self.kernel.charge(costs.kernel_tx_stack, phase="kernel:tx_stack")
-        if self.kernel.paravirtual:
-            self.kernel.charge(costs.pv_kernel_tx_overhead, "Xen",
-                               phase="kernel:pv_tx_overhead")
+        self.kernel.charge_tx_stack()
         frame_len = L.ETH_HLEN + payload_len
         header = (bytes(dst_mac) + self.mac
                   + (0x0800).to_bytes(2, "big"))
@@ -95,17 +91,13 @@ class ParavirtNetDevice:
             raise ValueError(
                 f"batch of {len(payload_lens)} exceeds tx_batch_max="
                 f"{self.twin.tx_batch_max}")
-        costs = self.kernel.costs
         aspace = self.kernel.domain.aspace
         while len(self._tx_slots) < len(payload_lens):
             self._tx_slots.append(self.kernel.heap.alloc_pages(2))
         header_base = bytes(dst_mac) + self.mac + (0x0800).to_bytes(2, "big")
         frames: List[Tuple[int, int]] = []
         for i, payload_len in enumerate(payload_lens):
-            self.kernel.charge(costs.kernel_tx_stack, phase="kernel:tx_stack")
-            if self.kernel.paravirtual:
-                self.kernel.charge(costs.pv_kernel_tx_overhead, "Xen",
-                               phase="kernel:pv_tx_overhead")
+            self.kernel.charge_tx_stack()
             buf = self._tx_slots[i]
             aspace.write_bytes(buf, header_base)
             if payloads is not None and payloads[i] is not None:
@@ -154,13 +146,9 @@ class ParavirtNetDevice:
         amortised on the hypervisor side."""
         if not payloads:
             return
-        costs = self.kernel.costs
         self.rx_interrupts += 1
         for payload in payloads:
-            self.kernel.charge(costs.kernel_rx_stack, phase="kernel:rx_stack")
-            if self.kernel.paravirtual:
-                self.kernel.charge(costs.pv_kernel_rx_overhead, "Xen",
-                               phase="kernel:pv_rx_overhead")
+            self.kernel.charge_rx_stack()
             self.rx_packets += 1
             self.rx_bytes += len(payload)
             if self.keep_rx_payloads:

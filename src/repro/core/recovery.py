@@ -161,9 +161,7 @@ class RecoveryManager:
         twin = self.twin
         # Freeze the interrupt lines while the instance is dismantled.
         for nic in twin.nics_by_irq.values():
-            mask = getattr(nic, "mask_line", None)
-            if mask is not None:
-                mask()
+            nic.mask_line()
         # Flight recorder: capture the trace tail before anything else
         # overwrites it (works whenever tracing is enabled).
         tail = self.machine.obs.tracer.tail(FLIGHT_RECORD_TAIL)
@@ -210,9 +208,7 @@ class RecoveryManager:
 
     def _unmask_lines(self):
         for nic in self.twin.nics_by_irq.values():
-            unmask = getattr(nic, "unmask_line", None)
-            if unmask is not None:
-                unmask()
+            nic.unmask_line()
 
     def _open_breaker(self):
         self.state = "broken"
@@ -232,7 +228,8 @@ class RecoveryManager:
         twin = self.twin
         costs = self.xen.costs
         frame = dev.kernel.domain.aspace.read_bytes(buf, frame_len)
-        self.xen.charge_xen(costs.copy_cost(frame_len))
+        self.xen.charge_xen(costs.copy_cost(frame_len),
+                            phase="recovery:tx_copy")
 
         def run_in_dom0() -> bool:
             kernel = twin.dom0_kernel
@@ -250,7 +247,7 @@ class RecoveryManager:
                 kernel.free_skb(skb.addr)
                 raise
 
-        ok = self.xen.run_in_domain(twin.dom0_kernel.domain, run_in_dom0)
+        ok = self._run_vm_instance(run_in_dom0)
         self._maybe_recover()
         return bool(ok)
 
@@ -260,12 +257,26 @@ class RecoveryManager:
         self._c["degraded_rx"].value += 1
         self._tracer.emit(RECOVERY_DEGRADED, op="irq", irq=irq)
         twin = self.twin
-        self.xen.charge_xen(self.xen.costs.virq_delivery)
-        self.xen.run_in_domain(
-            twin.dom0_kernel.domain,
-            lambda: twin.dom0_kernel.handle_irq(irq),
-        )
+        self.xen.charge_xen(self.xen.costs.virq_delivery,
+                            phase="xen:virq_delivery")
+        self._run_vm_instance(lambda: twin.dom0_kernel.handle_irq(irq))
         self._maybe_recover()
+
+    def _run_vm_instance(self, fn):
+        """Run ``fn``, a call into the VM instance, in dom0 as a driver
+        invocation, the way :meth:`HypervisorDriver.invoke` runs the
+        hypervisor instance: a NIC interrupt raised meanwhile waits as a
+        softirq until the outermost invocation returns. Run nested, its
+        ISR would clobber state the interrupted call still uses (DESIGN
+        §6)."""
+        xen = self.xen
+        xen.driver_depth += 1
+        try:
+            return xen.run_in_domain(self.twin.dom0_kernel.domain, fn)
+        finally:
+            xen.driver_depth -= 1
+            if xen.driver_depth == 0:
+                xen.run_softirqs()
 
     def _demux_rx(self, skb_addr: int):
         """dom0 ``netif_rx`` handler while degraded: deliver the frame to
@@ -296,8 +307,10 @@ class RecoveryManager:
             payload = mem.read_bytes(skb.data, skb.len)
         for guest in targets:
             if guest.kernel.domain.virq_enabled:
-                self.xen.charge_xen(costs.copy_cost(len(payload)))
-                self.xen.charge_xen(costs.virq_delivery)
+                self.xen.charge_xen(costs.copy_cost(len(payload)),
+                                    phase="recovery:rx_copy")
+                self.xen.charge_xen(costs.virq_delivery,
+                                    phase="xen:virq_delivery")
                 guest.deliver(payload)
             else:
                 twin.hold("rx_bytes", guest, [payload])

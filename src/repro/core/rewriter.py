@@ -9,9 +9,9 @@ Takes the VM driver program and produces the hypervisor driver program:
 * scratch registers come from a liveness analysis (footnote 3); when no
   dead register is available the rewriter spills to ``__svm_spillN`` slots
   in hypervisor data;
-* flags liveness is tracked: if the condition codes are live across a
-  rewritten instruction that does not itself set them, the translation
-  sequence is wrapped in ``pushf``/``popf``;
+* the same liveness analysis tracks the condition codes: if they are live
+  across a rewritten instruction that does not itself set them, the
+  translation sequence is wrapped in ``pushf``/``popf``;
 * string instructions (§5.1.1) become loops that process page-bounded
   chunks, translating the source/destination pointer(s) each iteration
   (via the ``__svm_translate`` helper, which consults the same stlb) —
@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..isa.cfg import ControlFlowGraph
 from ..isa.instructions import Instruction
-from ..isa.liveness import LivenessAnalysis
+from ..isa.liveness import FLAGS, LivenessAnalysis
 from ..isa.operands import Imm, Label, Mem, Reg
 from ..isa.program import Program
 from ..isa.registers import ALLOCATABLE
@@ -158,33 +157,6 @@ class RewriteStats:
 def _spilled(saves: List[Instruction]) -> Tuple[str, ...]:
     """The registers a list of spill-save instructions preserves."""
     return tuple(s.operands[0].name for s in saves)
-
-
-def _flags_liveness(program: Program) -> List[bool]:
-    """Per-instruction: are the condition codes live *across* it?"""
-    cfg = ControlFlowGraph(program)
-    n = len(program.instructions)
-    block_in: Dict[int, bool] = {s: False for s in cfg.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for start in sorted(cfg.blocks, reverse=True):
-            block = cfg.blocks[start]
-            live = any(block_in.get(s, False) for s in block.successors)
-            for i in reversed(range(block.start, block.end)):
-                ins = program.instructions[i]
-                live = ins.reads_flags or (live and not ins.writes_flags)
-            if live != block_in[start]:
-                block_in[start] = live
-                changed = True
-    live_across = [False] * n
-    for start, block in cfg.blocks.items():
-        live = any(block_in.get(s, False) for s in block.successors)
-        for i in reversed(range(block.start, block.end)):
-            ins = program.instructions[i]
-            live_across[i] = live and not ins.writes_flags
-            live = ins.reads_flags or (live and not ins.writes_flags)
-    return live_across
 
 
 class Rewriter:
@@ -562,7 +534,6 @@ class Rewriter:
                 )
         stats = RewriteStats(input_instructions=len(program.instructions))
         liveness = LivenessAnalysis(program)
-        flags_live = _flags_liveness(program)
         out = _Emitter()
 
         label_positions: Dict[int, List[str]] = {}
@@ -573,21 +544,23 @@ class Rewriter:
             for label in label_positions.get(index, ()):
                 out.label(label)
             mem = ins.memory_operand()
+            flags_live = (FLAGS in liveness.live_out[index]
+                          and not ins.writes_flags)
             site_start = len(out.instructions)
             site = None
             if ins.is_string:
                 site = self._rewrite_string(ins, index, liveness,
-                                            flags_live[index], out, stats)
+                                            flags_live, out, stats)
             elif ins.indirect:
                 site = self._rewrite_indirect(ins, index, liveness,
-                                              flags_live[index], out, stats)
+                                              flags_live, out, stats)
             elif (
                 mem is not None
                 and ins.mnemonic != "lea"
                 and not mem.is_stack_relative
             ):
                 site = self._rewrite_memory(ins, index, liveness,
-                                            flags_live[index], out, stats)
+                                            flags_live, out, stats)
             elif (
                 self.protect_stack
                 and mem is not None
@@ -600,8 +573,7 @@ class Rewriter:
                     out.emit(ins)
                 else:
                     site = self._rewrite_stack_checked(ins, index, liveness,
-                                                       flags_live[index],
-                                                       out, stats)
+                                                       flags_live, out, stats)
             else:
                 out.emit(ins)
             if site is not None:

@@ -26,7 +26,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
 from ..drivers import DriverSpec, E1000_SPEC
-from ..machine.nic import E1000Device, flow_hash
+from ..machine.nic import NicDevice, flow_hash
 from ..machine.paging import AddressSpace
 from ..osmodel import layout as L
 from ..osmodel.kernel import Kernel
@@ -286,7 +286,7 @@ class TwinDriverManager:
         self.guests_by_mac: Dict[bytes, ParavirtNetDevice] = {}
         self.netdevs: Dict[int, int] = {}        # irq -> dom0 netdev addr
         self.netdev_order: List[int] = []
-        self.nics_by_irq: Dict[int, E1000Device] = {}
+        self.nics_by_irq: Dict[int, NicDevice] = {}
         self.rx_dropped_no_guest = 0
         #: planned-handover admission gate: while True the twin accepts
         #: but holds all new work (tx frames, NIC irqs) so the handover
@@ -343,7 +343,7 @@ class TwinDriverManager:
         if addrs:
             self.machine.cpu.add_hot_range(min(addrs), max(addrs) + 4)
 
-    def attach_nic(self, nic: E1000Device) -> int:
+    def attach_nic(self, nic: NicDevice) -> int:
         """Probe + open the NIC through the VM instance in dom0, then take
         over its interrupt line for the hypervisor driver. Returns the
         dom0 address of the net_device."""

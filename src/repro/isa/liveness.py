@@ -13,6 +13,14 @@ would corrupt driver state, a wrongly-"live" one only costs a spill):
 * across a ``call``, callee-saved registers and any argument registers are
   kept live via the call's read set plus callee-saved forced live-through;
 * indirect control flow falls back to "everything live".
+
+The condition codes are tracked as one more name, :data:`FLAGS`: read
+where an instruction ``reads_flags``, killed where it ``writes_flags``.
+The rewriter asks it whether a sequence must save them with
+``pushf``/``popf``, and the verifier's clobber pass re-asks it on the
+rewritten binary. Unlike the registers, the flags are never assumed live
+after an indirect jump or a fall-off, nor at a ``ret``: they come only
+from the CFG's successor edges (after an indirect jump, every label).
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ from .program import Program
 from .registers import ALLOCATABLE, CALLEE_SAVED, GPRS
 
 ALL_REGS = frozenset(GPRS)
+#: the condition codes' name in the live sets
+FLAGS = "flags"
+_FLAGS = frozenset((FLAGS,))
 _RET_LIVE = frozenset(("eax",)) | frozenset(CALLEE_SAVED) | frozenset(("esp", "ebp"))
 
 
@@ -43,6 +54,10 @@ class LivenessAnalysis:
             live_out = live_out | _RET_LIVE
         reads = instr.registers_read()
         writes = instr.registers_written()
+        if instr.reads_flags:
+            reads = reads | _FLAGS
+        if instr.writes_flags:
+            writes = writes | _FLAGS
         if instr.is_call:
             # Callee-saved registers survive the call; treat them as read so
             # they stay live through it, and keep esp live always.
@@ -55,15 +70,16 @@ class LivenessAnalysis:
                         block_live_in: Dict[int, FrozenSet[str]]) -> FrozenSet[str]:
         block = self.cfg.blocks[block_start]
         last = self.program.instructions[block.end - 1]
-        if block.unknown_successors:
-            return ALL_REGS  # conservative CFG: targets unknown
         out: FrozenSet[str] = frozenset()
         for succ in block.successors:
             out |= block_live_in.get(succ, frozenset())
-        if not block.successors and not last.is_return:
-            # Falls off the end of the program (e.g. into another function's
-            # label in the same unit): assume everything live.
-            out = ALL_REGS
+        if block.unknown_successors \
+                or (not block.successors and not last.is_return):
+            # Targets unknown (conservative CFG), or falls off the end of
+            # the program (e.g. into another function's label in the same
+            # unit): assume every register live; the flags still come
+            # only from the successor edges.
+            out = ALL_REGS | (out & _FLAGS)
         return out
 
     def _solve(self):

@@ -24,7 +24,7 @@ from .memory import (
     PAGE_SIZE,
     PhysicalMemory,
 )
-from .nic import E1000Device, NicStats, Wire
+from .nic import E1000Device, NicDevice, NicStats, Wire
 from .paging import (
     AddressSpace,
     HYPERVISOR_BASE,
@@ -56,6 +56,7 @@ __all__ = [
     "NIC_MMIO_STRIDE",
     "NativeRegistry",
     "NativeRoutine",
+    "NicDevice",
     "NicStats",
     "OFFSET_MASK",
     "PAGE_MASK",

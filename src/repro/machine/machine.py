@@ -23,7 +23,7 @@ from .cpu import (
 from .interrupts import InterruptController
 from .iommu import Iommu
 from .memory import PhysicalMemory
-from .nic import E1000Device, Wire
+from .nic import E1000Device, NicDevice, Wire
 from .paging import PageTable
 from .rtl8139 import Rtl8139Device
 
@@ -59,7 +59,7 @@ class Machine:
         self.cpu_hz = cpu_hz
         #: hypervisor page table, shared into every domain's address space.
         self.hypervisor_table = PageTable()
-        self.nics: List[E1000Device] = []
+        self.nics: List[NicDevice] = []
         self.wire = Wire()
         #: optional DMA protection; attach with :meth:`attach_iommu`.
         self.iommu: Optional[Iommu] = None
@@ -67,7 +67,7 @@ class Machine:
     # -- devices ----------------------------------------------------------------
 
     def add_nic(self, mac: Optional[bytes] = None,
-                model: str = "e1000", num_queues: int = 1) -> E1000Device:
+                model: str = "e1000", num_queues: int = 1) -> NicDevice:
         index = len(self.nics)
         mac = mac or bytes((0x00, 0x16, 0x3E, 0x00, 0x00, index + 1))
         device_cls = {"e1000": E1000Device, "rtl8139": Rtl8139Device}[model]

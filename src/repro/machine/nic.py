@@ -105,8 +105,18 @@ class NicStats:
     dma_faults: int = 0
 
 
-class E1000Device:
-    """One simulated NIC attached to physical memory and an IRQ line."""
+class NicDevice:
+    """What both NIC models share: identity and counters, RSS queue
+    steering, the trace hook, interrupt coalescing and the hypervisor-side
+    line mask. A model sets ``regs`` before calling this constructor and
+    names, as class attributes, its MMIO window size (``MMIO_SIZE``), its
+    interrupt cause and mask registers (``CAUSE_REG``, ``MASK_REG``) and
+    the trace field that reports the cause (``CAUSE_FIELD``)."""
+
+    MMIO_SIZE: int
+    CAUSE_REG: int
+    MASK_REG: int
+    CAUSE_FIELD: str
 
     def __init__(self, phys: PhysicalMemory, intc: InterruptController,
                  irq: int, mmio_phys_base: int, mac: bytes,
@@ -118,27 +128,17 @@ class E1000Device:
         self.irq = irq
         self.mac = bytes(mac)
         self.name = name
-        self.regs = {
-            REG_CTRL: 0,
-            REG_STATUS: STATUS_LU,
-            REG_ICR: 0,
-            REG_IMS: 0,
-            REG_RCTL: 0,
-            REG_TCTL: 0,
-            REG_RDBAL: 0, REG_RDLEN: 0, REG_RDH: 0, REG_RDT: 0,
-            REG_TDBAL: 0, REG_TDLEN: 0, REG_TDH: 0, REG_TDT: 0,
-        }
         self.stats = NicStats()
-        self.on_transmit: Optional[Callable[["E1000Device", bytes], None]] = None
-        self.mmio = phys.add_mmio_region(mmio_phys_base, MMIO_SIZE, self)
-        self._tx_fragments: List[bytes] = []
+        self.on_transmit: Optional[Callable[["NicDevice", bytes], None]] = None
+        self.mmio = phys.add_mmio_region(mmio_phys_base, self.MMIO_SIZE, self)
         #: interrupt coalescing: raise the line only every Nth cause (the
         #: 8254x's interrupt throttling timers, simplified). 1 = immediate.
         self.interrupt_batch = 1
         self._coalesced = 0
         #: line-level mask (hypervisor-side, distinct from the device's
-        #: IMS register): recovery masks the line while it tears down and
-        #: reloads the driver, then unmasks to pick up pending causes.
+        #: mask register): recovery and handover mask the line while they
+        #: tear down or swap the driver, then unmask to pick up the
+        #: causes that latched meanwhile.
         self.line_masked = False
         #: optional DMA protection (paper §4.5): when set, every DMA this
         #: device performs is checked against programmed windows.
@@ -146,14 +146,10 @@ class E1000Device:
         #: trace ring (set by Machine.add_nic).
         self.tracer = None
         #: multiqueue (RSS): N tx/rx queue pairs demuxed by flow hash.
-        #: The descriptor rings stay shared (the driver binary programs
-        #: one ring); queues model the per-flow steering and carry the
-        #: per-queue counters the twin shards its state by.
-        self.num_queues = 1
-        self.queues: List[NicQueueStats] = [NicQueueStats(0)]
-        #: queue the most recent rx / tx frame was steered to.
-        self.last_rx_queue = 0
-        self.last_tx_queue = 0
+        #: The device keeps its one ring (the driver binary programs one);
+        #: queues model the per-flow steering and carry the per-queue
+        #: counters the twin shards its state by.
+        self.set_num_queues(1)
 
     def set_num_queues(self, n: int):
         """Resize to ``n`` tx/rx queue pairs (resets per-queue stats)."""
@@ -161,6 +157,7 @@ class E1000Device:
             raise ValueError(f"need at least one queue, got {n}")
         self.num_queues = n
         self.queues = [NicQueueStats(i) for i in range(n)]
+        #: queue the most recent rx / tx frame was steered to.
         self.last_rx_queue = 0
         self.last_tx_queue = 0
 
@@ -173,6 +170,71 @@ class E1000Device:
     def _trace(self, kind: str, **args):
         if self.tracer.enabled:
             self.tracer.emit(kind, nic=self.name, **args)
+
+    # -- interrupts -------------------------------------------------------------------------
+
+    def pending_cause(self) -> int:
+        """Interrupt causes latched in the device and enabled in its mask
+        register: what the line raises as soon as it may."""
+        return self.regs[self.CAUSE_REG] & self.regs[self.MASK_REG]
+
+    def _maybe_interrupt(self):
+        if self.line_masked or not self.pending_cause():
+            return
+        self._coalesced += 1
+        if self._coalesced < self.interrupt_batch:
+            return
+        self._coalesced = 0
+        self._raise_line()
+
+    def _raise_line(self, **args):
+        self.stats.interrupts += 1
+        self._trace(NIC_IRQ, irq=self.irq,
+                    **{self.CAUSE_FIELD: self.regs[self.CAUSE_REG]}, **args)
+        self.intc.raise_irq(self.irq)
+
+    def flush_interrupts(self):
+        """Deliver any coalesced-but-unraised interrupt immediately."""
+        if self.line_masked:
+            return
+        self._coalesced = 0
+        if self.pending_cause():
+            self._raise_line(flushed=True)
+
+    def mask_line(self):
+        """Mask the interrupt line at the hypervisor (teardown window)."""
+        self.line_masked = True
+
+    def unmask_line(self):
+        """Unmask the line and deliver any cause that accrued meanwhile."""
+        self.line_masked = False
+        self.flush_interrupts()
+
+
+class E1000Device(NicDevice):
+    """One simulated e1000 NIC attached to physical memory and an IRQ
+    line."""
+
+    MMIO_SIZE = MMIO_SIZE
+    CAUSE_REG = REG_ICR
+    MASK_REG = REG_IMS
+    CAUSE_FIELD = "icr"
+
+    def __init__(self, phys: PhysicalMemory, intc: InterruptController,
+                 irq: int, mmio_phys_base: int, mac: bytes,
+                 name: str = "eth0"):
+        self.regs = {
+            REG_CTRL: 0,
+            REG_STATUS: STATUS_LU,
+            REG_ICR: 0,
+            REG_IMS: 0,
+            REG_RCTL: 0,
+            REG_TCTL: 0,
+            REG_RDBAL: 0, REG_RDLEN: 0, REG_RDH: 0, REG_RDT: 0,
+            REG_TDBAL: 0, REG_TDLEN: 0, REG_TDH: 0, REG_TDT: 0,
+        }
+        self._tx_fragments: List[bytes] = []
+        super().__init__(phys, intc, irq, mmio_phys_base, mac, name)
 
     # -- MMIO interface ------------------------------------------------------
 
@@ -333,42 +395,6 @@ class E1000Device:
         self._maybe_interrupt()
         return True
 
-    # -- interrupts -------------------------------------------------------------------------
-
-    def _maybe_interrupt(self):
-        if self.line_masked:
-            return
-        if not self.regs[REG_ICR] & self.regs[REG_IMS]:
-            return
-        self._coalesced += 1
-        if self._coalesced < self.interrupt_batch:
-            return
-        self._coalesced = 0
-        self.stats.interrupts += 1
-        self._trace(NIC_IRQ, irq=self.irq, icr=self.regs[REG_ICR])
-        self.intc.raise_irq(self.irq)
-
-    def flush_interrupts(self):
-        """Deliver any coalesced-but-unraised interrupt immediately."""
-        if self.line_masked:
-            return
-        self._coalesced = 0
-        if self.regs[REG_ICR] & self.regs[REG_IMS]:
-            self.stats.interrupts += 1
-            self._trace(NIC_IRQ, irq=self.irq, icr=self.regs[REG_ICR],
-                        flushed=True)
-            self.intc.raise_irq(self.irq)
-
-    def mask_line(self):
-        """Mask the interrupt line at the hypervisor (teardown window)."""
-        self.line_masked = True
-
-    def unmask_line(self):
-        """Unmask the line and deliver any cause that accrued meanwhile."""
-        self.line_masked = False
-        self.flush_interrupts()
-
-
 class Wire:
     """The network: sinks transmitted frames, injects received ones.
 
@@ -381,14 +407,14 @@ class Wire:
         self.tx_count = 0
         self.tx_bytes = 0
 
-    def attach(self, nic: E1000Device):
+    def attach(self, nic: NicDevice):
         nic.on_transmit = self._on_transmit
 
-    def _on_transmit(self, nic: E1000Device, packet: bytes):
+    def _on_transmit(self, nic: NicDevice, packet: bytes):
         self.tx_count += 1
         self.tx_bytes += len(packet)
         if self.keep_payloads:
             self.transmitted.append(packet)
 
-    def inject(self, nic: E1000Device, packet: bytes) -> bool:
+    def inject(self, nic: NicDevice, packet: bytes) -> bool:
         return nic.receive(packet)

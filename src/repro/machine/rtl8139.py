@@ -24,13 +24,11 @@ Register map (u32, simplified from the RTL8139C datasheet):
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from ..obs.events import NIC_DMA_FAULT, NIC_IRQ, NIC_RX, NIC_TX
+from ..obs.events import NIC_DMA_FAULT, NIC_RX, NIC_TX
 from .interrupts import InterruptController
-from .iommu import Iommu, IommuFault
+from .iommu import IommuFault
 from .memory import PhysicalMemory
-from .nic import NicQueueStats, NicStats, flow_hash
+from .nic import NicDevice
 
 R_TSD0 = 0x10
 R_TSAD0 = 0x20
@@ -64,58 +62,25 @@ N_TX_SLOTS = 4
 TX_SLOT_BYTES = 2048
 
 
-class Rtl8139Device:
+class Rtl8139Device(NicDevice):
     """The device half; constructor-compatible with E1000Device so the
-    Machine can host either model."""
+    Machine can host either model. The 8139 hardware never had RSS: its
+    queues model the steering layer above the one ring."""
+
+    MMIO_SIZE = RTL_MMIO_SIZE
+    CAUSE_REG = R_ISR
+    MASK_REG = R_IMR
+    CAUSE_FIELD = "isr"
 
     def __init__(self, phys: PhysicalMemory, intc: InterruptController,
                  irq: int, mmio_phys_base: int, mac: bytes,
                  name: str = "eth0"):
-        if len(mac) != 6:
-            raise ValueError("MAC must be 6 bytes")
-        self.phys = phys
-        self.intc = intc
-        self.irq = irq
-        self.mac = bytes(mac)
-        self.name = name
         self.regs = {R_RBSTART: 0, R_CR: 0, R_CAPR: 0, R_CBR: 0,
                      R_IMR: 0, R_ISR: 0}
         for i in range(N_TX_SLOTS):
             self.regs[R_TSD0 + 4 * i] = TSD_TOK      # slots start free
             self.regs[R_TSAD0 + 4 * i] = 0
-        self.stats = NicStats()
-        self.on_transmit: Optional[Callable] = None
-        self.mmio = phys.add_mmio_region(mmio_phys_base, RTL_MMIO_SIZE, self)
-        self.interrupt_batch = 1
-        self._coalesced = 0
-        self.iommu: Optional[Iommu] = None
-        #: trace ring (set by Machine.add_nic).
-        self.tracer = None
-        #: multiqueue (RSS) — same facade as E1000Device so the Machine
-        #: and twin treat both models uniformly. The 8139 hardware never
-        #: had RSS; queues model the steering layer above the one ring.
-        self.num_queues = 1
-        self.queues = [NicQueueStats(0)]
-        self.last_rx_queue = 0
-        self.last_tx_queue = 0
-
-    def set_num_queues(self, n: int):
-        """Resize to ``n`` queue pairs (resets per-queue stats)."""
-        if n < 1:
-            raise ValueError(f"need at least one queue, got {n}")
-        self.num_queues = n
-        self.queues = [NicQueueStats(i) for i in range(n)]
-        self.last_rx_queue = 0
-        self.last_tx_queue = 0
-
-    def rss_queue(self, frame: bytes) -> int:
-        if self.num_queues == 1:
-            return 0
-        return flow_hash(frame) % self.num_queues
-
-    def _trace(self, kind: str, **args):
-        if self.tracer.enabled:
-            self.tracer.emit(kind, nic=self.name, **args)
+        super().__init__(phys, intc, irq, mmio_phys_base, mac, name)
 
     # -- MMIO ------------------------------------------------------------------
 
@@ -220,22 +185,3 @@ class Rtl8139Device:
     def rx_slots_free(self) -> int:
         """Approximate parity with the e1000 facade: MTU records left."""
         return self._rx_free_bytes() // (1518 + RX_RECORD_HEADER)
-
-    # -- interrupts ------------------------------------------------------------------------
-
-    def _maybe_interrupt(self):
-        if not self.regs[R_ISR] & self.regs[R_IMR]:
-            return
-        self._coalesced += 1
-        if self._coalesced < self.interrupt_batch:
-            return
-        self._coalesced = 0
-        self.stats.interrupts += 1
-        self._trace(NIC_IRQ, irq=self.irq, isr=self.regs[R_ISR])
-        self.intc.raise_irq(self.irq)
-
-    def flush_interrupts(self):
-        self._coalesced = 0
-        if self.regs[R_ISR] & self.regs[R_IMR]:
-            self.stats.interrupts += 1
-            self.intc.raise_irq(self.irq)

@@ -108,6 +108,24 @@ class Kernel:
         self.machine.obs.charge(category or self.domain.category, cycles,
                                 phase)
 
+    def charge_tx_stack(self):
+        """One segment down this kernel's TCP/IP stack: ``kernel_tx_stack``,
+        plus ``pv_kernel_tx_overhead`` charged to Xen when the kernel is
+        paravirtual."""
+        self.charge(self.costs.kernel_tx_stack, phase="kernel:tx_stack")
+        if self.paravirtual:
+            self.charge(self.costs.pv_kernel_tx_overhead, "Xen",
+                        phase="kernel:pv_tx_overhead")
+
+    def charge_rx_stack(self):
+        """One packet up this kernel's TCP/IP stack: ``kernel_rx_stack``,
+        plus ``pv_kernel_rx_overhead`` charged to Xen when the kernel is
+        paravirtual."""
+        self.charge(self.costs.kernel_rx_stack, phase="kernel:rx_stack")
+        if self.paravirtual:
+            self.charge(self.costs.pv_kernel_rx_overhead, "Xen",
+                        phase="kernel:pv_rx_overhead")
+
     @property
     def jiffies(self) -> int:
         """1 kHz tick derived from consumed cycles (plus test offset)."""
@@ -187,10 +205,7 @@ class Kernel:
     def _rx_deliver_local(self, skb_addr: int):
         """Local protocol-stack delivery: TCP/IP receive processing."""
         skb = SkBuff(self.memory_view(), skb_addr)
-        self.charge(self.costs.kernel_rx_stack, phase="kernel:rx_stack")
-        if self.paravirtual:
-            self.charge(self.costs.pv_kernel_rx_overhead, "Xen",
-                        phase="kernel:pv_rx_overhead")
+        self.charge_rx_stack()
         self.rx_delivered += 1
         self.rx_bytes += skb.len
         self.free_skb(skb_addr)
@@ -215,10 +230,7 @@ class Kernel:
                      payload: Optional[bytes] = None) -> bool:
         """One MTU-or-less TCP segment through the stack and the driver."""
         ndev = self.netdev(netdev_addr)
-        self.charge(self.costs.kernel_tx_stack, phase="kernel:tx_stack")
-        if self.paravirtual:
-            self.charge(self.costs.pv_kernel_tx_overhead, "Xen",
-                        phase="kernel:pv_tx_overhead")
+        self.charge_tx_stack()
         skb = self.build_tx_skb(ndev, payload_len, dst_mac, payload)
         return self.transmit_skb(skb, ndev)
 

@@ -44,10 +44,7 @@ class XenNetFront:
 
     def transmit(self, payload_len: int, dst_mac: bytes = BROADCAST_MAC,
                  payload: Optional[bytes] = None) -> bool:
-        costs = self.kernel.costs
-        self.kernel.charge(costs.kernel_tx_stack, phase="kernel:tx_stack")
-        self.kernel.charge(costs.pv_kernel_tx_overhead, "Xen",
-                           phase="kernel:pv_tx_overhead")
+        self.kernel.charge_tx_stack()
         frame_len = min(L.ETH_HLEN + payload_len, PAGE_SIZE)
         header = bytes(dst_mac) + self.mac + (0x0800).to_bytes(2, "big")
         aspace = self.kernel.domain.aspace
@@ -77,10 +74,7 @@ class XenNetFront:
     def deliver(self, payload: bytes):
         """Receive side: the packet has been grant-copied into the guest;
         process it up the guest stack."""
-        costs = self.kernel.costs
-        self.kernel.charge(costs.kernel_rx_stack, phase="kernel:rx_stack")
-        self.kernel.charge(costs.pv_kernel_rx_overhead, "Xen",
-                           phase="kernel:pv_rx_overhead")
+        self.kernel.charge_rx_stack()
         self.rx_packets += 1
         self.rx_bytes += len(payload)
 

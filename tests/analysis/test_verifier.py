@@ -148,6 +148,30 @@ f:
         assert report.ok
         assert report.stats["svm"]["string_accesses"] == 1
 
+    @pytest.mark.parametrize("between, ok", [
+        ("nop", True),
+        ("movl %edi, %ecx\nmovl %ecx, %edi", True),     # copies keep it
+        ("addl $8, %edi", False),       # a walk: the range pass skips strings
+    ])
+    def test_string_pointer_must_be_an_unwalked_translation(self, between,
+                                                            ok):
+        program = assemble(f"""
+.globl f
+f:
+    pushl %edi
+    call __svm_translate
+    addl $4, %esp
+    movl __svm_ret, %edi
+    {between}
+    stosl
+    ret
+""")
+        report = verify_program(program)
+        assert report.ok == ok
+        if not ok:
+            (finding,) = report.errors
+            assert finding.passname == "svm" and "%edi" in finding.message
+
 
 class TestAnnotationCrossCheck:
     def _rewritten(self):

@@ -21,6 +21,7 @@ from repro.core import (
     TwinDriverManager,
 )
 from repro.core.handover import HandoverError
+from repro.drivers import RTL8139_SPEC
 from repro.machine import Machine
 from repro.osmodel import Kernel
 from repro.osmodel.skbuff import SkBuff
@@ -29,7 +30,7 @@ from repro.xen import Hypervisor
 GUEST_MAC = b"\x00\x16\x3e\xaa\x00\x01"
 
 
-def make_twin(policy=None, vcpus=1, num_queues=1, **kwargs):
+def make_twin(policy=None, vcpus=1, num_queues=1, model="e1000", **kwargs):
     m = Machine()
     xen = Hypervisor(m, vcpus=vcpus)
     dom0 = xen.create_domain("dom0", is_dom0=True)
@@ -38,7 +39,7 @@ def make_twin(policy=None, vcpus=1, num_queues=1, **kwargs):
     kg = Kernel(m, guest, costs=xen.costs, paravirtual=True)
     twin = TwinDriverManager(xen, k0, recovery_policy=policy,
                              num_queues=num_queues, **kwargs)
-    nic = m.add_nic(num_queues=num_queues)
+    nic = m.add_nic(model=model, num_queues=num_queues)
     twin.attach_nic(nic)
     dev = ParavirtNetDevice(twin, kg, mac=GUEST_MAC)
     xen.switch_to(guest)
@@ -125,6 +126,37 @@ class TestSwapBinary:
         assert dev.rx_packets == 4
         assert vc.value == before + 1
         assert twin.rx_backlog == 0
+        assert twin.hyp_support.pool.balanced
+
+    def test_rtl8139_swap_under_traffic_is_exactly_once(self):
+        # the RTL8139 model masks its line and reports its pending
+        # causes through the same interface as the e1000
+        m, xen, twin, dev, nic = make_twin(driver=RTL8139_SPEC,
+                                           model="rtl8139")
+        m.wire.keep_payloads = True
+        dev.keep_rx_payloads = True
+        mgr = HandoverManager(twin)
+        sent, received = [], []
+
+        def traffic(tag):
+            rx = f"rx-{tag}".encode().ljust(200, b".")
+            tx = f"tx-{tag}".encode().ljust(200, b".")
+            received.append(rx)
+            sent.append(tx)
+            assert m.wire.inject(nic, rx_frame(payload=rx))
+            assert dev.transmit(len(tx), payload=tx)
+
+        for i in range(6):
+            traffic(i)
+        # mid-window traffic: rx latches behind the masked line, tx is
+        # held by the frozen twin; both must come out exactly once
+        report = mgr.swap_binary(mid_window_hook=lambda: traffic("mid"))
+        assert report.ok and mgr.state == "idle"
+        for i in range(6, 12):
+            traffic(i)
+        assert dev.rx_payloads == received
+        assert [frame[14:] for frame in m.wire.transmitted] == sent
+        assert twin.held == [] and not nic.line_masked
         assert twin.hyp_support.pool.balanced
 
     def test_frozen_twin_defers_everything(self):

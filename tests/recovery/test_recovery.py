@@ -16,6 +16,7 @@ from repro.core import (
     SvmProtectionFault,
     TwinDriverManager,
 )
+from repro.drivers import RTL8139_SPEC
 from repro.machine import Machine
 from repro.osmodel import Kernel
 from repro.xen import Hypervisor
@@ -23,7 +24,8 @@ from repro.xen import Hypervisor
 GUEST_MAC = b"\x00\x16\x3e\xaa\x00\x01"
 
 
-def make_twin(policy=None, upcall_routines=(), tracing=False):
+def make_twin(policy=None, upcall_routines=(), tracing=False,
+              driver=None, model="e1000"):
     m = Machine()
     xen = Hypervisor(m)
     dom0 = xen.create_domain("dom0", is_dom0=True)
@@ -31,8 +33,8 @@ def make_twin(policy=None, upcall_routines=(), tracing=False):
     guest = xen.create_domain("guest")
     kg = Kernel(m, guest, costs=xen.costs, paravirtual=True)
     twin = TwinDriverManager(xen, k0, recovery_policy=policy,
-                             upcall_routines=upcall_routines)
-    nic = m.add_nic()
+                             upcall_routines=upcall_routines, driver=driver)
+    nic = m.add_nic(model=model)
     twin.attach_nic(nic)
     dev = ParavirtNetDevice(twin, kg, mac=GUEST_MAC)
     xen.switch_to(guest)
@@ -89,6 +91,23 @@ class TestTransmitContainment:
             assert dev.transmit(700)
         assert twin.hyp_driver.invocations >= before + 5
         assert m.wire.tx_count == sent + 5
+
+    def test_rtl8139_degraded_transmit_defers_its_own_interrupt(self):
+        # the RTL8139 interrupts synchronously from the TSD write that
+        # sends the frame: on the degraded path that interrupt must wait
+        # for the dom0 transmit to return, not run the ISR inside it
+        m, xen, twin, dev, nic = make_twin(driver=RTL8139_SPEC,
+                                           model="rtl8139")
+        for _ in range(3):
+            assert dev.transmit(100)
+        twin.svm.inject_fault()
+        assert dev.transmit(100)
+        for _ in range(3):
+            assert dev.transmit(100)
+        assert m.wire.tx_count == 7
+        r = twin.recovery
+        assert r.state == "active"
+        assert r.counters_snapshot()["recovered"] == 1
 
     def test_degraded_payload_integrity(self):
         m, xen, twin, dev, nic = make_twin()
