@@ -318,16 +318,11 @@ class _Analyzer:
         self.cfg = cfg or ControlFlowGraph(program)
         self.site_by_lea = {site.lea: site for site in self.sites}
         self.site_by_xor = {site.lea + 8: site for site in self.sites}
+        self.label_at = frozenset(program.labels.values())
         self.call_reach = self._call_summaries()
         self.ops = [self._classify(i, ins)
                     for i, ins in enumerate(program.instructions)]
-        # per-instruction register kill sets for the register-keyed
-        # availability facts; "nop" ops (KEEP calls included) kill nothing
-        self.reg_kills = [
-            frozenset() if op[0] == "nop"
-            else frozenset(ins.registers_written())
-            for op, ins in zip(self.ops, program.instructions)
-        ]
+        self.fact_kills = self._fact_kills()
 
     # -- call summaries -----------------------------------------------------
 
@@ -383,14 +378,57 @@ class _Analyzer:
         return {e: (None if rec[2] else frozenset(rec[0]))
                 for e, rec in info.items()}
 
+    def _fact_kills(self):
+        """Per instruction: the register-keyed availability facts its
+        register writes retire ("nop" ops, KEEP calls included, retire
+        none), one frozenset shared by every instruction that writes the
+        same registers. They are drawn from every register-keyed fact the
+        transfer can generate: each site's own (``site_lea``), and the
+        copies of its unindexed ones that a spill restore can carry into
+        any register it restores (``spill_load``)."""
+        site_facts = [op[4] for op in self.ops
+                      if op[0] == "site_lea" and op[4] is not None]
+        restored = {GPRS[op[2]] for op in self.ops if op[0] == "spill_load"}
+        on: Dict[str, Set] = {reg: set() for reg in GPRS}
+        for fact in site_facts:
+            lea, key, disp = fact
+            on[key[1]].add(fact)
+            if key[2] is not None:
+                on[key[2]].add(fact)
+            else:
+                for reg in restored:
+                    on[reg].add((lea, ("reg", reg, None, 1), disp))
+        by_written: Dict[frozenset, frozenset] = {}
+        kills = []
+        for op, ins in zip(self.ops, self.program.instructions):
+            written = frozenset() if op[0] == "nop" \
+                else ins.registers_written()
+            facts = by_written.get(written)
+            if facts is None:
+                facts = by_written[written] = frozenset().union(
+                    *(on[reg] for reg in written))
+            kills.append(facts)
+        return kills
+
     # -- static per-instruction classification ------------------------------
 
     def _classify(self, i: int, ins: Instruction):
         m = ins.mnemonic
         site = self.site_by_lea.get(i)
         if site is not None:
-            return ("site_lea", site, _RI[ins.operands[1].parent],
-                    ins.operands[0])
+            mem, dest = ins.operands
+            reg_fact = None
+            if mem.symbol is None and mem.base is not None \
+                    and mem.base != dest.parent \
+                    and (mem.index is None or mem.index != dest.parent):
+                # register-keyed fact: checked address = current(base)
+                # [+ current(index)*scale] + disp (sound even when the
+                # registers' abstract values are unknown)
+                reg_fact = (site.lea,
+                            ("reg", mem.base, mem.index,
+                             mem.scale if mem.index is not None else 1),
+                            _signed32(mem.disp))
+            return ("site_lea", site, _RI[dest.parent], mem, reg_fact)
         xsite = self.site_by_xor.get(i)
         if xsite is not None:
             return ("site_xor", xsite, _RI[ins.operands[1].parent])
@@ -457,7 +495,8 @@ class _Analyzer:
                 if ins.size < 4:
                     return ("fresh", (_RI[dst.parent],))
                 if isinstance(src, Reg):
-                    return ("mov_rr", _RI[src.parent], _RI[dst.parent])
+                    kind = "clamp" if self._is_clamp(i, ins) else "mov_rr"
+                    return (kind, _RI[src.parent], _RI[dst.parent])
                 if isinstance(src, Imm) and src.symbol is None:
                     return ("mov_iv", ("I", src.value & M32, src.value & M32),
                             _RI[dst.parent])
@@ -522,6 +561,23 @@ class _Analyzer:
         if written:
             return ("fresh", written)
         return ("nop",)
+
+    def _is_clamp(self, i: int, ins: Instruction) -> bool:
+        """Is the ``movl %s, %r`` at ``i`` the tail of the unsigned-min
+        clamp ``cmpl %s, %r; jbe L; movl %s, %r; L:`` (the rewriter's
+        chunk-count clamp), with no label on the ``jbe`` or the ``mov``
+        that would let control reach the ``mov`` without the compare?"""
+        if i < 2 or i - 1 in self.label_at or i in self.label_at:
+            return False
+        cmp, jbe = self.program.instructions[i - 2:i]
+        src, dst = ins.operands
+        return (cmp.mnemonic == "cmp" and cmp.size == 4
+                and cmp.operands == ins.operands
+                and src.name == src.parent and dst.name == dst.parent
+                and src.parent != dst.parent
+                and jbe.mnemonic == "jbe"
+                and isinstance(jbe.operands[0], Label)
+                and self.program.labels.get(jbe.operands[0].name) == i + 1)
 
     # -- transfer helpers ---------------------------------------------------
 
@@ -615,24 +671,30 @@ class _Analyzer:
 
         # register-keyed facts assert "this register is unchanged since
         # site A's check": any write to the register retires them
-        kills = self.reg_kills[i]
-        if avail and kills and any(
-                f[1][0] == "reg"
-                and (f[1][1] in kills
-                     or (f[1][2] is not None and f[1][2] in kills))
-                for f in avail):
-            avail = frozenset(
-                f for f in avail
-                if not (f[1][0] == "reg"
-                        and (f[1][1] in kills
-                             or (f[1][2] is not None
-                                 and f[1][2] in kills))))
+        kills = self.fact_kills[i]
+        if avail and kills and not avail.isdisjoint(kills):
+            avail = avail - kills
             state = (regs, avail, slots)
 
         if kind == "mov_rr":
             value = regs[op[1]]
             if regs[op[2]] == value:
                 return state
+            regs = list(regs)
+            regs[op[2]] = value
+            return (tuple(regs), avail, slots)
+
+        if kind == "clamp":
+            # the mov runs only when the jbe fell through (%r > %s,
+            # unsigned), so it lowers %r: an interval %r keeps its upper
+            # bound, met with whatever interval the copy already has
+            value, bound = regs[op[1]], regs[op[2]]
+            if bound[0] == "I":
+                hi = bound[2]
+                if value[0] == "I" and value[1] <= hi:
+                    value = ("I", value[1], min(value[2], hi))
+                else:
+                    value = ("I", 0, hi)
             regs = list(regs)
             regs[op[2]] = value
             return (tuple(regs), avail, slots)
@@ -664,16 +726,8 @@ class _Analyzer:
             gen = []
             if addr[0] == "S" and addr[2] == addr[3]:
                 gen.append((site.lea, addr[1], addr[2]))
-            if mem.symbol is None and mem.base is not None \
-                    and mem.base != GPRS[d] \
-                    and (mem.index is None or mem.index != GPRS[d]):
-                # register-keyed fact: checked address = current(base)
-                # [+ current(index)*scale] + disp (sound even when the
-                # registers' abstract values are unknown)
-                gen.append((site.lea,
-                            ("reg", mem.base, mem.index,
-                             mem.scale if mem.index is not None else 1),
-                            _signed32(mem.disp)))
+            if op[4] is not None:
+                gen.append(op[4])
             if gen:
                 avail = avail | frozenset(gen)
             if addr == TOP:

@@ -218,8 +218,8 @@ def _branch_outside() -> CorpusEntry:
 # ---------------------------------------------------------------------------
 # Semantically hostile binaries: every syntactic pass accepts these — the
 # fast-path sites are shape-perfect, the stack balances, control flow is
-# clean. Only the abstract-interpretation passes (range / provenance /
-# locks) can prove them unsafe.
+# clean. Only the semantic rules (range / provenance / locks, and the svm
+# pass's string-count bound on absint's values) can prove them unsafe.
 # ---------------------------------------------------------------------------
 
 
@@ -268,6 +268,27 @@ corpus_entry:
         program=assemble(text, name="corpus.negative_walk"),
         expect_pass="range",
         expect_key="range.underflow",
+    )
+
+
+def _unbounded_string_count() -> CorpusEntry:
+    # Both pointers of the string op are translations, but its count is
+    # not clamped to a page: 100000 bytes from one translation run far
+    # past the 8192-byte pair window it maps.
+    text = """
+    .globl corpus_entry
+corpus_entry:
+""" + _TRANSLATE_POINT.format(src="%edi", dst="%edi") + """
+    movl $100000, %ecx
+    rep stosb
+    ret
+"""
+    return CorpusEntry(
+        name="unbounded_string_count",
+        description="rep string op whose count outruns its translation",
+        program=assemble(text, name="corpus.unbounded_string_count"),
+        expect_pass="svm",
+        expect_key="svm.string_count",
     )
 
 
@@ -432,6 +453,7 @@ def build_negative_corpus() -> List[CorpusEntry]:
         _branch_outside(),
         _cross_page_walk(),
         _negative_walk(),
+        _unbounded_string_count(),
         _laundered_pointer(),
         _forged_arithmetic(),
         _retranslate(),

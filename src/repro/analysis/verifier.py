@@ -10,6 +10,7 @@ instead of trusting the rewriter that produced it:
   sequence, or goes through a pointer the value tracking
   (:mod:`repro.analysis.absint`) holds as a translation result (an ``X``
   value): a string op's pointer registers must each hold one unwalked,
+  a ``rep`` op's count ``%ecx`` must cover at most one page of elements,
   and any other access through one is left to the range pass.
 * **flow** — control-flow containment: direct branches stay inside the
   program, indirect calls/jumps are routed through ``__stlb_call_xlate``,
@@ -63,6 +64,7 @@ from ..core.rewriter import (
     STLB_SYMBOL,
     SiteAnnotation,
 )
+from ..isa.cfg import ControlFlowGraph
 from ..isa.instructions import (
     STRING_IMPLICIT_READS,
     STRING_IMPLICIT_WRITES,
@@ -72,6 +74,7 @@ from ..isa.liveness import FLAGS, LivenessAnalysis
 from ..isa.operands import Imm, Label, Reg
 from ..isa.program import Program
 from .absint import (
+    PAGE_SIZE,
     AbsintResult,
     analyze_program,
     provenance_pass,
@@ -158,6 +161,15 @@ def _unwalked_translation(value) -> bool:
     return value[0] == "X" and value[2] == value[3] == 0
 
 
+def _page_bounded(count, size: int) -> bool:
+    """Is the absint value of a ``rep`` op's element count (%ecx) an
+    interval that covers at most one page of elements? Each pointer
+    being an unwalked translation into the first page of its 2-page pair
+    mapping, the op then stays inside that mapping (the rewriter clamps
+    every chunk's count to the bytes left in the page)."""
+    return count[0] == "I" and count[2] * size <= PAGE_SIZE
+
+
 def _svm_pass(program: Program, report: VerifyReport, protect_stack: bool,
               sites: List[SvmSite], stack_sites: List[StackCheckSite],
               translate_points: Dict[int, TranslatePoint],
@@ -181,7 +193,18 @@ def _svm_pass(program: Program, report: VerifyReport, protect_stack: bool,
                            f"string op {ins.format()!r} runs with "
                            f"untranslated pointer(s) "
                            f"{', '.join('%' + r for r in missing)}")
-            else:
+            count = absres.reg_value(i, "ecx")
+            bounded = ins.prefix is None or _page_bounded(count, ins.size)
+            if not bounded:
+                limit = ("unbounded" if count[0] != "I"
+                         else f"up to {count[2]} elements")
+                report.add("svm", i,
+                           f"string op {ins.format()!r} runs with count "
+                           f"%ecx {limit}: more than "
+                           f"{PAGE_SIZE // ins.size} can leave the SVM "
+                           f"pair mapping",
+                           key="svm.string_count")
+            if not missing and bounded:
                 stats["string_accesses"] = stats.get("string_accesses", 0) + 1
             continue
         if ins.memory_access_kind() is None or i in sanctioned:
@@ -465,17 +488,18 @@ class _SpillTransparentLiveness(LivenessAnalysis):
     mode it can at worst hide a clobber diagnostic, never an isolation
     violation)."""
 
-    def _transfer(self, index, live_out):
+    def _gen_kill(self, index):
         ins = self.program.instructions[index]
         if is_spill_save(ins) or is_spill_restore(ins):
-            return live_out
-        return super()._transfer(index, live_out)
+            return 0, 0
+        return super()._gen_kill(index)
 
 
 def _clobber_pass(program: Program, report: VerifyReport,
-                  sites: List[SvmSite], stack_sites: List[StackCheckSite]):
+                  sites: List[SvmSite], stack_sites: List[StackCheckSite],
+                  cfg: ControlFlowGraph):
     stats = report.pass_stats("clobber")
-    liveness = _SpillTransparentLiveness(program)
+    liveness = _SpillTransparentLiveness(program, cfg)
 
     def check_site(regs, restored, access_index, end, flags_wrapped):
         access = program.instructions[access_index]
@@ -755,15 +779,17 @@ def verify_program(program: Program,
     entries = _function_entries(program)
     sanctioned = _sanctioned_indices(program, sites, stack_sites,
                                      translate_points, routed)
+    cfg = ControlFlowGraph(program)
     absres = analyze_program(program, sites=sites,
                              translate_points=translate_points,
-                             entries=[index for _, index in entries])
+                             entries=[index for _, index in entries],
+                             cfg=cfg)
 
     _svm_pass(program, report, protect_stack, sites, stack_sites,
               translate_points, routed, sanctioned, absres)
     _flow_pass(program, report, sites, stack_sites, translate_points, routed)
     _stack_pass(program, report, protect_stack, entries)
-    _clobber_pass(program, report, sites, stack_sites)
+    _clobber_pass(program, report, sites, stack_sites, cfg)
     range_pass(program, report, absres, sanctioned)
     provenance_pass(program, report, absres, sanctioned)
     _locks_pass(program, report, entries)

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze_program, value_contains, verify_program
+from repro.analysis.absint import TOP, _Analyzer
+from repro.analysis.corpus import _SLOW_BLOCK, _fastpath
 from repro.analysis.report import Finding, VerifyReport
+from repro.analysis.verifier import _function_entries
 from repro.core.rewriter import rewrite_driver
 from repro.drivers import DRIVER_SPECS
 from repro.isa import assemble
@@ -18,7 +21,8 @@ STACK_TOP = 0xC0104000
 
 # ---------------------------------------------------------------------------
 # random program generation: register/immediate ALU + moves + forward
-# conditional branches — the fragment the abstract domain models exactly
+# conditional branches + the chunk-count clamp — the fragment the
+# abstract domain models exactly
 # ---------------------------------------------------------------------------
 
 #: esp/ebp excluded: the generated code must leave the call stack intact
@@ -39,6 +43,14 @@ _instr = st.one_of(
     st.tuples(st.sampled_from(["shll", "shrl", "sarl"]),
               st.sampled_from(_REGS), st.integers(0, 31)),
     st.tuples(st.sampled_from(_UNARY), st.sampled_from(_REGS)),
+    # the rewriter's unsigned-min clamp on an and-bounded register,
+    # optionally with a second way into its mov (a branch on unrelated
+    # flags), which must leave the register unrefined
+    st.tuples(st.just("clamp"), st.sampled_from(_REGS),
+              st.sampled_from(_REGS),
+              st.one_of(st.integers(0, 0x2000), st.integers(0, 2 ** 32 - 1)),
+              st.one_of(st.none(), st.tuples(st.sampled_from(_JCC),
+                                             st.sampled_from(_REGS), _imm))),
 )
 
 _block = st.lists(_instr, min_size=1, max_size=4)
@@ -55,8 +67,19 @@ _programs = st.tuples(
 )
 
 
-def _render(op) -> str:
+def _render(op, tag: str) -> str:
     kind = op[0]
+    if kind == "clamp":
+        _, r, s, mask, entry = op
+        lines = [f"    andl ${mask}, %{r}"]
+        if entry is not None:
+            jcc, reg, imm = entry
+            lines += [f"    cmpl ${imm}, %{reg}", f"    {jcc} M{tag}"]
+        lines += [f"    cmpl %{s}, %{r}", f"    jbe C{tag}"]
+        if entry is not None:
+            lines.append(f"M{tag}:")
+        lines += [f"    movl %{s}, %{r}", f"C{tag}:"]
+        return "\n".join(lines)
     if kind == "movimm":
         return f"    movl ${op[2]}, %{op[1]}"
     if kind == "movreg":
@@ -76,7 +99,7 @@ def _build_source(blocks, branches, data) -> str:
     for i, block in enumerate(blocks):
         if i:
             lines.append(f"L{i}:")
-        lines.extend(_render(op) for op in block)
+        lines.extend(_render(op, f"{i}_{j}") for j, op in enumerate(block))
         branch = branches[i] if i < len(branches) else None
         if branch is not None and i + 1 < n:
             # only forward targets: the CFG stays loop-free, so the
@@ -116,7 +139,7 @@ class TestSoundnessProperty:
     random encoder-round-tripped programs are executed on the real
     interpreter and checked state-by-state against the analysis."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_programs)
     def test_concrete_execution_contained(self, generated):
         blocks, branches, data = generated
@@ -154,6 +177,98 @@ class TestSoundnessProperty:
                     f"@{index} {program.instructions[index].format()}: "
                     f"%{reg}={regs[reg]:#x} not in {value}\n{source}")
             prev = index
+
+
+class TestClampRefinement:
+    """``cmpl %s, %r; jbe L; movl %s, %r; L:`` runs the mov only when %r
+    is the larger (unsigned), so %r leaves it no larger than before."""
+
+    @staticmethod
+    def _eax_at_ret(before="", second_way_in=None):
+        """eax at the ``ret`` after a clamp of eax = 4096 by ecx;
+        ``second_way_in`` labels the ``jbe`` or the ``mov`` as the target
+        of an earlier branch on unrelated flags."""
+        lines = [".globl f", "f:", "    movl $4096, %eax", before]
+        if second_way_in:
+            lines += ["    cmpl $0, %edx", "    je M"]
+        lines += ["    cmpl %ecx, %eax"]
+        lines += ["M:"] if second_way_in == "jbe" else []
+        lines += ["    jbe L"]
+        lines += ["M:"] if second_way_in == "mov" else []
+        lines += ["    movl %ecx, %eax", "L:", "    ret"]
+        program = assemble("\n".join(lines) + "\n")
+        result = analyze_program(program, entries=[0])
+        return result.reg_value(len(program.instructions) - 1, "eax")
+
+    def test_clamp_keeps_the_upper_bound(self):
+        # without the rule: 4096 joined with a copy of the entry ecx
+        assert self._eax_at_ret() == ("I", 0, 4096)
+
+    @pytest.mark.parametrize("where", ["mov", "jbe"])
+    def test_second_way_in_leaves_the_register_unrefined(self, where):
+        assert self._eax_at_ret(second_way_in=where) == TOP
+
+    @pytest.mark.parametrize("before, want", [
+        ("    movl $7, %ecx", ("I", 7, 4096)),
+        ("    andl $0xFFFF, %ecx", ("I", 0, 4096)),
+        ("    movl $9000, %ecx", ("I", 0, 4096)),
+    ])
+    def test_bound_meets_the_copied_interval(self, before, want):
+        assert self._eax_at_ret(before=before) == want
+
+
+class TestFactKills:
+    """A register write retires exactly the register-keyed availability
+    facts in its precomputed kill set, so that set must hold every such
+    fact the fixpoint can carry that depends on a register it writes."""
+
+    @pytest.mark.parametrize("name", sorted(DRIVER_SPECS))
+    @pytest.mark.parametrize("protect_stack", [False, True])
+    def test_every_register_keyed_fact_is_killable(self, name,
+                                                   protect_stack):
+        program = DRIVER_SPECS[name].build_program()
+        rewritten, _ = rewrite_driver(program, protect_stack=protect_stack)
+        entries = [index for _, index in _function_entries(rewritten)]
+        result = analyze_program(rewritten, entries=entries)
+        analyzer = _Analyzer(rewritten, result.sites,
+                             result.translate_points)
+        writers = {reg: [i for i, (op, ins) in enumerate(
+                             zip(analyzer.ops, rewritten.instructions))
+                         if op[0] != "nop" and reg in ins.registers_written()]
+                   for reg in GPRS}
+        facts = {f for state in result.in_states if state is not None
+                 for f in state[1] if f[1][0] == "reg"}
+        assert facts
+        for fact in facts:
+            for reg in {fact[1][1], fact[1][2]} - {None}:
+                for i in writers[reg]:
+                    assert fact in analyzer.fact_kills[i], (fact, i)
+
+    @pytest.mark.parametrize("clobber, proven", [("", True),
+                                                 ("movl $0, %esi", False)])
+    def test_restored_copy_dies_with_its_register(self, clobber, proven):
+        """A spill restore into another register carries site A's fact
+        to that register; a later write to it must retire the copy, or
+        site B, through the rewritten register, would be proven in A's
+        window."""
+        program = assemble("""
+    .globl f
+f:
+""" + _fastpath("LretryA", "LslowA", "(%ebx)", "%eax", "%ecx", "%edx",
+                "movl (%ecx), %edi") + f"""
+    movl %ebx, __svm_spill0
+    movl __svm_spill0, %esi
+    {clobber}
+""" + _fastpath("LretryB", "LslowB", "4(%esi)", "%eax", "%ecx", "%edx",
+                "movl (%ecx), %edi") + """
+    ret
+""" + _SLOW_BLOCK.format(slow="LslowA", r2="%ecx", retry="LretryA")
+            + _SLOW_BLOCK.format(slow="LslowB", r2="%ecx", retry="LretryB"))
+        result = analyze_program(program, entries=[0])
+        site_a, site_b = sorted(result.sites, key=lambda s: s.lea)
+        assert [(p.site_lea, p.anchor_lea, p.delta)
+                for p in result.proofs] \
+            == ([(site_b.lea, site_a.lea, 4)] if proven else [])
 
 
 class TestElisionCoverage:

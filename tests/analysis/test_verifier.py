@@ -173,6 +173,35 @@ f:
             assert finding.passname == "svm" and "%edi" in finding.message
 
 
+    @pytest.mark.parametrize("count, ok", [
+        ("movl $1024, %ecx", True),             # 1024 longs: one page
+        ("movl $1025, %ecx", False),
+        ("andl $0x3FF, %ecx", True),
+        ("nop", False),                         # the caller's count
+        # the rewriter's clamp: ecx = min(ecx, eax) with eax <= 1024
+        ("movl $1024, %eax\ncmpl %ecx, %eax\njbe L\nmovl %ecx, %eax\n"
+         "L:\nmovl %eax, %ecx", True),
+    ])
+    def test_rep_count_must_stay_within_a_page(self, count, ok):
+        program = assemble(f"""
+.globl f
+f:
+    pushl %edi
+    call __svm_translate
+    addl $4, %esp
+    movl __svm_ret, %edi
+    {count}
+    rep stosl
+    ret
+""")
+        report = verify_program(program)
+        assert report.ok == ok, report.format()
+        assert report.stats["svm"].get("string_accesses", 0) == int(ok)
+        if not ok:
+            (finding,) = report.errors
+            assert finding.key == "svm.string_count"
+
+
 class TestAnnotationCrossCheck:
     def _rewritten(self):
         return rewrite(".globl f\nf: pushl %esi\nmovl (%ebx), %eax\n"

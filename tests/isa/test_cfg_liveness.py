@@ -1,8 +1,18 @@
-"""Control-flow graph construction and register liveness analysis."""
+"""Control-flow graph construction and register liveness analysis,
+checked against a set-based round-robin reference solver."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import build_negative_corpus
+from repro.analysis.patterns import is_spill_restore, is_spill_save
+from repro.analysis.verifier import _SpillTransparentLiveness
+from repro.core.rewriter import rewrite_driver
+from repro.drivers import DRIVER_SPECS
 from repro.isa import ControlFlowGraph, LivenessAnalysis, assemble
+from repro.isa.liveness import FLAGS
+from repro.isa.registers import GPRS
 
 
 class TestCfg:
@@ -194,3 +204,156 @@ class TestLiveness:
         la = LivenessAnalysis(p)
         assert "edi" not in la.free_registers_at(0)
         assert "eax" not in la.free_registers_at(0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the set-based round-robin solver the mask solver replaced
+# ---------------------------------------------------------------------------
+
+_RET_LIVE = frozenset(("eax", "ebx", "esi", "edi", "ebp", "esp"))
+_CALLEE_SAVED = frozenset(("ebx", "esi", "edi", "ebp"))
+_FLAGS = frozenset((FLAGS,))
+
+
+def _reference_transfer(instr, live_out):
+    if instr.is_return:
+        live_out = live_out | _RET_LIVE
+    reads = instr.registers_read()
+    writes = instr.registers_written()
+    if instr.reads_flags:
+        reads = reads | _FLAGS
+    if instr.writes_flags:
+        writes = writes | _FLAGS
+    if instr.is_call:
+        reads = reads | (live_out & _CALLEE_SAVED) | frozenset(("esp",))
+    return (live_out - writes) | reads
+
+
+def _spill_transparent_transfer(instr, live_out):
+    if is_spill_save(instr) or is_spill_restore(instr):
+        return live_out
+    return _reference_transfer(instr, live_out)
+
+
+def reference_liveness(program, transfer=_reference_transfer):
+    """Per-instruction (live_in, live_out) by round-robin passes over
+    every block in reverse postorder until nothing changes."""
+    cfg = ControlFlowGraph(program)
+    ins = program.instructions
+    n = len(ins)
+    live_in, live_out = [frozenset()] * n, [frozenset()] * n
+    if not n:
+        return live_in, live_out
+    block_in = {start: frozenset() for start in cfg.blocks}
+
+    def block_out(start):
+        block = cfg.blocks[start]
+        out = frozenset()
+        for succ in block.successors:
+            out |= block_in[succ]
+        if block.unknown_successors or (
+                not block.successors and not ins[block.end - 1].is_return):
+            out = frozenset(GPRS) | (out & _FLAGS)
+        return out
+
+    order = cfg.reverse_postorder()
+    changed = True
+    while changed:
+        changed = False
+        for start in reversed(order):
+            block = cfg.blocks[start]
+            live = block_out(start)
+            for index in reversed(range(block.start, block.end)):
+                live = transfer(ins[index], live)
+            if live != block_in[start]:
+                block_in[start] = live
+                changed = True
+    for start, block in cfg.blocks.items():
+        live = block_out(start)
+        for index in reversed(range(block.start, block.end)):
+            live_out[index] = live
+            live = transfer(ins[index], live)
+            live_in[index] = live
+    return live_in, live_out
+
+
+def _assert_matches_reference(program):
+    for analysis, transfer in ((LivenessAnalysis, _reference_transfer),
+                               (_SpillTransparentLiveness,
+                                _spill_transparent_transfer)):
+        got = analysis(program)
+        want_in, want_out = reference_liveness(program, transfer)
+        assert got.live_in == want_in, (program.name, analysis.__name__)
+        assert got.live_out == want_out, (program.name, analysis.__name__)
+
+
+_GEN_REGS = ["eax", "ecx", "edx", "ebx", "esi", "edi", "ebp"]
+
+_body_instr = st.one_of(
+    st.builds("movl %{}, %{}".format,
+              st.sampled_from(_GEN_REGS), st.sampled_from(_GEN_REGS)),
+    st.builds("addl ${}, %{}".format, st.integers(0, 9),
+              st.sampled_from(_GEN_REGS)),
+    st.builds("cmpl %{}, %{}".format, st.sampled_from(_GEN_REGS),
+              st.sampled_from(_GEN_REGS)),
+    st.builds("movl (%{}), %{}".format, st.sampled_from(_GEN_REGS),
+              st.sampled_from(_GEN_REGS)),
+    st.builds("movl %{}, 4(%{})".format, st.sampled_from(_GEN_REGS),
+              st.sampled_from(_GEN_REGS)),
+    st.builds("pushl %{}".format, st.sampled_from(_GEN_REGS)),
+    st.builds("popl %{}".format, st.sampled_from(_GEN_REGS)),
+    st.builds("movl %{}, __svm_spill{}".format, st.sampled_from(_GEN_REGS),
+              st.integers(0, 1)),
+    st.builds("movl __svm_spill{}, %{}".format, st.integers(0, 1),
+              st.sampled_from(_GEN_REGS)),
+    st.sampled_from(["pushf", "popf", "rep movsb", "stosl", "nop"]),
+)
+
+
+def _generated_source(data) -> str:
+    """Labelled blocks of random bodies, each ending in a random exit:
+    a branch, a direct or indirect jump, an internal or imported call,
+    ``ret``, or nothing (falling into the next block, or off the end)."""
+    n = data.draw(st.integers(1, 6), label="blocks")
+    lines = [".globl L0"]
+    for i in range(n):
+        lines.append(f"L{i}:")
+        lines.extend("    " + text for text in data.draw(
+            st.lists(_body_instr, max_size=5), label=f"body{i}"))
+        target = data.draw(st.integers(0, n - 1), label=f"target{i}")
+        exit_ = data.draw(st.sampled_from(
+            ["je", "jne", "jmp", "call", "call ext", "ret", "jmp *", None]),
+            label=f"exit{i}")
+        if exit_ == "jmp *":
+            lines.append("    jmp *%eax")
+        elif exit_ == "call ext":
+            lines.append("    call ext_fn")
+        elif exit_ == "ret":
+            lines.append("    ret")
+        elif exit_ is not None:
+            lines.append(f"    {exit_} L{target}")
+    return "\n".join(lines) + "\n"
+
+
+class TestLivenessReference:
+    """The mask worklist solver gives exactly the sets of the set-based
+    round-robin reference, plain and spill-transparent."""
+
+    @pytest.mark.parametrize("driver", ["e1000", "rtl8139"])
+    def test_driver_binaries(self, driver):
+        program = DRIVER_SPECS[driver].build_program()
+        _assert_matches_reference(program)
+        for protect_stack in (False, True):
+            rewritten, _ = rewrite_driver(program,
+                                          protect_stack=protect_stack)
+            _assert_matches_reference(rewritten)
+
+    def test_corpus_programs(self):
+        for entry in build_negative_corpus():
+            _assert_matches_reference(entry.program)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_generated_programs(self, data):
+        _assert_matches_reference(assemble(_generated_source(data),
+                                           name="gen"))
