@@ -75,8 +75,6 @@ from .patterns import (
 )
 
 PAGE_SIZE = 4096
-#: the SVM manager maps guest pages in contiguous 2-page pairs (§5.1)
-PAIR_SPAN = 2 * PAGE_SIZE
 
 M32 = 0xFFFFFFFF
 _U32 = 1 << 32
@@ -1108,11 +1106,6 @@ def _addr_value(result: AbsintResult, state, mem: Mem):
 # ---------------------------------------------------------------------------
 # the provenance pass
 # ---------------------------------------------------------------------------
-
-#: ALU forms that legitimately adjust a translated pointer (constant
-#: walks); everything else operating on one is address forgery.
-_PROV_ALLOWED_ALU = frozenset(("add", "sub", "inc", "dec"))
-
 
 def provenance_pass(program: Program, report, result: AbsintResult,
                     sanctioned: Set[int]):

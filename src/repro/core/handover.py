@@ -67,9 +67,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .twin import RX_KINDS
 
-#: state-machine phases, in order (``idle`` between handovers).
-HANDOVER_PHASES = ("request", "drain", "freeze", "swap", "replay", "resume")
-
 
 class HandoverError(RuntimeError):
     """A handover invariant failed (quiescence not reached, re-entrant

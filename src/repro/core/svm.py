@@ -39,9 +39,7 @@ from ..obs.events import (
 
 STLB_ENTRIES = 4096
 STLB_ENTRY_SIZE = 8
-STLB_BYTES = STLB_ENTRIES * STLB_ENTRY_SIZE       # 32 KiB, maps 16 MiB
 PAGE_ADDR_MASK = 0xFFFFF000
-INDEX_MASK = 0x00FFF000
 
 #: Empty-slot tag. Valid tags are page addresses (low 12 bits zero) and
 #: the fast path compares the tag against a page-aligned register, so an

@@ -50,23 +50,36 @@ Trace shape: straight-line through fall-throughs and followed direct
 jumps; conditional branches are predicted not-taken and compile to a
 guarded side exit; a branch back to the trace head turns the whole
 trace into a capped loop (the common ``while`` shape of the driver's
-copy and descriptor-ring loops); indirect branches, traps and
-unsupported forms end the trace *before* the instruction so the
-interpreter executes it from an architecturally clean state, and a
-trace ends where another superblock begins. The loop counts the head a
-trace exits to, so what follows an exit is promoted in turn.
+copy and descriptor-ring loops); indirect branches, traps, unresolved
+symbols and instrumented control flow end the trace *before* the
+instruction so the interpreter executes it from an architecturally
+clean state, and a trace ends where another superblock begins. The
+loop counts the head a trace exits to, so what follows an exit is
+promoted in turn.
+
+Only the forms the rewritten drivers contain are emitted as code
+(:func:`_inline`): 32-bit ``mov``/``lea``/ALU/``inc``/``dec``/``neg``
+and stack operations on full registers, ``movzb``/``movzw`` loads,
+shifts by an immediate into a register, and direct control flow.
+Every other instruction (string ops, instrumented sites, sub-register
+and 8/16-bit operands, ``movsx``, ``xchg``, ``imul``, ``not``,
+``sar``, shifts by ``%cl`` or into memory, ``pushf``/``popf``,
+``cld``/``std``/``nop``/``sti``/``cli``) runs its interpreter handler
+inside the trace (:meth:`_Emitter.delegate`), so the handlers remain
+the one implementation of those forms.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..isa.instructions import Instruction
+from ..isa.instructions import FLOW, Instruction
 from ..isa.operands import Imm, Mem, Reg
-from ..isa.registers import GPRS, SUBREGISTERS
-from .memory import PACK_U16, PACK_U32, UNPACK_U16, UNPACK_U32
+from ..isa.registers import GPRS
+from .memory import PACK_U32, UNPACK_U16, UNPACK_U32
 
 MASK32 = 0xFFFFFFFF
+SIGN32 = 0x80000000
 
 #: growth caps: instructions per trace, and loop iterations a compiled
 #: back-edge may take before returning to ``Cpu._run_loop`` (which
@@ -79,7 +92,6 @@ LOOP_CAP = 1024
 _MEM_HELPERS = {
     "u2": UNPACK_U16,
     "u4": UNPACK_U32,
-    "p2": PACK_U16,
     "p4": PACK_U32,
 }
 
@@ -89,6 +101,43 @@ _PAGE_CACHES = ("rp = cpu.address_space.read_pages.get",
                 "wp = cpu.address_space.write_pages.get")
 
 _FULL_REGS = frozenset(GPRS)
+#: what a memory operand's base and index may be in emitted code
+_ADDRESS_REGS = _FULL_REGS | {None}
+
+#: the mnemonics a superblock emits as code: every one the rewritten
+#: drivers contain (``tests/machine/test_jit.py`` holds them to it)
+_INLINE = frozenset(FLOW | {
+    "mov", "movzb", "movzw", "lea", "add", "sub", "and", "or", "xor",
+    "cmp", "test", "inc", "dec", "neg", "shl", "shr", "push", "pop"})
+
+
+def _inline(instr: Instruction) -> bool:
+    """Whether a superblock emits ``instr`` as code rather than running
+    its handler: a mnemonic of ``_INLINE`` at 32 bits (``movzb``/
+    ``movzw`` read 8/16 bits of memory), naming only full registers,
+    base and index included, and shifting a register by an immediate.
+    Control flow is always emitted: a handler that moves ``eip`` cannot
+    run mid-trace."""
+    m = instr.mnemonic
+    if m not in _INLINE:
+        return False
+    if instr.is_control_flow:
+        return True
+    if m in ("movzb", "movzw"):
+        if not isinstance(instr.src, Mem):
+            return False
+    elif instr.size != 4:
+        return False
+    if m in ("shl", "shr") and not (isinstance(instr.src, Imm)
+                                    and isinstance(instr.dst, Reg)):
+        return False
+    for op in instr.operands:
+        if isinstance(op, Reg) and op.name not in _FULL_REGS:
+            return False
+        if isinstance(op, Mem) and not {op.base, op.index} <= _ADDRESS_REGS:
+            return False
+    return True
+
 
 #: condition expressions over the hoisted flags dict ``f`` — same truth
 #: tables as the interpreter's jcc handlers.
@@ -192,34 +241,34 @@ class _Emitter:
         self.ns[name] = obj
         return name
 
-    def sync(self, next_addr: int, ind: int = 0):
+    def sync(self, next_addr: int):
         """Materialize eip/executed/buffered charges before a
         potentially-faulting or observing operation."""
         if self.buf:
-            self.emit(f"acc += {self.buf}", ind)
+            self.emit(f"acc += {self.buf}")
             self.buf = 0
             self.acc_dirty = True
         if self.cur_eip != next_addr:
-            self.emit(f"cpu.eip = {next_addr}", ind)
+            self.emit(f"cpu.eip = {next_addr}")
             self.cur_eip = next_addr
         if self.pending:
-            self.emit(f"cpu.executed += {self.pending}", ind)
+            self.emit(f"cpu.executed += {self.pending}")
             self.pending = 0
 
-    def flush(self, ind: int = 0):
+    def flush(self):
         """Push the accumulator into the account (before anything that
         observes the simulated clock)."""
         if self.buf and not self.acc_dirty:
-            self.emit(f"charge(cat, {self.buf})", ind)
+            self.emit(f"charge(cat, {self.buf})")
             self.buf = 0
             return
         if self.buf:
-            self.emit(f"acc += {self.buf}", ind)
+            self.emit(f"acc += {self.buf}")
             self.buf = 0
             self.acc_dirty = True
         if self.acc_dirty:
-            self.emit("charge(cat, acc)", ind)
-            self.emit("acc = 0", ind)
+            self.emit("charge(cat, acc)")
+            self.emit("acc = 0")
             self.acc_dirty = False
 
     def emit_side_exit(self, eip_expr: str, ind: int):
@@ -233,16 +282,16 @@ class _Emitter:
             self.emit(f"cpu.executed += {self.pending}", ind)
         self.emit("return", ind)
 
-    def end_trace(self, eip_expr: str, ind: int = 0):
+    def end_trace(self, eip_expr: str):
         """Unconditional trace end on the main path."""
         if self.buf:
-            self.emit(f"acc += {self.buf}", ind)
+            self.emit(f"acc += {self.buf}")
             self.buf = 0
-        self.emit(f"cpu.eip = {eip_expr}", ind)
+        self.emit(f"cpu.eip = {eip_expr}")
         if self.pending:
-            self.emit(f"cpu.executed += {self.pending}", ind)
+            self.emit(f"cpu.executed += {self.pending}")
             self.pending = 0
-        self.emit("return", ind)
+        self.emit("return")
 
     def rehoist(self, ind: int = 0):
         """Re-read the page caches after anything that can run model
@@ -255,66 +304,29 @@ class _Emitter:
         for line in _PAGE_CACHES:
             self.emit(line, ind)
 
-    def native_guard(self, next_addr: int, ind: int = 0):
+    def native_guard(self, next_addr: int):
         """After a mid-trace native call or delegated handler: bail to
         ``Cpu._run_loop`` unless the world still matches what the rest
         of the trace was compiled against."""
         self.emit(
             f"if (cpu.eip != {next_addr} or cpu.code.epoch != ep0 "
             f"or L._igen != ig0 or cpu._category[-1] != cat "
-            f"or cpu.world_token != wt0 or acct.shadowed):", ind)
-        self.emit("return", ind + 1)
-        self.rehoist(ind)
+            f"or cpu.world_token != wt0 or acct.shadowed):")
+        self.emit("return", 1)
+        self.rehoist()
         self.cur_eip = next_addr
 
     # -- operand expressions -------------------------------------------------
 
-    def reg_read(self, name: str, size: int) -> str:
-        mask = (1 << (size * 8)) - 1
-        if name in _FULL_REGS:
-            if size == 4:
-                return f"r['{name}']"
-            return f"(r['{name}'] & {mask})"
-        parent = SUBREGISTERS[name]
-        sub = 0xFF if len(name) == 2 and name[1] == "l" else 0xFFFF
-        return f"(r['{parent}'] & {sub & mask})"
-
-    def reg_read_full(self, name: str) -> str:
-        """``get_reg`` semantics (used for effective addresses and
-        branch targets): full value for GPRs, masked for subregisters."""
-        if name in _FULL_REGS:
-            return f"r['{name}']"
-        parent = SUBREGISTERS[name]
-        sub = 0xFF if len(name) == 2 and name[1] == "l" else 0xFFFF
-        return f"(r['{parent}'] & {sub})"
-
-    def reg_write(self, name: str, size: int, expr: str, ind: int = 0):
-        mask = (1 << (size * 8)) - 1
-        if name in _FULL_REGS:
-            if size == 4:
-                self.emit(f"r['{name}'] = ({expr}) & {MASK32}", ind)
-            else:
-                self.emit(
-                    f"r['{name}'] = (r['{name}'] & {MASK32 ^ mask}) "
-                    f"| (({expr}) & {mask})", ind)
-            return
-        parent = SUBREGISTERS[name]
-        if len(name) == 2 and name[1] == "l":
-            sub = 0xFF
-        else:
-            sub = 0xFFFF
-        self.emit(
-            f"r['{parent}'] = (r['{parent}'] & {MASK32 ^ sub}) "
-            f"| (({expr}) & {sub & mask})", ind)
+    # Every register an emitted instruction names is a full one
+    # (``_inline``), read as ``r['name']`` and written 32 bits wide.
 
     def ea_expr(self, mem: Mem) -> str:
-        if mem.symbol is not None:
-            raise _Unsupported("unresolved data symbol")
         parts = []
         if mem.base is not None:
-            parts.append(self.reg_read_full(mem.base))
+            parts.append(f"r['{mem.base}']")
         if mem.index is not None:
-            idx = self.reg_read_full(mem.index)
+            idx = f"r['{mem.index}']"
             parts.append(f"{idx} * {mem.scale}" if mem.scale != 1 else idx)
         if mem.disp or not parts:
             parts.append(str(mem.disp))
@@ -350,129 +362,104 @@ class _Emitter:
         self.rehoist(ind)
         self.acc_dirty = True        # branches disagree; finally covers it
 
-    def mem_read(self, ea: str, size: int, next_addr: int,
-                 ind: int = 0) -> str:
-        """Inline ``Cpu.read_mem``; returns the value variable. A hit in
-        the address space's read page cache inside one page is priced
-        and unpacked here; anything else is :meth:`emit_miss`."""
+    def mem_read(self, ea: str, size: int, next_addr: int) -> str:
+        """Inline ``Cpu.read_mem`` of ``size`` bytes (1 and 2 for
+        ``movzb``/``movzw``); returns the value variable. A hit in the
+        address space's read page cache inside one page is priced and
+        unpacked here; anything else is :meth:`emit_miss`."""
         self.uses_mem = True
-        self.sync(next_addr, ind)
+        self.sync(next_addr)
         va = self.temp("va")
         v = self.temp("v")
         d = self.temp("d")
-        self.emit(f"{va} = {ea}", ind)
-        self.emit(f"{d} = rp({va} >> 12)", ind)
-        self.emit(f"if {d} is not None and ({va} & 4095) <= {4096 - size}:",
-                  ind)
-        frame = self.emit_cost(d, va, ind + 1)
+        self.emit(f"{va} = {ea}")
+        self.emit(f"{d} = rp({va} >> 12)")
+        self.emit(f"if {d} is not None and ({va} & 4095) <= {4096 - size}:")
+        frame = self.emit_cost(d, va, 1)
         if size == 1:
-            self.emit(f"{v} = {frame}[{va} & 4095]", ind + 1)
+            self.emit(f"{v} = {frame}[{va} & 4095]", 1)
         else:
             un = "u2" if size == 2 else "u4"
-            self.emit(f"{v} = {un}({frame}, {va} & 4095)[0]", ind + 1)
-        self.emit("else:", ind)
-        self.emit_miss(f"{v} = rm({va}, {size})", ind + 1)
+            self.emit(f"{v} = {un}({frame}, {va} & 4095)[0]", 1)
+        self.emit("else:")
+        self.emit_miss(f"{v} = rm({va}, {size})", 1)
         return v
 
-    def mem_write(self, ea: str, size: int, value: str, next_addr: int,
-                  ind: int = 0):
-        """Inline ``Cpu.write_mem`` over the write page cache, which holds
-        writable mappings only, mirroring :meth:`mem_read`."""
+    def mem_write(self, ea: str, value: str, next_addr: int):
+        """Inline a 32-bit ``Cpu.write_mem`` over the write page cache,
+        which holds writable mappings only, mirroring :meth:`mem_read`."""
         self.uses_mem = True
-        self.sync(next_addr, ind)
+        self.sync(next_addr)
         va = self.temp("va")
         d = self.temp("d")
-        mask = (1 << (size * 8)) - 1
-        self.emit(f"{va} = {ea}", ind)
-        self.emit(f"{d} = wp({va} >> 12)", ind)
-        self.emit(f"if {d} is not None and ({va} & 4095) <= {4096 - size}:",
-                  ind)
-        frame = self.emit_cost(d, va, ind + 1)
-        if size == 1:
-            self.emit(f"{frame}[{va} & 4095] = ({value}) & 255", ind + 1)
-        else:
-            pk = "p2" if size == 2 else "p4"
-            self.emit(f"{pk}({frame}, {va} & 4095, ({value}) & {mask})",
-                      ind + 1)
-        self.emit("else:", ind)
-        self.emit_miss(f"wm({va}, {size}, {value})", ind + 1)
+        self.emit(f"{va} = {ea}")
+        self.emit(f"{d} = wp({va} >> 12)")
+        self.emit(f"if {d} is not None and ({va} & 4095) <= 4092:")
+        frame = self.emit_cost(d, va, 1)
+        self.emit(f"p4({frame}, {va} & 4095, ({value}) & {MASK32})", 1)
+        self.emit("else:")
+        self.emit_miss(f"wm({va}, 4, {value})", 1)
 
     # -- operand read/write (mirrors the PR 4 thunks) ------------------------
 
-    def read_operand(self, op, size: int, next_addr: int,
-                     ind: int = 0) -> str:
-        mask = (1 << (size * 8)) - 1
+    def read_operand(self, op, next_addr: int) -> str:
         if isinstance(op, Imm):
-            if op.symbol is not None:
-                raise _Unsupported("unresolved immediate symbol")
-            return str(op.value & mask)
+            return str(op.value & MASK32)
         if isinstance(op, Reg):
-            return self.reg_read(op.name, size)
+            return f"r['{op.name}']"
         if isinstance(op, Mem):
-            return self.mem_read(self.ea_expr(op), size, next_addr, ind)
+            return self.mem_read(self.ea_expr(op), 4, next_addr)
         raise _Unsupported(f"unreadable operand {op!r}")
 
-    def as_var(self, expr: str, ind: int = 0) -> str:
+    def as_var(self, expr: str) -> str:
         """Bind an expression to a temp when it will be used twice."""
         if expr.isidentifier() or expr.isdigit():
             return expr
         v = self.temp()
-        self.emit(f"{v} = {expr}", ind)
+        self.emit(f"{v} = {expr}")
         return v
 
-    def write_operand(self, op, size: int, value: str, next_addr: int,
-                      ind: int = 0):
+    def write_operand(self, op, value: str, next_addr: int):
         if isinstance(op, Reg):
-            self.reg_write(op.name, size, value, ind)
-            return
-        if isinstance(op, Mem):
-            self.mem_write(self.ea_expr(op), size, value, next_addr, ind)
-            return
-        raise _Unsupported(f"unwritable operand {op!r}")
+            self.emit(f"r['{op.name}'] = ({value}) & {MASK32}")
+        elif isinstance(op, Mem):
+            self.mem_write(self.ea_expr(op), value, next_addr)
+        else:
+            raise _Unsupported(f"unwritable operand {op!r}")
 
     # -- flags ---------------------------------------------------------------
 
-    def emit_zsf(self, r: str, sign: int, ind: int):
-        self.emit(f"f['zf'] = {r} == 0", ind)
-        self.emit(f"f['sf'] = ({r} & {sign}) != 0", ind)
+    def emit_zsf(self, r: str):
+        self.emit(f"f['zf'] = {r} == 0")
+        self.emit(f"f['sf'] = ({r} & {SIGN32}) != 0")
 
-    def emit_flags_add(self, a: str, b: str, size: int, ind: int,
-                       set_cf: bool = True) -> str:
-        bits = size * 8
-        mask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
+    def emit_flags_add(self, a: str, b: str, set_cf: bool = True) -> str:
         s = self.temp("s")
         rv = self.temp("x")
-        self.emit(f"{s} = {a} + {b}", ind)
-        self.emit(f"{rv} = {s} & {mask}", ind)
+        self.emit(f"{s} = {a} + {b}")
+        self.emit(f"{rv} = {s} & {MASK32}")
         if set_cf:
-            self.emit(f"f['cf'] = {s} > {mask}", ind)
+            self.emit(f"f['cf'] = {s} > {MASK32}")
         self.emit(
-            f"f['of'] = ((~({a} ^ {b})) & ({a} ^ {rv}) & {sign}) != 0", ind)
-        self.emit_zsf(rv, sign, ind)
+            f"f['of'] = ((~({a} ^ {b})) & ({a} ^ {rv}) & {SIGN32}) != 0")
+        self.emit_zsf(rv)
         return rv
 
-    def emit_flags_sub(self, a: str, b: str, size: int, ind: int,
-                       set_cf: bool = True) -> str:
-        bits = size * 8
-        mask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
+    def emit_flags_sub(self, a: str, b: str, set_cf: bool = True) -> str:
         rv = self.temp("x")
-        self.emit(f"{rv} = ({a} - {b}) & {mask}", ind)
+        self.emit(f"{rv} = ({a} - {b}) & {MASK32}")
         if set_cf:
-            self.emit(f"f['cf'] = {a} < {b}", ind)
-        self.emit(
-            f"f['of'] = (({a} ^ {b}) & ({a} ^ {rv}) & {sign}) != 0", ind)
-        self.emit_zsf(rv, sign, ind)
+            self.emit(f"f['cf'] = {a} < {b}")
+        self.emit(f"f['of'] = (({a} ^ {b}) & ({a} ^ {rv}) & {SIGN32}) != 0")
+        self.emit_zsf(rv)
         return rv
 
-    def emit_flags_logic(self, expr: str, size: int, ind: int) -> str:
-        sign = 1 << (size * 8 - 1)
+    def emit_flags_logic(self, expr: str) -> str:
         rv = self.temp("x")
-        self.emit(f"{rv} = {expr}", ind)
-        self.emit("f['cf'] = False", ind)
-        self.emit("f['of'] = False", ind)
-        self.emit_zsf(rv, sign, ind)
+        self.emit(f"{rv} = {expr}")
+        self.emit("f['cf'] = False")
+        self.emit("f['of'] = False")
+        self.emit_zsf(rv)
         return rv
 
     # -- per-instruction emission --------------------------------------------
@@ -484,13 +471,11 @@ class _Emitter:
         loaded = self.loaded
         instr: Instruction = loaded.program.instructions[index]
         m = instr.mnemonic
-        size = instr.size
         next_addr = loaded.next_addrs[index]
         next_index = index + 1
 
-        # forms that always end the trace before executing. All checks
-        # that can reject the instruction must run before any emission:
-        # a partially-emitted instruction would corrupt the trace.
+        # forms that always end the trace before executing (``build``
+        # also rolls back whatever a rejected instruction emitted)
         if m in ("int3", "ud2", "hlt"):
             raise _Unsupported("trap")
         if instr.is_control_flow and instr.indirect:
@@ -498,14 +483,6 @@ class _Emitter:
         for op in instr.operands:
             if isinstance(op, (Mem, Imm)) and op.symbol is not None:
                 raise _Unsupported("unresolved symbol")
-        if m in ("mov", "movzb", "movzw", "movsx", "lea", "add", "sub",
-                 "and", "or", "xor", "imul", "inc", "dec", "neg", "not",
-                 "shl", "shr", "sar", "pop"):
-            if not isinstance(instr.dst, (Reg, Mem)):
-                raise _Unsupported("unwritable destination")
-        if m == "xchg" and not (isinstance(instr.src, (Reg, Mem))
-                                and isinstance(instr.dst, (Reg, Mem))):
-            raise _Unsupported("unwritable xchg operand")
         instrumented = index in loaded.instrument
         if instrumented and instr.is_control_flow:
             raise _Unsupported("instrumented control flow")
@@ -514,163 +491,80 @@ class _Emitter:
         self.n_instrs += 1
         self.buf += self.scaled.alu
 
-        if instrumented:
+        if instrumented or not _inline(instr):
             return self.delegate(index, next_addr, next_index)
 
-        if m in ("nop", "sti", "cli"):
-            return next_index
-        if m == "cld":
-            self.emit("cpu.df = False")
-            return next_index
-        if m == "std":
-            self.emit("cpu.df = True")
-            return next_index
-
         if m == "mov":
-            v = self.read_operand(instr.src, size, next_addr)
-            self.write_operand(instr.dst, size, v, next_addr)
+            v = self.read_operand(instr.src, next_addr)
+            self.write_operand(instr.dst, v, next_addr)
             return next_index
         if m in ("movzb", "movzw"):
-            v = self.read_operand(instr.src, size, next_addr)
-            self.write_operand(instr.dst, 4, v, next_addr)
-            return next_index
-        if m == "movsx":
-            bits = size * 8
-            sign = 1 << (bits - 1)
-            extend = MASK32 ^ ((1 << bits) - 1)
-            v = self.as_var(self.read_operand(instr.src, size, next_addr))
-            if v.isdigit():
-                value = int(v)
-                if value & sign:
-                    value |= extend
-                self.write_operand(instr.dst, 4, str(value), next_addr)
-                return next_index
-            self.emit(f"if {v} & {sign}:")
-            self.emit(f"{v} |= {extend}", 1)
-            self.write_operand(instr.dst, 4, v, next_addr)
+            v = self.mem_read(self.ea_expr(instr.src), instr.size, next_addr)
+            self.write_operand(instr.dst, v, next_addr)
             return next_index
         if m == "lea":
             if not isinstance(instr.src, Mem):
                 raise _Unsupported("lea from non-memory operand")
-            ea = self.ea_expr(instr.src)
-            self.write_operand(instr.dst, 4, ea, next_addr)
-            return next_index
-        if m == "xchg":
-            a = self.as_var(
-                self.read_operand(instr.src, size, next_addr))
-            b = self.as_var(
-                self.read_operand(instr.dst, size, next_addr))
-            self.write_operand(instr.src, size, b, next_addr)
-            self.write_operand(instr.dst, size, a, next_addr)
+            self.write_operand(instr.dst, self.ea_expr(instr.src), next_addr)
             return next_index
 
-        if m in ("add", "sub", "and", "or", "xor", "imul", "cmp", "test"):
-            a = self.as_var(
-                self.read_operand(instr.dst, size, next_addr))
-            b = self.as_var(
-                self.read_operand(instr.src, size, next_addr))
+        if m in ("add", "sub", "and", "or", "xor", "cmp", "test"):
+            a = self.as_var(self.read_operand(instr.dst, next_addr))
+            b = self.as_var(self.read_operand(instr.src, next_addr))
             if m == "add":
-                rv = self.emit_flags_add(a, b, size, 0)
+                rv = self.emit_flags_add(a, b)
             elif m in ("sub", "cmp"):
-                rv = self.emit_flags_sub(a, b, size, 0)
+                rv = self.emit_flags_sub(a, b)
             elif m in ("and", "test"):
-                rv = self.emit_flags_logic(f"{a} & {b}", size, 0)
+                rv = self.emit_flags_logic(f"{a} & {b}")
             elif m == "or":
-                rv = self.emit_flags_logic(f"{a} | {b}", size, 0)
-            elif m == "xor":
-                rv = self.emit_flags_logic(f"{a} ^ {b}", size, 0)
-            else:  # imul
-                mask = (1 << (size * 8)) - 1
-                sign = 1 << (size * 8 - 1)
-                fu = self.temp("s")
-                rv = self.temp("x")
-                self.emit(f"{fu} = {a} * {b}")
-                self.emit(f"{rv} = {fu} & {mask}")
-                self.emit(f"f['cf'] = f['of'] = {fu} != {rv}")
-                self.emit_zsf(rv, sign, 0)
+                rv = self.emit_flags_logic(f"{a} | {b}")
+            else:
+                rv = self.emit_flags_logic(f"{a} ^ {b}")
             if m not in ("cmp", "test"):
-                self.write_operand(instr.dst, size, rv, next_addr)
+                self.write_operand(instr.dst, rv, next_addr)
             return next_index
 
-        if m in ("shl", "shr", "sar"):
-            if isinstance(instr.dst, Mem):
-                # a conditionally-skipped memory write would fork the
-                # accounting state; the handler does it exactly
-                return self.delegate(index, next_addr, next_index)
-            bits = size * 8
-            mask = (1 << bits) - 1
-            sign = 1 << (bits - 1)
-            c = self.temp("n")
-            self.emit(
-                f"{c} = ({self.read_operand(instr.src, 1, next_addr)})"
-                f" & 31")
-            v = self.as_var(self.read_operand(instr.dst, size, next_addr))
-            rv = self.temp("x")
-            self.emit(f"if {c}:")
-            if m == "shl":
-                self.emit(f"{rv} = {v} << {c}", 1)
-                self.emit(f"f['cf'] = ({rv} & {1 << bits}) != 0", 1)
-                self.emit(f"{rv} &= {mask}", 1)
-            elif m == "shr":
-                self.emit(f"f['cf'] = (({v} >> ({c} - 1)) & 1) != 0", 1)
-                self.emit(f"{rv} = {v} >> {c}", 1)
-            else:  # sar
-                sg = self.temp("g")
-                self.emit(f"{sg} = {v} & {sign}", 1)
-                self.emit(f"{rv} = {v}", 1)
-                self.emit(f"for _ in range({c}):", 1)
-                self.emit(f"{rv} = ({rv} >> 1) | {sg}", 2)
-                self.emit(f"f['cf'] = (({v} >> ({c} - 1)) & 1) != 0", 1)
-                self.emit(f"{rv} &= {mask}", 1)
-            self.emit("f['of'] = False", 1)
-            self.emit(f"f['zf'] = {rv} == 0", 1)
-            self.emit(f"f['sf'] = ({rv} & {sign}) != 0", 1)
-            self.reg_write(instr.dst.name, size, rv, 1)
+        if m in ("shl", "shr"):
+            # the count is a constant: a zero count changes nothing, as
+            # in the interpreter's handler
+            count = instr.src.value & 31
+            if count:
+                v = self.as_var(self.read_operand(instr.dst, next_addr))
+                rv = self.temp("x")
+                if m == "shl":
+                    self.emit(f"{rv} = {v} << {count}")
+                    self.emit(f"f['cf'] = ({rv} & {1 << 32}) != 0")
+                    self.emit(f"{rv} &= {MASK32}")
+                else:
+                    self.emit(f"f['cf'] = (({v} >> {count - 1}) & 1) != 0")
+                    self.emit(f"{rv} = {v} >> {count}")
+                self.emit("f['of'] = False")
+                self.emit_zsf(rv)
+                self.write_operand(instr.dst, rv, next_addr)
             return next_index
 
-        if m in ("inc", "dec", "neg", "not"):
-            mask = (1 << (size * 8)) - 1
-            v = self.as_var(
-                self.read_operand(instr.dst, size, next_addr))
+        if m in ("inc", "dec", "neg"):
+            v = self.as_var(self.read_operand(instr.dst, next_addr))
             if m == "inc":
                 # inc/dec preserve CF: the interpreter saves/restores it
                 # around _flags_add, net effect is "don't touch cf"
-                rv = self.emit_flags_add(v, "1", size, 0, set_cf=False)
+                rv = self.emit_flags_add(v, "1", set_cf=False)
             elif m == "dec":
-                rv = self.emit_flags_sub(v, "1", size, 0, set_cf=False)
-            elif m == "neg":
-                rv = self.emit_flags_sub("0", v, size, 0)
+                rv = self.emit_flags_sub(v, "1", set_cf=False)
             else:
-                rv = self.temp("x")
-                self.emit(f"{rv} = (~{v}) & {mask}")
-            self.write_operand(instr.dst, size, rv, next_addr)
+                rv = self.emit_flags_sub("0", v)
+            self.write_operand(instr.dst, rv, next_addr)
             return next_index
 
         if m == "push":
-            v = self.as_var(self.read_operand(instr.src, 4, next_addr))
+            v = self.as_var(self.read_operand(instr.src, next_addr))
             self.emit_push(v, next_addr)
             return next_index
         if m == "pop":
             v = self.emit_pop(next_addr)
-            self.write_operand(instr.dst, 4, v, next_addr)
+            self.write_operand(instr.dst, v, next_addr)
             return next_index
-        if m == "pushf":
-            w = self.temp("w")
-            self.emit(
-                f"{w} = ((1 if f['cf'] else 0) | (64 if f['zf'] else 0)"
-                f" | (128 if f['sf'] else 0) | (2048 if f['of'] else 0)"
-                f" | (1024 if cpu.df else 0))")
-            self.emit_push(w, next_addr)
-            return next_index
-        if m == "popf":
-            v = self.emit_pop(next_addr)
-            self.emit(f"f['cf'] = ({v} & 1) != 0")
-            self.emit(f"f['zf'] = ({v} & 64) != 0")
-            self.emit(f"f['sf'] = ({v} & 128) != 0")
-            self.emit(f"f['of'] = ({v} & 2048) != 0")
-            self.emit(f"cpu.df = ({v} & 1024) != 0")
-            return next_index
-
         if m == "call":
             self.buf += self.scaled.call
             target = loaded.targets.get(index)
@@ -719,52 +613,53 @@ class _Emitter:
                 return None
             self.cur_eip = None
             return t_index
-        if instr.is_conditional:
-            target = loaded.targets.get(index)
-            if target is None:
-                raise _Unsupported("jcc without resolved target")
-            cond = _COND_EXPR[m]
-            if target == self.head_addr:
-                self.emit_backedge(cond)
-                self.cur_eip = None
-                return next_index
-            self.emit(f"if {cond}:")
-            self.emit_side_exit(str(target), 1)
+        # a conditional jump
+        target = loaded.targets.get(index)
+        if target is None:
+            raise _Unsupported("jcc without resolved target")
+        cond = _COND_EXPR[m]
+        if target == self.head_addr:
+            self.emit_backedge(cond)
             self.cur_eip = None
             return next_index
-
-        if instr.is_string:
-            return self.delegate(index, next_addr, next_index)
-
-        raise _Unsupported(f"unhandled mnemonic {m!r}")
+        self.emit(f"if {cond}:")
+        self.emit_side_exit(str(target), 1)
+        self.cur_eip = None
+        return next_index
 
     # -- composite helpers ---------------------------------------------------
 
-    def emit_push(self, value: str, next_addr: int, ind: int = 0):
+    def emit_push(self, value: str, next_addr: int):
         sp = self.temp("sp")
-        self.emit(f"{sp} = (r['esp'] - 4) & {MASK32}", ind)
-        self.emit(f"r['esp'] = {sp}", ind)
-        self.mem_write(sp, 4, value, next_addr, ind)
+        self.emit(f"{sp} = (r['esp'] - 4) & {MASK32}")
+        self.emit(f"r['esp'] = {sp}")
+        self.mem_write(sp, value, next_addr)
 
-    def emit_pop(self, next_addr: int, ind: int = 0) -> str:
-        v = self.mem_read("r['esp']", 4, next_addr, ind)
-        self.emit(f"r['esp'] = (r['esp'] + 4) & {MASK32}", ind)
+    def emit_pop(self, next_addr: int) -> str:
+        v = self.mem_read("r['esp']", 4, next_addr)
+        self.emit(f"r['esp'] = (r['esp'] + 4) & {MASK32}")
         return v
 
     def delegate(self, index: int, next_addr: int, next_index: int) -> int:
-        """Run one instruction through its compiled handler (string
-        ops, instrumented sites, shift-to-memory). ``emit_instruction``
-        has counted the instruction and added its ``alu``, which a
-        handler does not charge, to the accumulator; sync and flush so
-        the handler sees exactly the state ``Cpu._run_loop`` gives it:
-        the instruction counted, ``eip`` on its fall-through and the
-        account exact."""
+        """Run one instruction through its compiled handler: the
+        emitter's one fallback, for an instrumented site and for every
+        form outside the inline set (:func:`_inline`), string ops
+        included. ``emit_instruction`` has counted the instruction and
+        added its ``alu``, which a handler does not charge, to the
+        accumulator; sync and flush so the handler sees exactly the
+        state ``Cpu._run_loop`` gives it: the instruction counted,
+        ``eip`` on its fall-through and the account exact. A handler
+        that does not compile ends the trace before the instruction, as
+        it ends a run, so the loop raises the error there."""
         from .cpu import _handler_for    # deferred: avoids module cycle
-        self.sync(next_addr)
-        self.flush()
         handler = self.loaded.handlers[index]
         if handler is None:
-            handler = _handler_for(self.loaded, index)
+            try:
+                handler = _handler_for(self.loaded, index)
+            except Exception as exc:
+                raise _Unsupported("handler does not compile") from exc
+        self.sync(next_addr)
+        self.flush()
         name = self.bake("H", handler)
         self.emit(f"{name}(cpu)")
         if index in self.loaded.instrument:

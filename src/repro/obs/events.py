@@ -63,14 +63,3 @@ SPAN_PACKET_RX = "packet.rx"
 SPAN_IRQ = "irq"
 SPAN_UPCALL_PREFIX = "upcall:"
 SPAN_RECOVERY = "recovery"
-
-EVENT_KINDS = frozenset({
-    SVM_HIT, SVM_MISS, SVM_FILL, SVM_FLUSH, SVM_FAULT, SVM_INVALIDATE,
-    HYPERCALL, DOMAIN_SWITCH, EVENT_SEND, VIRQ, VIRQ_COALESCED, SOFTIRQ,
-    SUPPORT_CALL, NATIVE_CALL,
-    NIC_IRQ, NIC_TX, NIC_RX, NIC_DESC, NIC_DMA_FAULT,
-    PACKET_RX_DEMUX, DRIVER_ABORT,
-    RECOVERY_QUARANTINE, RECOVERY_DEGRADED, RECOVERY_RELOAD,
-    RECOVERY_BREAKER, UPCALL_ABORT,
-    SPAN_BEGIN, SPAN_END,
-})

@@ -10,8 +10,14 @@ side), and stale program state across a mid-run reload.
 
 import pytest
 
+from repro.analysis import verify_program
+from repro.core.rewriter import apply_elision, rewrite_driver
+from repro.drivers import DRIVER_SPECS
 from repro.isa import assemble
+from repro.isa.operands import Imm, Mem
 from repro.machine import AddressSpace, Machine, PageFault
+from repro.machine.cpu import LoadedProgram
+from repro.machine.jit import _Emitter, _Unsupported
 from repro.metrics.cycles import CycleAccount
 
 DATA = 0xC0000000
@@ -141,6 +147,31 @@ loop:
         assert m.cpu.call_function(f, [], stack_top=STACK_TOP) == 10
         assert loaded._jit.superblocks[f].n_instrs == 2
         assert loaded._jit.superblocks[loop].entries == 2
+
+    def test_uncompilable_handler_ends_the_trace_before_it(self):
+        # ``leal %cx, %eax`` is outside the inline set and its handler
+        # does not compile: the trace from ``loop`` ends before it, as a
+        # run does, so both modes run the loop and fail at the lea
+        src = """
+.globl f
+f: movl $0, %ecx
+loop:
+   incl %ecx
+   cmpl $8, %ecx
+   jne loop
+   leal %cx, %eax
+   ret
+"""
+        outs = []
+        for jit in (False, True):
+            m, _ = make_machine(jit=jit)
+            loaded = m.load_linked_program(assemble(src), BASE)
+            with pytest.raises(Exception) as info:
+                m.cpu.call_function(loaded.symbol("f"), [],
+                                    stack_top=STACK_TOP)
+            outs.append((type(info.value), machine_state(m)))
+        assert outs[0] == outs[1]
+        assert m.cpu.jit_stats()["compiles"] == 1
 
     def test_jit_off_by_default(self):
         m = Machine()
@@ -519,3 +550,54 @@ loop:
                                     stack_top=STACK_TOP)
             outs.append(machine_state(m))
         assert outs[0] == outs[1]
+
+
+class TestDriverCoverage:
+    """The emitter's inline set covers the shipped drivers: a change to a
+    driver, the rewriter or the emitter that would send one of their
+    instructions to its handler inside a superblock fails here."""
+
+    @staticmethod
+    def _linked(program):
+        """``program`` laid out with every symbol and import it names
+        bound to a placeholder address, as a loader would bind them."""
+        symbols = {op.symbol for instr in program.instructions
+                   for op in instr.operands
+                   if isinstance(op, (Imm, Mem)) and op.symbol is not None}
+        return LoadedProgram(program.resolve(dict.fromkeys(symbols, 0)),
+                             BASE, extern=dict.fromkeys(program.imports(), 0))
+
+    @pytest.mark.parametrize("protect_stack", [False, True])
+    @pytest.mark.parametrize("driver", ["e1000", "rtl8139"])
+    def test_every_non_string_instruction_is_inlined(self, driver,
+                                                     protect_stack):
+        rewritten, stats = rewrite_driver(
+            DRIVER_SPECS[driver].build_program(),
+            protect_stack=protect_stack)
+        report = verify_program(rewritten, annotations=stats.annotations,
+                                protect_stack=protect_stack)
+        elided, _ = apply_elision(rewritten, report.proofs)
+        cpu = Machine().cpu
+        delegated = []
+
+        class Census(_Emitter):
+            def delegate(self, index, next_addr, next_index):
+                delegated.append(index)
+                return next_index
+
+        for binary in (rewritten, elided):
+            loaded = self._linked(binary)
+            instrs = binary.instructions
+            ended = []
+            delegated.clear()
+            for index in range(len(instrs)):
+                try:
+                    Census(cpu, loaded, index).emit_instruction(index)
+                except _Unsupported:
+                    ended.append(index)
+            # only an indirect call ends a trace, and only the string ops
+            # (the drivers have some) run their handlers
+            assert all(instrs[i].indirect for i in ended)
+            assert delegated == [i for i, instr in enumerate(instrs)
+                                 if instr.is_string]
+            assert delegated

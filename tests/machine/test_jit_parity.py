@@ -17,7 +17,11 @@ of the interpreter's RAM fast path: 1/2/4-byte accesses at unaligned and
 page-crossing offsets, a hot range over part of the data, a cycle scale
 whose per-charge rounding differs from rounding the sum, a page shared
 by RAM and a recording MMIO device, and a page whose frame does not
-exist (BusError).
+exist (BusError). The "delegated" property mixes in the forms a
+superblock runs through their interpreter handlers, between emitted
+instructions: sign extension, exchange, multiply, the flags word, the
+direction flag, 8/16-bit register operands, 1/2-byte immediate stores
+and a memory operand indexed by a 16-bit register.
 """
 
 from hypothesis import given, settings
@@ -110,10 +114,49 @@ _world_instr = st.one_of(
               _moff),
 )
 
+_nsize = st.sampled_from([1, 2])
+
+#: forms outside the JIT's inline set (every register from ``_SREGS``
+#: where an 8- or 16-bit name is needed)
+_delegated_instr = st.one_of(
+    st.tuples(st.just("movsxload"), _nsize, st.sampled_from(_REGS), _off),
+    st.tuples(st.just("movsxreg"), _nsize, st.sampled_from(_SREGS),
+              st.sampled_from(_REGS)),
+    st.tuples(st.just("xchgreg"), st.sampled_from(_REGS),
+              st.sampled_from(_REGS)),
+    st.tuples(st.just("xchgmem"), st.sampled_from(_REGS), _off),
+    st.tuples(st.just("imulimm"), _imm, st.sampled_from(_REGS)),
+    st.tuples(st.just("imulreg"), st.sampled_from(_REGS),
+              st.sampled_from(_REGS)),
+    st.tuples(st.just("imulmem"), _off, st.sampled_from(_REGS)),
+    st.tuples(st.sampled_from(["pushf", "popf"]), st.sampled_from(_REGS)),
+    st.tuples(st.sampled_from(["cld", "std"])),
+    st.tuples(st.just("alunarrow"), st.sampled_from(_ALU), _nsize,
+              st.sampled_from(_SREGS), st.sampled_from(_SREGS)),
+    st.tuples(st.just("alunarrowimm"), st.sampled_from(_ALU), _nsize, _imm,
+              st.sampled_from(_SREGS)),
+    st.tuples(st.just("movzreg"), _nsize, st.sampled_from(_SREGS),
+              st.sampled_from(_REGS)),
+    st.tuples(st.just("storenimm"), _nsize, _imm, _off),
+    # %ecx gets random upper bits: only its low 16 bits index the data
+    st.tuples(st.just("idx16"), st.sampled_from(_REGS),
+              st.integers(0, 0xFFFF), _off),
+)
+
+_delegated_programs = st.tuples(
+    st.lists(st.lists(st.one_of(_delegated_instr, _instr), min_size=1,
+                      max_size=5), min_size=1, max_size=3),
+    _guards, st.integers(2, 6))
+
 _world_programs = st.tuples(
     st.lists(st.lists(_world_instr, min_size=1, max_size=5),
              min_size=1, max_size=3),
     _guards, st.integers(2, 6))
+
+
+def _sub(reg, size) -> str:
+    """The 1/2/4-byte name of ``reg`` (one of ``_SREGS``)."""
+    return {1: reg[1] + "l", 2: reg[1:], 4: reg}[size]
 
 
 def _narrow(kind, size, reg, mem) -> str:
@@ -121,13 +164,57 @@ def _narrow(kind, size, reg, mem) -> str:
     if kind == "load":
         op = {1: "movzbl", 2: "movzwl", 4: "movl"}[size]
         return f"    {op} {mem}, %{reg}"
-    src = {1: reg[1] + "l", 2: reg[1:], 4: reg}[size]
     op = {1: "movb", 2: "movw", 4: "movl"}[size]
-    return f"    {op} %{src}, {mem}"
+    return f"    {op} %{_sub(reg, size)}, {mem}"
+
+
+_SUFFIX = {1: "b", 2: "w"}
+
+
+def _render_delegated(op):
+    """The text of a ``_delegated_instr`` op; None for any other."""
+    kind = op[0]
+    if kind == "movsxload":
+        return f"    movsx{_SUFFIX[op[1]]} {op[3]}(%ebx), %{op[2]}"
+    if kind == "movsxreg":
+        return f"    movsx{_SUFFIX[op[1]]} %{_sub(op[2], op[1])}, %{op[3]}"
+    if kind == "xchgreg":
+        return f"    xchgl %{op[1]}, %{op[2]}"
+    if kind == "xchgmem":
+        return f"    xchgl %{op[1]}, {op[2]}(%ebx)"
+    if kind == "imulimm":
+        return f"    imull ${op[1]}, %{op[2]}"
+    if kind == "imulreg":
+        return f"    imull %{op[1]}, %{op[2]}"
+    if kind == "imulmem":
+        return f"    imull {op[1]}(%ebx), %{op[2]}"
+    if kind == "pushf":
+        return f"    pushf\n    popl %{op[1]}"
+    if kind == "popf":
+        return f"    pushl %{op[1]}\n    popf"
+    if kind in ("cld", "std"):
+        return f"    {kind}"
+    if kind == "alunarrow":
+        return (f"    {op[1][:-1]}{_SUFFIX[op[2]]} %{_sub(op[3], op[2])}, "
+                f"%{_sub(op[4], op[2])}")
+    if kind == "alunarrowimm":
+        return (f"    {op[1][:-1]}{_SUFFIX[op[2]]} ${op[3]}, "
+                f"%{_sub(op[4], op[2])}")
+    if kind == "movzreg":
+        return f"    movz{_SUFFIX[op[1]]}l %{_sub(op[2], op[1])}, %{op[3]}"
+    if kind == "storenimm":
+        return f"    mov{_SUFFIX[op[1]]} ${op[2]}, {op[3]}(%ebx)"
+    if kind == "idx16":
+        return (f"    movl ${op[2] << 16 | op[3]}, %ecx\n"
+                f"    movl (%ebx,%cx,1), %{op[1]}")
+    return None
 
 
 def _render(op) -> str:
     kind = op[0]
+    delegated = _render_delegated(op)
+    if delegated is not None:
+        return delegated
     if kind == "movimm":
         return f"    movl ${op[2]}, %{op[1]}"
     if kind == "movreg":
@@ -293,6 +380,15 @@ def _run_bad_base(source, bad_call, bad_base, leg, world=False):
 @settings(max_examples=40, deadline=None)
 @given(_programs)
 def test_alu_memory_loops_bit_identical(spec):
+    blocks, guards, iters = spec
+    _legs(_run_one, _build_source(blocks, guards, iters))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_delegated_programs)
+def test_delegated_forms_bit_identical(spec):
+    # forms outside the inline set run their handlers inside the trace,
+    # between emitted instructions and their batched charges
     blocks, guards, iters = spec
     _legs(_run_one, _build_source(blocks, guards, iters))
 
