@@ -34,13 +34,7 @@ from .osmodel.kernel import Kernel
 from .osmodel.xennet import XenNetBack, XenNetFront
 from .xen.costs import CostModel
 from .xen.domain import Domain
-from .xen.hypervisor import (
-    HYP2_CODE_BASE,
-    HYP2_DATA_BASE,
-    HYP2_STACK_BASE,
-    HYP2_SVM_MAP_BASE,
-    Hypervisor,
-)
+from .xen.hypervisor import Hypervisor
 
 #: MTU frame: 14-byte Ethernet header + 1486-byte payload = 1500 bytes.
 FRAME_PAYLOAD = L.MTU - L.ETH_HLEN
@@ -183,19 +177,15 @@ def _host(n_nics: int, costs: Optional[CostModel] = None,
 
 def _twin_topology(host: _Host, devices: Sequence[Tuple[str, bytes]],
                    pool_size: int, instances: int = 1, **twin_kwargs):
-    """``instances`` live twin instances (the second at the ``HYP2_*``
+    """``instances`` live twin instances (each at the next hypervisor
     layout), all built before any NIC is opened so their pools come
     first in the dom0 heap, splitting the host's NICs in order; then a
     guest domain per distinct name in ``devices`` (``(guest name, MAC)``
     pairs) and a device per pair on the first instance. Returns
     ``(twins, devices, guest kernels)``."""
-    second = dict(instance_name="hyp2", code_base=HYP2_CODE_BASE,
-                  data_base=HYP2_DATA_BASE, stack_base=HYP2_STACK_BASE,
-                  svm_map_base=HYP2_SVM_MAP_BASE)
     twins = [TwinDriverManager(host.xen, host.dom0_kernel,
-                               pool_size=pool_size, **twin_kwargs,
-                               **(second if k else {}))
-             for k in range(instances)]
+                               pool_size=pool_size, **twin_kwargs)
+             for _ in range(instances)]
     per_twin = len(host.nics) // instances
     for k, twin in enumerate(twins):
         for nic in host.nics[k * per_twin:(k + 1) * per_twin]:
@@ -392,10 +382,10 @@ def build_scale(n_guests: int = 16, vcpus: int = 4, num_queues: int = 4,
 def build_handover_pair(n_guests: int = 2, vcpus: int = 1,
                         num_queues: int = 1, n_nics: int = 1,
                         jit: bool = False) -> SystemUnderTest:
-    """Two *live* twin instances side by side — the primary at the
-    historical hypervisor VA layout, the secondary ("hyp2") at the
-    ``HYP2_*`` bases — so a guest's queue state can be re-homed from one
-    to the other without a reload (DESIGN.md §14).
+    """Two *live* twin instances side by side — the primary ("hyp") and
+    the secondary ("hyp2") at the hypervisor's first and second twin
+    layouts — so a guest's queue state can be re-homed from one to the
+    other without a reload (DESIGN.md §14).
 
     Each instance owns ``n_nics`` NICs; every guest starts on the
     primary. The facade's rx path injects into the *primary's* NICs

@@ -10,10 +10,11 @@ The loader:
 * binds calls to support routines either to the hypervisor's own
   implementations (the Table-1 set) or to upcall stubs — one stub per
   unimplemented routine;
-* lays the code out at ``HYP_CODE_BASE``; because the *same rewritten
-  binary* is used for the VM instance, every routine's hypervisor address
-  differs from its VM address by one constant (``code_offset``), which is
-  what makes indirect-call translation trivial (§5.1.2);
+* lays the code out at the instance's code base; because the *same
+  rewritten binary* is used for the VM instance, every routine's
+  hypervisor address differs from its VM address by one constant
+  (``code_offset``), which is what makes indirect-call translation
+  trivial (§5.1.2);
 * sets up the hypervisor driver stack with guard pages, and the
   ``stlb_call`` translation cache.
 
@@ -37,12 +38,7 @@ from ..machine.memory import BusError, PAGE_SIZE
 from ..machine.paging import AddressSpace, PageFault, ProtectionFault
 from ..obs.events import DRIVER_ABORT
 from ..osmodel.kernel import DriverModule
-from ..xen.hypervisor import (
-    HYP_DATA_BASE,
-    HYP_STACK_BASE,
-    HYP_STACK_PAGES,
-    Hypervisor,
-)
+from ..xen.hypervisor import HYP_STACK_PAGES, Hypervisor
 from .rewriter import (
     CALL_XLATE_SYMBOL,
     RET_SLOT_SYMBOL,
@@ -75,7 +71,7 @@ class DriverAborted(Exception):
 class HypAllocator:
     """Bump allocator for hypervisor data (stlb, slots, pools)."""
 
-    def __init__(self, machine: Machine, base: int = HYP_DATA_BASE):
+    def __init__(self, machine: Machine, base: int):
         self.machine = machine
         self.base = base
         self._next = base
@@ -244,49 +240,35 @@ class HypervisorDriver:
 class HypervisorLoader:
     """Loads the rewritten driver into the hypervisor (paper §5.2)."""
 
-    def __init__(self, xen: Hypervisor, code_base: int, alloc: HypAllocator,
-                 stack_base: int = HYP_STACK_BASE):
+    def __init__(self, xen: Hypervisor, code_base: int, stack_base: int):
         self.xen = xen
         self.code_base = code_base
-        self.alloc = alloc
         self.stack_base = stack_base
 
     def load(self, rewritten, vm_module: DriverModule,
              runtime: SvmRuntime,
              support_bindings: Dict[str, int],
-             upcall_factory=None,
-             name: str = "hyp:e1000",
-             verify: bool = True,
-             verify_report=None,
-             annotations=None,
-             protect_stack: bool = False,
+             verify_report,
+             upcall_factory,
+             name: str,
              elided_indices=()) -> HypervisorDriver:
         """``support_bindings`` maps support-routine names to hypervisor
         native addresses; anything else becomes an upcall stub via
         ``upcall_factory(name, dom0_native_addr)``.
 
-        By default the binary is statically verified before anything is
-        mapped: a caller-supplied ``verify_report`` is honoured, otherwise
-        the verifier runs here (in hostile mode unless rewriter
-        ``annotations`` are given). A binary with violations is refused
-        with :class:`~repro.analysis.report.VerificationError`; pass
-        ``verify=False`` to load unverified (tests/benchmarks only).
+        ``verify_report`` is the static verifier's report on the binary;
+        one that is not clean is refused with
+        :class:`~repro.analysis.report.VerificationError` before anything
+        is mapped. There is no unverified load.
 
         When loading an elision-transformed binary the caller must supply
         the *pre-elision* ``verify_report`` (the transformed code contains
         bare translated accesses the verifier would reject by design) plus
         the transform's ``elided_indices`` for runtime accounting."""
-        if verify:
-            # direct submodule import: safe during partial package init
-            from ..analysis.report import VerificationError
-            if verify_report is None:
-                from ..analysis.verifier import verify_program
-                verify_report = verify_program(
-                    rewritten, annotations=annotations,
-                    protect_stack=protect_stack, name=name,
-                )
-            if not verify_report.ok:
-                raise VerificationError(verify_report)
+        # direct submodule import: safe during partial package init
+        from ..analysis.report import VerificationError
+        if not verify_report.ok:
+            raise VerificationError(verify_report)
         machine = self.xen.machine
         data_symbols = dict(vm_module.data_symbols)
         # data symbols point into dom0; runtime symbols into hypervisor data
@@ -300,20 +282,15 @@ class HypervisorLoader:
                 import_map[imp] = support_bindings[imp]
             else:
                 dom0_addr = vm_module.import_map.get(imp)
-                if dom0_addr is None or upcall_factory is None:
+                if dom0_addr is None:
                     raise KeyError(
                         f"no hypervisor binding or upcall target for {imp!r}"
                     )
                 import_map[imp] = upcall_factory(imp, dom0_addr)
 
-        zeros = {label: 0 for label in rewritten.labels}
-        tentative = LoadedProgram(
-            rewritten.resolve({**data_symbols, **zeros}),
-            self.code_base, extern=import_map,
-        )
-        resolved = rewritten.resolve({**data_symbols, **tentative.symbols})
-        loaded = machine.load_program(resolved, self.code_base,
-                                      extern=import_map, name=name)
+        loaded = machine.load_linked_program(
+            rewritten, self.code_base, symbols=data_symbols,
+            extern=import_map, name=name)
         if elided_indices:
             install_elision_hooks(loaded, runtime.svm, elided_indices)
 

@@ -87,10 +87,6 @@ class ParavirtNetDevice:
         amortised. Returns one success flag per frame."""
         if not payload_lens:
             return []
-        if len(payload_lens) > self.twin.tx_batch_max:
-            raise ValueError(
-                f"batch of {len(payload_lens)} exceeds tx_batch_max="
-                f"{self.twin.tx_batch_max}")
         aspace = self.kernel.domain.aspace
         while len(self._tx_slots) < len(payload_lens):
             self._tx_slots.append(self.kernel.heap.alloc_pages(2))
@@ -133,11 +129,6 @@ class ParavirtNetDevice:
         return header, frags
 
     # -- receive ------------------------------------------------------------------
-
-    def deliver(self, payload: bytes):
-        """Called by the hypervisor after copying a packet into the guest:
-        virtual interrupt + guest stack processing."""
-        self.deliver_batch([payload])
 
     def deliver_batch(self, payloads: List[bytes]):
         """Called by the hypervisor after copying a *batch* of packets

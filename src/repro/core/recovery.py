@@ -311,7 +311,7 @@ class RecoveryManager:
                                     phase="recovery:rx_copy")
                 self.xen.charge_xen(costs.virq_delivery,
                                     phase="xen:virq_delivery")
-                guest.deliver(payload)
+                guest.deliver_batch([payload])
             else:
                 twin.hold("rx_bytes", guest, [payload])
         if dst_mac[0] & 1 or not targets:

@@ -8,7 +8,8 @@
    both instances — §5.1.2 — so code addresses differ by a constant);
 3. set up the hypervisor stlb, the hypervisor support routines (Table 1),
    the upcall stubs for everything else, and load the **hypervisor
-   instance** at ``HYP_CODE_BASE``;
+   instance** at its layout's code base (the k-th twin built on a
+   hypervisor takes the k-th of its ``TWIN_LAYOUTS``);
 4. route NIC interrupts to the hypervisor instance (softirq context,
    honouring dom0's virtual interrupt flag — §4.4);
 5. implement the guest transmit path (header copy + guest-page fragment
@@ -39,13 +40,7 @@ from ..obs.events import (
 from ..obs.health import VIRQ_DEFER_HISTOGRAM
 from ..osmodel.netdev import NetDevice
 from ..osmodel.skbuff import SkBuff
-from ..xen.hypervisor import (
-    HYP_CODE_BASE,
-    HYP_DATA_BASE,
-    HYP_STACK_BASE,
-    HYP_SVM_MAP_BASE,
-    Hypervisor,
-)
+from ..xen.hypervisor import Hypervisor
 from .hypsupport import HYPERVISOR_FAST_PATH, HypervisorSupport
 from .loader import (
     DriverAborted,
@@ -67,12 +62,12 @@ from .upcall import UpcallAborted, UpcallManager
 CONTAINABLE_FAULTS = (DriverAborted, SvmProtectionFault, SvmMapExhausted,
                       UpcallAborted)
 
-#: NAPI-style receive budget: packets delivered per guest per
+#: NAPI-style receive budget: packets delivered per guest per queue per
 #: :meth:`TwinDriverManager.flush_rx` pass; leftovers are requeued and a
 #: softirq continues the flush.
-DEFAULT_RX_BATCH_BUDGET = 64
+RX_BATCH_BUDGET = 64
 #: Upper bound on frames accepted per :meth:`guest_transmit_batch` call.
-DEFAULT_TX_BATCH_MAX = 32
+TX_BATCH_MAX = 32
 
 
 #: held-entry kinds that carry receives (part of the rx backlog).
@@ -106,17 +101,16 @@ class Held(NamedTuple):
 class TwinQueue:
     """One shard of the twin's receive state (multiqueue RSS).
 
-    Each queue owns its rx backlog, its NAPI budget, a lock-ownership
-    word (which vCPU last flushed it — the contention model charges a
-    cache-line handoff when that changes), and an stlb partition warmth
-    tag (which guest's translations are hot in this queue's slice of the
-    stlb — flushing a different guest pays a partition refill). With
+    Each queue owns its rx backlog, a lock-ownership word (which vCPU
+    last flushed it — the contention model charges a cache-line handoff
+    when that changes), and an stlb partition warmth tag (which guest's
+    translations are hot in this queue's slice of the stlb — flushing a
+    different guest pays a partition refill). With
     ``num_queues=1`` the single queue behaves exactly like the pre-SMP
     global rx queue and none of the contention charges fire."""
 
-    def __init__(self, index: int, budget: int):
+    def __init__(self, index: int):
         self.index = index
-        self.budget = budget
         #: queued (guest device, skb address) pairs awaiting flush.
         self.rx: List[Tuple["ParavirtNetDevice", int]] = []
         #: id of the vCPU that last held this queue's flush lock.
@@ -136,69 +130,49 @@ class TwinDriverManager:
                  protect_stack: bool = False,
                  stlb_entries: int = 4096,
                  driver: Optional[DriverSpec] = None,
-                 verify: bool = True,
                  recovery: bool = True,
                  recovery_policy: Optional[RecoveryPolicy] = None,
-                 rx_batch_budget: int = DEFAULT_RX_BATCH_BUDGET,
-                 tx_batch_max: int = DEFAULT_TX_BATCH_MAX,
                  elide: bool = False,
-                 num_queues: int = 1,
-                 instance_name: str = "hyp",
-                 code_base: int = HYP_CODE_BASE,
-                 data_base: int = HYP_DATA_BASE,
-                 stack_base: int = HYP_STACK_BASE,
-                 svm_map_base: int = HYP_SVM_MAP_BASE):
+                 num_queues: int = 1):
         """``upcall_routines``: fast-path routine names to serve via
         upcalls instead of hypervisor implementations (figure 10).
         ``protect_stack`` enables the §4.5.1 extension (bounds checks on
         variable-offset stack accesses). ``stlb_entries`` sizes the stlb
         hash table (the paper's is 4096 entries / 16 MiB). ``driver``
         selects which driver to twin (default: the e1000 spec).
-        ``verify`` statically verifies the rewritten binary (annotated
-        mode) before the hypervisor loads it; the report is kept on
-        ``self.verify_report`` next to ``self.rewrite_stats``.
+        The rewritten binary is always statically verified (annotated
+        mode) and the hypervisor loader refuses it unless the report is
+        clean; the report is kept on ``self.verify_report`` next to
+        ``self.rewrite_stats``.
         ``recovery`` (default on) arms the fault-containment subsystem:
         faults at the hypervisor boundary quarantine the instance and
         degrade to the dom0 path instead of propagating; set it False to
         get the raw §4.5 abort semantics (tests).
-        ``rx_batch_budget`` caps packets delivered per guest per
-        :meth:`flush_rx` pass (NAPI-style); ``tx_batch_max`` caps frames
-        per :meth:`guest_transmit_batch`.
         ``elide`` enables proof-based check elision: sites the verifier's
         abstract interpretation proved to stay inside an anchor's checked
         page pair reload the anchor's stored translation instead of
-        re-running the stlb check. Requires ``verify=True`` (the proofs
-        come from the verification report); both instances load the same
-        transformed binary so ``code_offset`` stays a single constant.
+        re-running the stlb check (the proofs come from the verification
+        report); both instances load the same transformed binary so
+        ``code_offset`` stays a single constant.
         ``num_queues`` shards the receive path into N RSS queues, each
         with its own backlog, budget, lock ownership and stlb partition;
         1 (the default) reproduces the pre-SMP single-queue behaviour
         bit-for-bit.
-        ``instance_name``/``code_base``/``data_base``/``stack_base``/
-        ``svm_map_base`` place this twin at a distinct hypervisor VA
-        layout and metric namespace so a SECOND live instance can coexist
-        with the primary (queue re-homing, DESIGN.md §14); the defaults
-        reproduce the single-instance layout exactly."""
+        The twin's hypervisor VA layout and metric namespace come from
+        ``xen``: the first twin built on it is ``hyp``, a second live
+        instance (queue re-homing, DESIGN.md §14) is ``hyp2``."""
         self.xen = xen
         self.machine = xen.machine
         self.dom0_kernel = dom0_kernel
         self.protect_stack = protect_stack
-        self.instance_name = instance_name
-        self.code_base = code_base
-        self.data_base = data_base
-        self.stack_base = stack_base
-        self.svm_map_base = svm_map_base
-        # the primary instance keeps the historical "hyp"/"dom0" prefixes
-        # and "hyp-stlb"/"dom0-stlb" metric names bit-for-bit; secondary
-        # instances derive theirs from instance_name
-        primary = instance_name == "hyp"
-        self._dom0_prefix = "dom0" if primary else f"{instance_name}.dom0"
-        self._identity_svm_name = ("dom0-stlb" if primary
-                                   else f"{instance_name}-dom0-stlb")
+        self.layout = layout = xen.next_twin_layout()
+        self.instance_name = layout.name
         self.upcall_routines = frozenset(upcall_routines)
         unknown = self.upcall_routines - frozenset(HYPERVISOR_FAST_PATH)
         if unknown:
             raise ValueError(f"not fast-path routines: {sorted(unknown)}")
+        if num_queues < 1:
+            raise ValueError("num_queues must be >= 1")
 
         # 1. assemble + rewrite
         self.driver_spec = driver or E1000_SPEC
@@ -209,7 +183,7 @@ class TwinDriverManager:
             stlb_entries=stlb_entries)
         # verify-then-load: the hypervisor proves the rewritten binary
         # safe before trusting it
-        self.verify_report = self.reverify() if verify else None
+        self.verify_report = self.reverify()
         # prove-then-elide: consume the verifier's proofs to drop stlb
         # re-checks on proven sites. ``self.rewritten`` stays pre-elision
         # (it is what recovery re-verifies); ``self.loadable`` is what
@@ -217,9 +191,6 @@ class TwinDriverManager:
         self.elision = None
         self.loadable = self.rewritten
         if elide:
-            if not verify or self.verify_report is None:
-                raise ValueError("elide=True requires verify=True: the "
-                                 "elision transform consumes the proofs")
             self.loadable, self.elision = apply_elision(
                 self.rewritten, self.verify_report.proofs)
 
@@ -233,11 +204,11 @@ class TwinDriverManager:
         self.identity_svm = SvmManager(
             self.machine, dom0_syms[STLB_SYMBOL],
             dom0_kernel.domain.aspace, identity=True,
-            name=self._identity_svm_name,
+            name=layout.vm_stlb,
             entries=stlb_entries,
         )
         self.dom0_runtime = SvmRuntime(
-            self.machine, self._dom0_prefix, self.identity_svm, dom0_syms,
+            self.machine, layout.vm_prefix, self.identity_svm, dom0_syms,
             translate_code=self._identity_translate_code,
             data_space=dom0_kernel.domain.aspace,
         )
@@ -253,7 +224,7 @@ class TwinDriverManager:
                                   self.elision.elided_indices)
 
         # 3. hypervisor side
-        self.hyp_alloc = HypAllocator(self.machine, base=self.data_base)
+        self.hyp_alloc = HypAllocator(self.machine, layout.data_base)
         hyp_syms = allocate_runtime_symbols(self.hyp_alloc.alloc)
         if self.elision is not None:
             # placed in hyp runtime symbols so the loader's runtime
@@ -262,24 +233,24 @@ class TwinDriverManager:
         self.svm = SvmManager(
             self.machine, hyp_syms[STLB_SYMBOL],
             dom0_kernel.domain.aspace, identity=False,
-            map_base=self.svm_map_base, name=f"{instance_name}-stlb",
+            map_base=layout.svm_map_base, name=f"{layout.name}-stlb",
             entries=stlb_entries,
         )
         hyp_data_space = AddressSpace(
-            f"{instance_name}-data", self.machine.phys,
+            f"{layout.name}-data", self.machine.phys,
             self.machine.hypervisor_table
         )
         self.hyp_runtime = SvmRuntime(
-            self.machine, instance_name, self.svm, hyp_syms,
+            self.machine, layout.name, self.svm, hyp_syms,
             translate_code=None,  # installed by the loader
             data_space=hyp_data_space,
         )
         self.upcalls = UpcallManager(xen, dom0_kernel)
         self.hyp_support = HypervisorSupport(
             xen, dom0_kernel, self.svm, self, pool_size=pool_size,
-            prefix=instance_name,
+            prefix=layout.name,
         )
-        self._load_hyp_driver(self.verify_report, verify=verify)
+        self._load_hyp_driver(self.verify_report)
 
         # guests & NICs
         self.guest_devices: List[ParavirtNetDevice] = []
@@ -297,22 +268,11 @@ class TwinDriverManager:
         #: and the quarantine teardown release from it.
         self.held: List[Held] = []
 
-        # fast-path batching knobs (§5.3: one copy pass + one virtual
-        # interrupt per scheduled guest, not per packet)
-        if rx_batch_budget < 1:
-            raise ValueError("rx_batch_budget must be >= 1")
-        if tx_batch_max < 1:
-            raise ValueError("tx_batch_max must be >= 1")
-        if num_queues < 1:
-            raise ValueError("num_queues must be >= 1")
-        self.rx_batch_budget = rx_batch_budget
-        self.tx_batch_max = tx_batch_max
-        # multiqueue sharding: per-queue rx backlogs, budgets, lock
-        # ownership and stlb partitions; guests are steered to a queue
-        # by the RSS hash of their MAC
+        # multiqueue sharding: per-queue rx backlogs, lock ownership and
+        # stlb partitions; guests are steered to a queue by the RSS hash
+        # of their MAC
         self.num_queues = num_queues
-        self.queues = [TwinQueue(i, rx_batch_budget)
-                       for i in range(num_queues)]
+        self.queues = [TwinQueue(i) for i in range(num_queues)]
         self._guest_rx_queue: Dict[bytes, int] = {}
         #: netdev addr -> id of the vCPU that last held its tx lock.
         self._tx_lock_owner: Dict[int, int] = {}
@@ -331,6 +291,7 @@ class TwinDriverManager:
         self.recovery: Optional[RecoveryManager] = (
             RecoveryManager(self, recovery_policy) if recovery else None
         )
+        xen.twins.append(self)
 
     # ------------------------------------------------------------------ setup
 
@@ -372,13 +333,7 @@ class TwinDriverManager:
         else:
             dev.netdev_addr = None
 
-    # -- rx queue facade -----------------------------------------------------
-
-    @property
-    def _rx_queue(self) -> List[Tuple[ParavirtNetDevice, int]]:
-        """Back-compat view of queue 0's backlog (THE rx queue before
-        multiqueue sharding; still everything when ``num_queues=1``)."""
-        return self.queues[0].rx
+    # -- rx backlog ------------------------------------------------------------
 
     @property
     def rx_backlog(self) -> int:
@@ -418,12 +373,11 @@ class TwinDriverManager:
         """Convert held ``rx`` entries (all, or only ``dev``'s) in place
         to ``rx_bytes``, so they outlive this instance's skbs. Payloads
         are read through dom0's own address space (the stlb may already
-        be gone), and each entry drops the one reference it holds: a
-        shared broadcast skb is only decremented, the last reference
-        returns the skb to the pool (or to dom0's slab). Returns the
-        number of packets converted."""
+        be gone), and each entry drops the one reference it holds through
+        dom0's ``free_skb``: a shared broadcast skb is only decremented,
+        the last reference returns the skb to its pool (or to dom0's
+        slab). Returns the number of packets converted."""
         mem = self.dom0_kernel.memory_view()
-        pool = self.hyp_support.pool
         converted = 0
         for i, entry in enumerate(self.held):
             if entry.kind != "rx" or (dev is not None
@@ -433,12 +387,7 @@ class TwinDriverManager:
             for skb_addr in entry.data:
                 skb = SkBuff(mem, skb_addr)
                 payloads.append(mem.read_bytes(skb.data, skb.len))
-                if skb.refcnt > 1:
-                    skb.refcnt = skb.refcnt - 1
-                elif skb.pool:
-                    pool.release(skb_addr)
-                else:
-                    self.dom0_kernel.free_skb(skb_addr)
+                self.dom0_kernel.free_skb(skb_addr)
             self.held[i] = entry._replace(kind="rx_bytes", data=payloads)
             converted += len(payloads)
         return converted
@@ -493,9 +442,6 @@ class TwinDriverManager:
         if self.xen.driver_depth == 0:
             self.xen.run_softirqs()
 
-    def bind_device(self, dev: ParavirtNetDevice, netdev_addr: int):
-        dev.netdev_addr = netdev_addr
-
     # ------------------------------------------------------------ VM instance
 
     def vm_call(self, symbol: str, args) -> int:
@@ -530,7 +476,7 @@ class TwinDriverManager:
             self.rewritten, annotations=self.rewrite_stats.annotations,
             protect_stack=self.protect_stack, name=name)
 
-    def _load_hyp_driver(self, verify_report, verify: bool = True) -> None:
+    def _load_hyp_driver(self, verify_report) -> None:
         """Load :attr:`loadable` as this instance's hypervisor driver at
         its code base, bound to the hypervisor support routines except
         the upcalled ones. The loader refuses a failed ``verify_report``."""
@@ -538,13 +484,13 @@ class TwinDriverManager:
             name: addr for name, addr in self.hyp_support.addresses.items()
             if name not in self.upcall_routines
         }
-        loader = HypervisorLoader(self.xen, self.code_base, self.hyp_alloc,
-                                  stack_base=self.stack_base)
+        loader = HypervisorLoader(self.xen, self.layout.code_base,
+                                  self.layout.stack_base)
         self.hyp_driver = loader.load(
             self.loadable, self.vm_module, self.hyp_runtime,
-            support_bindings, upcall_factory=self.upcalls.make_stub,
+            support_bindings, verify_report,
+            upcall_factory=self.upcalls.make_stub,
             name=f"{self.instance_name}:{self.driver_spec.name}",
-            verify=verify, verify_report=verify_report,
             elided_indices=(self.elision.elided_indices
                             if self.elision is not None else ()),
         )
@@ -784,10 +730,9 @@ class TwinDriverManager:
         per-packet path, so the guest still gets one result per frame."""
         if dev.netdev_addr is None:
             raise RuntimeError("guest device not bound to a NIC")
-        if len(frames) > self.tx_batch_max:
+        if len(frames) > TX_BATCH_MAX:
             raise ValueError(
-                f"batch of {len(frames)} exceeds tx_batch_max="
-                f"{self.tx_batch_max}")
+                f"batch of {len(frames)} exceeds TX_BATCH_MAX={TX_BATCH_MAX}")
         if not frames:
             return []
         self._h_tx_batch.observe(len(frames))
@@ -888,7 +833,8 @@ class TwinDriverManager:
         interrupt' (§5.3).
 
         Packets are delivered per queue shard, in per-guest batches: each
-        guest gets at most the queue's budget per pass (NAPI-style) under
+        guest gets at most :data:`RX_BATCH_BUDGET` per queue per pass
+        (NAPI-style) under
         ONE coalesced virtual interrupt; packets over budget are requeued
         and a softirq continues the flush. Batches for a virq-masked
         guest are held as ``rx`` entries, un-copied and un-charged; the
@@ -928,12 +874,13 @@ class TwinDriverManager:
         batches: Dict[ParavirtNetDevice, List[int]] = {}
         order: List[ParavirtNetDevice] = []
         leftovers: List[Tuple[ParavirtNetDevice, int]] = []
+        budget = RX_BATCH_BUDGET
         for guest, skb_addr in queue:
             batch = batches.get(guest)
             if batch is None:
                 batch = batches[guest] = []
                 order.append(guest)
-            if len(batch) < q.budget:
+            if len(batch) < budget:
                 batch.append(skb_addr)
             else:
                 leftovers.append((guest, skb_addr))

@@ -263,7 +263,7 @@ class Instruction:
             text = name
         elif name in STRING:
             text = name + suffix
-        elif name in ("movzb", "movzw", "movsx"):
+        elif name in ("movzb", "movzw"):
             text = name
         else:
             text = name + suffix

@@ -337,18 +337,9 @@ class Kernel:
                 )
 
         code_base = self._module_code_next
-        # Two-pass link: code-symbol immediates need final addresses, which
-        # depend on the layout, which is invariant once symbols are folded.
-        zeros = {label: 0 for label in program.labels}
-        tentative = LoadedProgram(
-            program.resolve({**data_symbols, **zeros}), code_base,
-            extern=import_map,
-        )
-        resolved = program.resolve({**data_symbols, **tentative.symbols})
-        loaded = self.machine.load_program(
-            resolved, code_base, extern=import_map,
-            name=f"{self.name}:{program.name}"
-        )
+        loaded = self.machine.load_linked_program(
+            program, code_base, symbols=data_symbols, extern=import_map,
+            name=f"{self.name}:{program.name}")
         self._module_code_next = (loaded.end + 0xFFF) & ~0xFFF
 
         module = DriverModule(

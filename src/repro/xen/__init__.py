@@ -18,12 +18,10 @@ from .sched import (
     VCpu,
 )
 from .hypervisor import (
-    HYP_CODE_BASE,
-    HYP_DATA_BASE,
     HYP_STACK_BASE,
     HYP_STACK_PAGES,
-    HYP_SVM_MAP_BASE,
     HYP_UPCALL_STACK_BASE,
+    TWIN_LAYOUTS,
     Hypervisor,
 )
 
@@ -36,11 +34,8 @@ __all__ = [
     "GrantEntry",
     "GrantError",
     "GrantTable",
-    "HYP_CODE_BASE",
-    "HYP_DATA_BASE",
     "HYP_STACK_BASE",
     "HYP_STACK_PAGES",
-    "HYP_SVM_MAP_BASE",
     "HYP_UPCALL_STACK_BASE",
     "Hypervisor",
     "MULTI_NIC_EFFICIENCY",
@@ -49,6 +44,7 @@ __all__ = [
     "SOFTIRQ_DRAIN_LIMIT",
     "SoftirqStorm",
     "SUPPORT_ROUTINE_COSTS",
+    "TWIN_LAYOUTS",
     "VCpu",
     "VIRT_APP_FACTOR",
 ]

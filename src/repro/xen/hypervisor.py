@@ -17,7 +17,7 @@ category around driver invocations).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..machine.machine import Machine
 from ..machine.paging import AddressSpace, HYPERVISOR_BASE
@@ -53,6 +53,32 @@ HYP2_DATA_BASE = 0xF0A00000
 HYP2_SVM_MAP_BASE = 0xF6000000
 
 
+class TwinLayout(NamedTuple):
+    """Where one live twin instance sits in the hypervisor VA space, and
+    what its parts are called: ``name`` prefixes the hypervisor
+    instance's natives, data space and stlb (``<name>-stlb``);
+    ``vm_prefix`` and ``vm_stlb`` name the VM instance's runtime natives
+    and identity stlb in dom0."""
+
+    name: str
+    vm_prefix: str
+    vm_stlb: str
+    code_base: int
+    stack_base: int
+    data_base: int
+    svm_map_base: int
+
+
+#: The k-th twin instance built on a hypervisor takes the k-th layout;
+#: there is no room for a third.
+TWIN_LAYOUTS = (
+    TwinLayout("hyp", "dom0", "dom0-stlb", HYP_CODE_BASE, HYP_STACK_BASE,
+               HYP_DATA_BASE, HYP_SVM_MAP_BASE),
+    TwinLayout("hyp2", "hyp2.dom0", "hyp2-dom0-stlb", HYP2_CODE_BASE,
+               HYP2_STACK_BASE, HYP2_DATA_BASE, HYP2_SVM_MAP_BASE),
+)
+
+
 class Hypervisor:
     """The Xen-like VMM: domains, switches, events, grants, softirqs."""
 
@@ -63,6 +89,9 @@ class Hypervisor:
         self.domains: List[Domain] = []
         self.dom0: Optional[Domain] = None
         self.grant_tables: Dict[int, GrantTable] = {}
+        #: live twin instances in build order; the k-th holds
+        #: ``TWIN_LAYOUTS[k]``
+        self.twins: List[object] = []
         self._irq_handlers: Dict[int, Callable[[int], None]] = {}
         # SMP: all formerly-global per-CPU state (current domain, softirq
         # queue, driver depth) lives on VCpu objects; the single-vCPU
@@ -143,6 +172,18 @@ class Hypervisor:
     @property
     def hypercalls(self) -> int:
         return self._c_hypercall.value
+
+    # -- twin instances ------------------------------------------------------------
+
+    def next_twin_layout(self) -> TwinLayout:
+        """The layout the next twin instance built here takes. A twin
+        joins :attr:`twins` only once it is built, so one the loader
+        refuses leaves its layout to the next."""
+        if len(self.twins) == len(TWIN_LAYOUTS):
+            raise ValueError(
+                f"hypervisor already hosts {len(self.twins)} twin "
+                f"instances, one per layout in TWIN_LAYOUTS")
+        return TWIN_LAYOUTS[len(self.twins)]
 
     # -- domain lifecycle ----------------------------------------------------------
 

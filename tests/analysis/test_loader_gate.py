@@ -6,11 +6,11 @@ import dataclasses
 import pytest
 
 from repro.analysis import VerificationError
-from repro.core import TwinDriverManager
+from repro.core import ParavirtNetDevice, TwinDriverManager
 from repro.isa import Instruction, Mem, Reg
 from repro.machine import Machine
 from repro.osmodel import Kernel
-from repro.xen import Hypervisor
+from repro.xen import TWIN_LAYOUTS, Hypervisor
 
 
 def make_parts():
@@ -58,14 +58,23 @@ class TestLoaderGate:
         assert any(f.passname == "svm" for f in report.errors)
         assert "REJECT" in report.format()
 
-    def test_verify_false_opts_out(self, monkeypatch):
-        # tests/benchmarks escape hatch: same tampered binary loads when
-        # verification is explicitly disabled
+    def test_refused_twin_takes_no_layout(self, monkeypatch):
         import repro.core.twin as twin_mod
 
-        monkeypatch.setattr(twin_mod, "rewrite_driver",
-                            tampering(twin_mod.rewrite_driver))
         m, xen, k0 = make_parts()
-        twin = TwinDriverManager(xen, k0, verify=False)
-        assert twin.verify_report is None
-        assert twin.hyp_driver is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(twin_mod, "rewrite_driver",
+                          tampering(twin_mod.rewrite_driver))
+            with pytest.raises(VerificationError):
+                TwinDriverManager(xen, k0)
+        assert xen.twins == []
+        twin = TwinDriverManager(xen, k0)
+        assert xen.twins == [twin]
+        assert twin.instance_name == "hyp"
+        assert twin.hyp_driver.loaded.base == TWIN_LAYOUTS[0].code_base
+        twin.attach_nic(m.add_nic())
+        guest = xen.create_domain("guest")
+        kg = Kernel(m, guest, costs=xen.costs, paravirtual=True)
+        dev = ParavirtNetDevice(twin, kg, mac=b"\x00\x16\x3e\xaa\x00\x01")
+        xen.switch_to(guest)
+        assert dev.transmit(400)

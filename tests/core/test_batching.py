@@ -1,7 +1,7 @@
 """Batched tx/rx fast path with interrupt coalescing (DESIGN.md §9).
 
 Receive: packets are delivered in per-guest batches under ONE coalesced
-virtual interrupt per guest per flush (NAPI-style ``rx_batch_budget``,
+virtual interrupt per guest per flush (NAPI-style ``RX_BATCH_BUDGET``,
 leftovers continued by softirq). Demux: broadcast/multicast frames reach
 every guest, unknown unicast is dropped and counted. Transmit:
 ``transmit_batch`` pushes a burst through one hypercall and one resolved
@@ -11,6 +11,7 @@ path. The staged tx skb never leaks when the driver invocation faults.
 
 import pytest
 
+import repro.core.twin as twin_mod
 from repro.core import (
     DriverAborted,
     ParavirtNetDevice,
@@ -25,13 +26,12 @@ BROADCAST = b"\xff" * 6
 UNKNOWN_UNICAST = b"\x0a\x22\x33\x44\x55\x66"
 
 
-def make_env(n_guests=1, recovery=True, **twin_kwargs):
+def make_env(n_guests=1, recovery=True):
     m = Machine()
     xen = Hypervisor(m)
     dom0 = xen.create_domain("dom0", is_dom0=True)
     k0 = Kernel(m, dom0, costs=xen.costs, paravirtual=True)
-    twin = TwinDriverManager(xen, k0, pool_size=512, recovery=recovery,
-                             **twin_kwargs)
+    twin = TwinDriverManager(xen, k0, pool_size=512, recovery=recovery)
     nic = m.add_nic()
     twin.attach_nic(nic)
     devices = []
@@ -124,8 +124,9 @@ class TestRxCoalescing:
         # each guest took exactly one coalesced interrupt for its batch
         assert a.rx_interrupts == 1 and b.rx_interrupts == 1
 
-    def test_budget_requeues_and_softirq_continues(self):
-        m, xen, twin, (dev,), nic = make_env(rx_batch_budget=2)
+    def test_budget_requeues_and_softirq_continues(self, monkeypatch):
+        monkeypatch.setattr(twin_mod, "RX_BATCH_BUDGET", 2)
+        m, xen, twin, (dev,), nic = make_env()
         nic.interrupt_batch = 5
         for i in range(5):
             assert m.wire.inject(nic, frame(dev.mac, bytes([i]) * 80))
@@ -134,7 +135,7 @@ class TestRxCoalescing:
         # split into ceil(5/2) = 3 coalesced interrupts
         assert dev.rx_payloads == [bytes([i]) * 80 for i in range(5)]
         assert dev.rx_interrupts == 3
-        assert not twin._rx_queue
+        assert not twin.queues[0].rx
 
     def test_batch_size_histogram_recorded(self):
         m, xen, twin, (dev,), nic = make_env()
@@ -144,10 +145,6 @@ class TestRxCoalescing:
         nic.flush_interrupts()
         h = m.obs.registry.histogram("twin.rx_batch_size")
         assert h.count == 1 and h.total == 4
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            make_env(rx_batch_budget=0)
 
 
 class TestTxBatch:
@@ -170,9 +167,10 @@ class TestTxBatch:
         assert m.wire.tx_count == 0
 
     def test_batch_cap_enforced(self):
-        m, xen, twin, (dev,), nic = make_env(tx_batch_max=2)
+        m, xen, twin, (dev,), nic = make_env()
+        assert all(dev.transmit_batch([100] * twin_mod.TX_BATCH_MAX))
         with pytest.raises(ValueError):
-            dev.transmit_batch([100, 100, 100])
+            dev.transmit_batch([100] * (twin_mod.TX_BATCH_MAX + 1))
 
     def test_fault_mid_batch_falls_back_per_packet(self):
         m, xen, twin, (dev,), nic = make_env()

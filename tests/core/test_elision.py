@@ -27,15 +27,14 @@ from repro.xen import Hypervisor
 GUEST_MAC = b"\x00\x16\x3e\xaa\x00\x01"
 
 
-def make_twin(elide=True, verify=True, driver=None):
+def make_twin(elide=True, driver=None):
     m = Machine()
     xen = Hypervisor(m)
     dom0 = xen.create_domain("dom0", is_dom0=True)
     k0 = Kernel(m, dom0, costs=xen.costs, paravirtual=True)
     guest = xen.create_domain("guest")
     kg = Kernel(m, guest, costs=xen.costs, paravirtual=True)
-    twin = TwinDriverManager(xen, k0, elide=elide, verify=verify,
-                             driver=driver)
+    twin = TwinDriverManager(xen, k0, elide=elide, driver=driver)
     nic = m.add_nic(model=driver.name if driver is not None else "e1000")
     twin.attach_nic(nic)
     dev = ParavirtNetDevice(twin, kg, mac=GUEST_MAC)
@@ -94,14 +93,6 @@ class TestApplyElision:
         report = verify_program(rewritten, annotations=stats.annotations)
         elided, _ = apply_elision(rewritten, report.proofs)
         assert not verify_program(elided).ok
-
-    def test_elide_requires_verify(self):
-        m = Machine()
-        xen = Hypervisor(m)
-        dom0 = xen.create_domain("dom0", is_dom0=True)
-        k0 = Kernel(m, dom0, costs=xen.costs, paravirtual=True)
-        with pytest.raises(ValueError, match="requires verify"):
-            TwinDriverManager(xen, k0, verify=False, elide=True)
 
 
 class TestElidedTwinSemantics:

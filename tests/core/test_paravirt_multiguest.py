@@ -112,7 +112,7 @@ class TestMultiNic:
 
     def test_explicit_binding(self):
         m, xen, twin, devices, nics = make_env(n_nics=2, n_guests=1)
-        twin.bind_device(devices[0], twin.netdev_order[1])
+        devices[0].netdev_addr = twin.netdev_order[1]
         xen.switch_to(devices[0].kernel.domain)
         assert devices[0].transmit(400)
         assert nics[1].stats.tx_packets == 1

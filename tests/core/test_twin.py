@@ -9,7 +9,7 @@ from repro.isa import Instruction, Mem, Reg
 from repro.machine import Machine
 from repro.osmodel import Kernel, layout as L
 from repro.osmodel.netdev import NetDevice
-from repro.xen import Hypervisor
+from repro.xen import HYP_STACK_PAGES, TWIN_LAYOUTS, Hypervisor
 
 GUEST_MAC = b"\x00\x16\x3e\xaa\x00\x01"
 
@@ -67,6 +67,37 @@ class TestSetup:
         k0 = Kernel(m, dom0, costs=xen.costs)
         with pytest.raises(ValueError):
             TwinDriverManager(xen, k0, upcall_routines=("bogus",))
+
+
+class TestInstanceLayout:
+    """The k-th twin built on a hypervisor takes ``TWIN_LAYOUTS[k]``."""
+
+    def test_second_twin_takes_the_hyp2_layout(self):
+        m, xen, first, dev, nics = make_twin()
+        second = TwinDriverManager(xen, first.dom0_kernel)
+        assert xen.twins == [first, second]
+        layout = TWIN_LAYOUTS[1]
+        assert (first.instance_name, second.instance_name) == ("hyp", "hyp2")
+        assert second.hyp_driver.loaded.base == layout.code_base
+        assert second.hyp_driver.stack_top == \
+            layout.stack_base + HYP_STACK_PAGES * 0x1000
+        assert second.hyp_alloc.base == layout.data_base
+        assert second.svm.map_base == layout.svm_map_base
+        assert second.svm.name == "hyp2-stlb"
+        assert second.identity_svm.name == "hyp2-dom0-stlb"
+        assert "hyp2.dom0.__svm_slow_path" in m.natives.by_name
+        assert "hyp2.netif_rx" in m.natives.by_name
+        # the first instance keeps its own layout and names
+        assert first.hyp_driver.loaded.base == TWIN_LAYOUTS[0].code_base
+        assert (first.svm.name, first.identity_svm.name) == \
+            ("hyp-stlb", "dom0-stlb")
+
+    def test_third_twin_is_refused(self):
+        m, xen, first, dev, nics = make_twin()
+        TwinDriverManager(xen, first.dom0_kernel)
+        with pytest.raises(ValueError, match="already hosts 2 twin"):
+            TwinDriverManager(xen, first.dom0_kernel)
+        assert len(xen.twins) == 2
 
 
 class TestGuestTransmit:

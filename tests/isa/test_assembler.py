@@ -217,6 +217,12 @@ f:
     cmpl $0, %eax
     je out
     rep movsl
+    movsxb (%eax), %ecx
+    movsxw %ax, %edx
+    movsxb %cl, %esi
+    movsxw 2(%ebx), %edi
+    movzbl (%eax), %ecx
+    movzwl 4(%ebx), %edx
     call *%eax
 out:
     ret
@@ -224,7 +230,11 @@ out:
         program = assemble(source)
         text = program.to_text()
         again = assemble(text)
-        assert [i.format() for i in again.instructions] == \
-               [i.format() for i in program.instructions]
+        # compare the decoded fields, not format(): a mnemonic that
+        # formats without its width formats the same on both sides
+        assert [(i.mnemonic, i.size, i.operands)
+                for i in again.instructions] == \
+               [(i.mnemonic, i.size, i.operands)
+                for i in program.instructions]
         assert again.labels == program.labels
         assert again.comm == program.comm

@@ -72,7 +72,7 @@ class TestProbes:
         monitor = HealthMonitor(m, twin=twin)
         monitor.probe()                       # baseline counters
         # synthetically wedge the rx queue: packets queued, no virq moves
-        twin._rx_queue.append((dev, 0))
+        twin.queues[0].rx.append((dev, 0))
         snap = monitor.probe()
         assert not snap["ok"]
         assert [f["probe"] for f in snap["findings"]] == ["stalled_rx"]
@@ -82,7 +82,7 @@ class TestProbes:
         m, xen, twin, dev, nic = make_twin()
         monitor = HealthMonitor(m, twin=twin)
         monitor.probe()
-        twin._rx_queue.append((dev, 0))
+        twin.queues[0].rx.append((dev, 0))
         # delivery progressing: the virq counter moved since last probe
         m.obs.registry.counter("xen.virq_coalesced").value += 1
         snap = monitor.probe()
@@ -167,7 +167,7 @@ class TestFlightRecorderAndArming:
         m, xen, twin, dev, nic = make_twin()
         monitor = HealthMonitor(m, twin=twin)
         monitor.probe()
-        twin._rx_queue.append((dev, 0))
+        twin.queues[0].rx.append((dev, 0))
         monitor.probe()
         records = twin.recovery.flight_records
         assert len(records) == 1
@@ -180,7 +180,7 @@ class TestFlightRecorderAndArming:
         m, xen, twin, dev, nic = make_twin()
         monitor = HealthMonitor(m, twin=twin, arm_recovery=True)
         monitor.probe()
-        twin._rx_queue.append((dev, 0))
+        twin.queues[0].rx.append((dev, 0))
         assert not twin.recovery.degraded
         monitor.probe()
         # the watchdog fed recovery: instance quarantined, dom0 path on
@@ -193,7 +193,7 @@ class TestFlightRecorderAndArming:
         m, xen, twin, dev, nic = make_twin()
         monitor = HealthMonitor(m, twin=twin, arm_recovery=False)
         monitor.probe()
-        twin._rx_queue.append((dev, 0))
+        twin.queues[0].rx.append((dev, 0))
         monitor.probe()
         assert not twin.recovery.degraded
 
@@ -202,7 +202,7 @@ class TestFlightRecorderAndArming:
         monitor = HealthMonitor(m, twin=twin, arm_recovery=True)
         twin.recovery.state = "broken"
         monitor.probe()
-        twin._rx_queue.append((dev, 0))
+        twin.queues[0].rx.append((dev, 0))
         monitor.probe()                       # must not re-enter recovery
         assert m.obs.registry.counter("recovery.quarantine").value == 0
 
@@ -223,7 +223,7 @@ class TestMaintenanceWindow:
         monitor = HealthMonitor(m, twin=twin)
         monitor.probe()
         # a planned drain holds 3 packets; the probe subtracts them
-        twin._rx_queue.extend([(dev, 0)] * 3)
+        twin.queues[0].rx.extend([(dev, 0)] * 3)
         monitor.enter_maintenance("handover:test", held_backlog=lambda: 3)
         snap = monitor.probe()
         assert snap["ok"]
@@ -239,7 +239,7 @@ class TestMaintenanceWindow:
         monitor = HealthMonitor(m, twin=twin)
         monitor.probe()
         # the handover accounts for 2 packets; 5 are actually wedged
-        twin._rx_queue.extend([(dev, 0)] * 5)
+        twin.queues[0].rx.extend([(dev, 0)] * 5)
         monitor.enter_maintenance("handover:test", held_backlog=lambda: 2)
         snap = monitor.probe()
         assert not snap["ok"]
@@ -269,7 +269,7 @@ class TestMaintenanceWindow:
         # a genuinely critical finding inside the window: recorded in
         # the flight recorder but recovery is NOT armed (arming would
         # dismantle the instance mid-swap)
-        twin._rx_queue.extend([(dev, 0)] * 4)
+        twin.queues[0].rx.extend([(dev, 0)] * 4)
         monitor.enter_maintenance("handover:test")
         snap = monitor.probe()
         assert not snap["ok"]
