@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
+from ..analysis.report import VerificationError
 from ..drivers import DriverSpec, E1000_SPEC
 from ..machine.nic import NicDevice, flow_hash
 from ..machine.paging import AddressSpace
@@ -141,8 +142,9 @@ class TwinDriverManager:
         hash table (the paper's is 4096 entries / 16 MiB). ``driver``
         selects which driver to twin (default: the e1000 spec).
         The rewritten binary is always statically verified (annotated
-        mode) and the hypervisor loader refuses it unless the report is
-        clean; the report is kept on ``self.verify_report`` next to
+        mode); a report that is not clean raises ``VerificationError``
+        before any set-up, and the hypervisor loader checks it again.
+        The report is kept on ``self.verify_report`` next to
         ``self.rewrite_stats``.
         ``recovery`` (default on) arms the fault-containment subsystem:
         faults at the hypervisor boundary quarantine the instance and
@@ -182,8 +184,13 @@ class TwinDriverManager:
             self.program, protect_stack=protect_stack,
             stlb_entries=stlb_entries)
         # verify-then-load: the hypervisor proves the rewritten binary
-        # safe before trusting it
+        # safe before trusting it, and a refused binary is refused here,
+        # before any of the set-up below takes memory, natives or a
+        # module (the loader checks the report again: reload and
+        # handover load through it)
         self.verify_report = self.reverify()
+        if not self.verify_report.ok:
+            raise VerificationError(self.verify_report)
         # prove-then-elide: consume the verifier's proofs to drop stlb
         # re-checks on proven sites. ``self.rewritten`` stays pre-elision
         # (it is what recovery re-verifies); ``self.loadable`` is what

@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
+from struct import Struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..metrics.cycles import CycleAccount
@@ -42,8 +43,13 @@ MASK32 = 0xFFFFFFFF
 
 #: a straight-line run: ``(handler, fall-through address)`` of each
 #: instruction from an entry up to and including the first control
-#: transfer (see ``_run_for``).
+#: transfer (see ``_run_for``). One entry may stand for the nine
+#: instructions of a figure-4 stlb check (see ``_fused_check``), so
+#: ``len(run)`` is not an instruction count.
 Run = Tuple[Tuple[Callable[["Cpu"], None], int], ...]
+
+#: the two words of an stlb entry: the page tag and the translation
+_UNPACK_ENTRY = Struct("<II").unpack_from
 
 
 class ExecutionFault(Exception):
@@ -178,10 +184,16 @@ class LoadedProgram:
         self.handlers: List[Optional[Callable[["Cpu"], None]]] = (
             [None] * len(program.instructions)
         )
-        #: per-entry straight-line runs for ``Cpu._run_loop``, built
-        #: lazily from ``handlers`` (see ``_run_for``) and dropped with
-        #: them.
-        self.runs: List[Optional[Run]] = [None] * len(program.instructions)
+        #: per-entry straight-line runs for ``Cpu._run_loop`` and the
+        #: number of instructions each stands for, built lazily from
+        #: ``handlers`` (see ``_run_for``) and dropped with them.
+        self.runs: List[Optional[Tuple[Run, int]]] = (
+            [None] * len(program.instructions)
+        )
+        #: fused stlb-check handlers by the index of their ``lea`` (None
+        #: where the nine instructions there are not a check), shared by
+        #: every run through the check and dropped with the runs.
+        self.checks: Dict[int, Optional[Callable[["Cpu"], None]]] = {}
         #: optional per-instruction observers, wrapped into the compiled
         #: handler once at compile time so uninstrumented instructions pay
         #: nothing in the hot loop. Mutations invalidate the affected
@@ -219,15 +231,16 @@ class LoadedProgram:
 
     def _instrument_changed(self, indices):
         """A hook was added/removed: drop the baked handlers for those
-        sites, every run and every superblock (both may run through
-        them). The lists are cleared in place: ``_run_loop`` holds
-        them."""
+        sites, every run, fused check and superblock (all may run
+        through them). The lists are cleared in place: ``_run_loop``
+        holds them."""
         self._igen += 1
         n = len(self.handlers)
         for index in indices:
             if 0 <= index < n:
                 self.handlers[index] = None
         self.runs[:] = [None] * n
+        self.checks.clear()
         if self._jit is not None:
             self._jit.counts.clear()
             self._jit.superblocks.clear()
@@ -347,8 +360,12 @@ class Cpu:
         self._owed = 0
         self._settled = 0
         #: bumped by every ``_leave``: a run of handlers stops after an
-        #: instruction that reached code outside the interpreter.
+        #: instruction that reached code outside the interpreter (and by
+        #: a fused stlb check that branches to its slow block).
         self._leaves = 0
+        #: instructions fused stlb checks ran beyond the one run entry
+        #: each is, not yet added to the running loop's budget count.
+        self._extra = 0
         #: virtual-address ranges treated as cache-hot (stacks, stlb).
         self.hot_ranges: List[Tuple[int, int]] = []
         # every page-cache entry over this memory carries this CPU's
@@ -714,7 +731,12 @@ class Cpu:
 
         A run stops after a handler that reached outside code (a native,
         a hook, a device), which may shadow, hook or replace what runs
-        next, and is cut where the budget ends."""
+        next, and after a fused stlb check that branched to its slow
+        block. The budget counts this loop's instructions: a fused check
+        counts the ones it ran (``_extra``), and a loop a native runs
+        nested counts against its own budget. A run that could take the
+        call past the budget runs as the unfused run, cut where the
+        budget ends."""
         budget = self.max_steps_per_call
         code = self.code
         jit = self.jit_enabled
@@ -728,6 +750,10 @@ class Cpu:
         lo = hi = 0
         self._settled = self.executed
         self._deferring = not self.account.shadowed
+        # a loop a native runs nested keeps the count of the run that
+        # called it apart from its own
+        outer_extra = self._extra
+        self._extra = 0
         try:
             while True:
                 eip = self.eip
@@ -773,7 +799,9 @@ class Cpu:
                     run = runs[index]
                     if run is None:
                         run = _run_for(loaded, index)
-                    if steps + len(run) > budget:
+                    run, insns = run
+                    if steps + insns > budget:
+                        run = _run_for(loaded, index, fuse=False)[0]
                         run = run[:budget + 1 - steps]
                     leaves = self._leaves
                     if self._deferring:
@@ -793,6 +821,9 @@ class Cpu:
                             if self._leaves != leaves:
                                 break
                     steps += count
+                    if self._extra:
+                        steps += self._extra
+                        self._extra = 0
                     fall = next_addr
                 if steps > budget:
                     raise CpuBudgetExceeded(
@@ -801,6 +832,7 @@ class Cpu:
         finally:
             self.settle()
             self._deferring = False
+            self._extra = outer_extra
 
     def _invoke_native(self, routine: NativeRoutine):
         deferring = self._leave()
@@ -938,18 +970,33 @@ def _handler_for(loaded: LoadedProgram, index: int) -> Callable[[Cpu], None]:
     return handler
 
 
-def _run_for(loaded: LoadedProgram, index: int) -> Run:
-    """Build (and cache) the run from ``index``: every instruction up to
-    and including the first ``jmp``/``jcc``/``call``/``ret``, or to the
-    program's end. Handlers are compiled here, ahead of execution; one
-    whose compilation fails ends the run before it, so the error is
-    raised when the loop reaches that instruction, after the ones before
-    it have run."""
+def _run_for(loaded: LoadedProgram, index: int,
+             fuse: bool = True) -> Tuple[Run, int]:
+    """Build the run from ``index`` and count the instructions it stands
+    for: every instruction up to and including the first
+    ``jmp``/``jcc``/``call``/``ret``, or to the program's end. Handlers
+    are compiled here, ahead of execution; one whose compilation fails
+    ends the run before it, so the error is raised when the loop reaches
+    that instruction, after the ones before it have run. With ``fuse``
+    the run is cached and each figure-4 stlb check in it is one entry
+    (``_fused_check``), so the run goes on past the check's ``jne``;
+    without, it is uncached and made of the instructions' own
+    handlers."""
     instructions = loaded.program.instructions
     handlers = loaded.handlers
     next_addrs = loaded.next_addrs
     run = []
-    for i in range(index, len(instructions)):
+    insns = 0
+    i = index
+    while i < len(instructions):
+        instr = instructions[i]
+        if fuse and instr.mnemonic == "lea":
+            check = _fused_check(loaded, i)
+            if check is not None:
+                run.append((check, next_addrs[i + 8]))
+                insns += 9
+                i += 9
+                continue
         handler = handlers[i]
         if handler is None:
             try:
@@ -959,10 +1006,14 @@ def _run_for(loaded: LoadedProgram, index: int) -> Run:
                     raise
                 break
         run.append((handler, next_addrs[i]))
-        if instructions[i].is_control_flow:
+        insns += 1
+        if instr.is_control_flow:
             break
-    loaded.runs[index] = run = tuple(run)
-    return run
+        i += 1
+    run = tuple(run)
+    if fuse:
+        loaded.runs[index] = (run, insns)
+    return run, insns
 
 
 def _ea_thunk(mem: Mem) -> Callable[[Cpu], int]:
@@ -1203,14 +1254,23 @@ def _specialised_mov(instr: Instruction, dst_size: int):
     return mov_store_imm
 
 
-def _specialised_lea(instr: Instruction):
-    """lea of any full-register address form into a full register."""
+def _lea_form(instr: Instruction):
+    """``(dst, base, index, scale, disp)`` of a lea of any full-register
+    address form into a full register; None for any other lea."""
     d = _full_reg(instr.dst, 4)
     op = instr.src
     if (d is None or not isinstance(op, Mem) or op.symbol is not None
             or not {op.base, op.index} <= _FULL_REGS | {None}):
         return None
-    base, index, scale, disp = op.base, op.index, op.scale, op.disp
+    return d, op.base, op.index, op.scale, op.disp
+
+
+def _specialised_lea(instr: Instruction):
+    """lea of any full-register address form into a full register."""
+    form = _lea_form(instr)
+    if form is None:
+        return None
+    d, base, index, scale, disp = form
 
     def op_lea(cpu: Cpu):
         regs = cpu.regs
@@ -1359,6 +1419,160 @@ def _specialised_jcc(m: str, target: int):
         if (f["cf"] or f["zf"]) == taken:
             cpu.eip = target
     return jump_below_equal
+
+
+# -- the fused stlb check ------------------------------------------------------
+#
+# The rewriter puts the paper's figure-4 tag check in front of every
+# non-stack access: ``lea m,r1; mov r1,r2; and $A,r1; mov r1,r3;
+# and $B,r1; shr $S,r1; cmp D(r1),r3; jne slow; xor D+4(r1),r2``. A run
+# holds one handler for the nine, recognised from their operands alone.
+# On a hit, while the loop defers and the stlb word's page is cached RAM
+# with a page price, it does what the nine do in one step (the
+# registers, the flags, ``executed``, both reads at the page's price)
+# and the run goes on into the translated access. Anywhere else (a
+# miss, a charge shadow, a page not cached, MMIO, a page a hot range
+# edge splits) it runs the nine handlers as a run of their own, so they
+# stay the reference, and a miss ends the run at the slow block.
+
+
+def _moved(instr: Instruction, src: str) -> Optional[str]:
+    """The full register ``mov src, reg`` copies full register ``src``
+    into; None for any other instruction."""
+    if instr.mnemonic == "mov" and _full_reg(instr.src, instr.size) == src:
+        return _full_reg(instr.dst, instr.size)
+    return None
+
+
+def _imm_of(instr: Instruction, m: str, reg: str) -> Optional[int]:
+    """The 32-bit immediate of ``m $imm, reg``; None for any other
+    instruction."""
+    op = instr.src
+    if (instr.mnemonic == m and _full_reg(instr.dst, instr.size) == reg
+            and isinstance(op, Imm) and op.symbol is None):
+        return op.value & MASK32
+    return None
+
+
+def _disp_of(instr: Instruction, m: str, base: str,
+             dst: str) -> Optional[int]:
+    """The displacement of ``m disp(base), dst``; None for any other
+    instruction."""
+    op = instr.src
+    if (instr.mnemonic == m and _full_reg(instr.dst, instr.size) == dst
+            and isinstance(op, Mem) and op.symbol is None
+            and op.index is None and op.base == base):
+        return op.disp
+    return None
+
+
+def _check_shape(instrs):
+    """``(lea form, r2, r3, A, B, S, D)`` of nine instructions that are
+    a figure-4 check, with r1 (the lea's destination), r2 and r3
+    distinct full registers and a lea ``_specialised_lea`` takes; None
+    for any other nine."""
+    if len(instrs) != 9:
+        return None
+    lea, mov2, and3, mov4, and5, shr6, cmp7, jne8, xor9 = instrs
+    form = _lea_form(lea)
+    if form is None or jne8.mnemonic not in ("jne", "jnz"):
+        return None
+    r1 = form[0]
+    r2, r3 = _moved(mov2, r1), _moved(mov4, r1)
+    if r2 is None or r3 is None or len({r1, r2, r3}) != 3:
+        return None
+    imms = (_imm_of(and3, "and", r1), _imm_of(and5, "and", r1),
+            _imm_of(shr6, "shr", r1))
+    stlb = _disp_of(cmp7, "cmp", r1, r3)
+    if (None in imms or stlb is None
+            or _disp_of(xor9, "xor", r1, r2) != stlb + 4):
+        return None
+    return (form, r2, r3) + imms + (stlb,)
+
+
+def _fused_check(loaded: LoadedProgram, index: int):
+    """The fused handler of the check whose ``lea`` is at ``index``,
+    cached per check; None when the nine instructions from there are
+    not a check or one of them carries an instrument hook."""
+    checks = loaded.checks
+    if index in checks:
+        return checks[index]
+    check = None
+    shape = _check_shape(loaded.program.instructions[index:index + 9])
+    if (shape is not None and index + 7 in loaded.targets
+            and not any(i in loaded.instrument
+                        for i in range(index, index + 9))):
+        parts = tuple((loaded.handlers[i] or _handler_for(loaded, i),
+                       loaded.next_addrs[i])
+                      for i in range(index, index + 9))
+        check = _compile_check(shape, parts)
+    checks[index] = check
+    return check
+
+
+def _run_parts(cpu: Cpu, parts: Run):
+    """A fused check's nine handlers, run as ``_run_loop`` runs them: the
+    run ends after the ``jne`` branches or after an instruction that
+    reached outside code. The loop has counted (and, under a shadow,
+    charged) the first."""
+    deferring = cpu._deferring
+    leaves = cpu._leaves
+    for ran, (handler, next_addr) in enumerate(parts, 1):
+        if ran > 1:
+            cpu.executed += 1
+        cpu.eip = next_addr
+        if ran > 1 and not deferring:
+            cpu.account.charge(cpu._category[-1], cpu.scaled.alu)
+        handler(cpu)
+        if cpu._leaves != leaves:
+            break
+        if ran == 8 and cpu.eip != next_addr:
+            cpu._leaves += 1            # the jne branched: end the run
+            break
+    cpu._extra += ran - 1
+
+
+def _compile_check(shape, parts: Run) -> Callable[[Cpu], None]:
+    """The handler that stands for a check's nine ``parts``: a hit on a
+    cached, priced RAM page while the loop defers in one step, anything
+    else (a miss included) through the nine."""
+    lea, r2, r3, tag_mask, index_mask, shift, stlb = shape
+    r1, base, index, scale, disp = lea
+    shift &= 0x1F
+
+    def stlb_check(cpu: Cpu):
+        regs = cpu.regs
+        ea = disp
+        if base:
+            ea += regs[base]
+        if index:
+            ea += regs[index] * scale
+        ea &= MASK32
+        tag = ea & tag_mask
+        slot = (tag & index_mask) >> shift
+        addr = (slot + stlb) & MASK32
+        offset = addr & OFFSET_MASK
+        entry = cpu.address_space.read_pages.get(addr >> PAGE_SHIFT)
+        if (entry is not None and entry[1] is not None
+                and offset <= PAGE_SIZE - 8 and cpu._deferring):
+            data, price = entry
+            word, translation = _UNPACK_ENTRY(data, offset)
+            if word == tag:
+                r = ea ^ translation    # the flags are the xor's
+                regs[r1] = slot
+                regs[r2] = r
+                regs[r3] = tag
+                flags = cpu.flags
+                flags["cf"] = False
+                flags["of"] = False
+                flags["zf"] = r == 0
+                flags["sf"] = r >= 0x80000000
+                cpu.executed += 8
+                cpu._extra += 8
+                cpu._owed += price + price
+                return
+        _run_parts(cpu, parts)
+    return stlb_check
 
 
 def _compile_instruction(instr: Instruction, loaded: LoadedProgram,

@@ -38,6 +38,14 @@ def tampering(real_rewrite):
     return tampered
 
 
+def set_up_state(m, k0):
+    """What building a twin takes from the machine and from dom0: the
+    next physical frame, dom0's heap break, its driver modules, the
+    registered natives, the loaded programs and the skb pool hook."""
+    return (m.phys._next_frame, k0.heap._brk, len(k0.modules),
+            len(m.natives.by_addr), list(m.code._programs), k0.pool_release)
+
+
 class TestLoaderGate:
     def test_clean_driver_loads_and_report_is_published(self):
         m, xen, k0 = make_parts()
@@ -62,11 +70,15 @@ class TestLoaderGate:
         import repro.core.twin as twin_mod
 
         m, xen, k0 = make_parts()
+        before = set_up_state(m, k0)
         with monkeypatch.context() as patch:
             patch.setattr(twin_mod, "rewrite_driver",
                           tampering(twin_mod.rewrite_driver))
             with pytest.raises(VerificationError):
                 TwinDriverManager(xen, k0)
+        # refused before set-up: no frame, heap, module, native, loaded
+        # program or pool hook taken
+        assert set_up_state(m, k0) == before
         assert xen.twins == []
         twin = TwinDriverManager(xen, k0)
         assert xen.twins == [twin]

@@ -11,12 +11,12 @@ side), and stale program state across a mid-run reload.
 import pytest
 
 from repro.analysis import verify_program
-from repro.core.rewriter import apply_elision, rewrite_driver
+from repro.core.rewriter import STLB_SYMBOL, apply_elision, rewrite_driver
 from repro.drivers import DRIVER_SPECS
 from repro.isa import assemble
 from repro.isa.operands import Imm, Mem
 from repro.machine import AddressSpace, Machine, PageFault
-from repro.machine.cpu import LoadedProgram
+from repro.machine.cpu import LoadedProgram, _run_for
 from repro.machine.jit import _Emitter, _Unsupported
 from repro.metrics.cycles import CycleAccount
 
@@ -601,3 +601,45 @@ class TestDriverCoverage:
             assert delegated == [i for i, instr in enumerate(instrs)
                                  if instr.is_string]
             assert delegated
+
+
+class TestFusedCheckCoverage:
+    """The interpreter fuses the shipped drivers' stlb checks: runs built
+    from every instruction of a rewritten (or elided) driver hold one
+    fused entry per figure-4 check, that is per ``memory``/``indirect``
+    site the rewriter annotated and not elided, and fuse nothing else.
+    The matcher goes by the instructions' shape alone, so a change to
+    ``_emit_svm_sequence`` that loses the shape fails here."""
+
+    @staticmethod
+    def _fused(program):
+        """Indices of the ``lea`` of every check ``_run_for`` fuses in
+        ``program``, with runs built from every instruction."""
+        loaded = TestDriverCoverage._linked(program)
+        for index in range(len(program.instructions)):
+            _run_for(loaded, index)
+        return sorted(i for i, check in loaded.checks.items()
+                      if check is not None)
+
+    @pytest.mark.parametrize("protect_stack", [False, True])
+    @pytest.mark.parametrize("driver", ["e1000", "rtl8139"])
+    def test_one_fused_check_per_site(self, driver, protect_stack):
+        rewritten, stats = rewrite_driver(
+            DRIVER_SPECS[driver].build_program(),
+            protect_stack=protect_stack)
+        sites = [a for a in stats.annotations
+                 if a.kind in ("memory", "indirect")]
+        fused = self._fused(rewritten)
+        assert len(fused) == len(sites)
+        for site in sites:
+            assert sum(site.start <= i < site.end for i in fused) == 1
+
+        report = verify_program(rewritten, annotations=stats.annotations,
+                                protect_stack=protect_stack)
+        elided, elision = apply_elision(rewritten, report.proofs)
+        fused = self._fused(elided)
+        assert elision.sites_elided
+        assert len(fused) == len(sites) - elision.sites_elided
+        # each one is a check: its cmp reads the stlb
+        assert all(elided.instructions[i + 6].memory_operand().symbol
+                   == STLB_SYMBOL for i in fused)

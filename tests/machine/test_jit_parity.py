@@ -21,14 +21,22 @@ exist (BusError). The "delegated" property mixes in the forms a
 superblock runs through their interpreter handlers, between emitted
 instructions: sign extension, exchange, multiply, the flags word, the
 direction flag, 8/16-bit register operands, 1/2-byte immediate stores
-and a memory operand indexed by a 16-bit register.
+and a memory operand indexed by a 16-bit register. The "fused check"
+properties and cases run the figure-4 stlb check, which the interpreter
+runs as one run entry, against the same program with fusion off.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.machine.cpu as cpu_mod
 from repro.isa import assemble
 from repro.machine import AddressSpace, BusError, Machine, PageFault
+from repro.machine.cpu import SENTINEL_RETURN
 
 DATA = 0xC0000000
 STACK_TOP = 0xC0104000
@@ -487,3 +495,471 @@ def test_bus_error_mid_superblock(spec, bad_call):
                            extra="    movl 0(%ebx), %esi")
     off = _legs(_run_bad_base, source, bad_call, BUS_VA, world=True)
     assert off[1] and {kind for kind, _ in off[1]} == {"BusError"}
+
+
+# -- the fused stlb check --------------------------------------------------
+#
+# The interpreter runs a figure-4 check (``lea m,r1; mov r1,r2;
+# and $A,r1; mov r1,r3; and $B,r1; shr $S,r1; cmp D(r1),r3; jne slow;
+# xor D+4(r1),r2``) as one run entry. These programs translate the
+# virtual pages ``VBASE + k * 4096`` (k < 4) to the data pages through an
+# stlb of 512 eight-byte entries on a hot page; a slow block calls the
+# ``fill`` native, which writes the entry, and jumps back to the lea.
+# Besides the four legs (the shadow leg runs the nine handlers), each
+# case also runs with fusion off, every instruction its own run entry,
+# and must observe the same.
+
+VBASE = 0x50000000
+STLB = 0xC0300000
+#: spill slots, on the hot page after the stlb
+SPILL = 0xC0301000
+STLB_MASK = 511 << 12
+#: an stlb entry: correct, empty, or the tag of another page in its slot
+_ENTRY = st.sampled_from(["hit", "cold", "stale"])
+
+#: (lea form, r1/r2/r3 and a fourth register, virtual page, offset in
+#: it, access through the translation, spilled, wrapped in pushf/popf)
+_check_op = st.tuples(
+    st.sampled_from(["disp", "index1", "index2", "index4", "index8",
+                     "abs"]),
+    st.permutations(_REGS), st.integers(0, 3),
+    st.integers(0, 1023).map(lambda i: i * 4),
+    st.sampled_from(["load", "store", "add"]), st.booleans(), st.booleans())
+
+#: (checks each followed by body instructions, loop iterations, initial
+#: entries, entries emptied before each later call, hot range edge
+#: inside the stlb page, stlb page cached before the first call)
+_check_programs = st.tuples(
+    st.lists(st.tuples(_check_op, st.lists(_instr, max_size=2)),
+             min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.lists(_ENTRY, min_size=4, max_size=4),
+    st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
+             min_size=3, max_size=3),
+    st.booleans(), st.booleans())
+
+#: one spilled, flag-wrapped check with an indexed lea into page 1, and
+#: a body instruction after it
+_ONE = [(("index4", ("eax", "ecx", "edx", "esi"), 1, 0x124, "add", True,
+          True), [("movimm", "esi", 5)])]
+
+
+def _entry(k, state="hit"):
+    """The slot address and the two words of page ``k``'s entry."""
+    if state == "cold":
+        return STLB + 8 * k, 0, 0
+    tag = VBASE + k * 4096
+    if state == "stale":
+        tag += 512 * 4096               # another page of the same slot
+    return STLB + 8 * k, tag, tag ^ (DATA + k * 4096)
+
+
+def _set_entry(space, k, state="hit"):
+    slot, tag, translation = _entry(k, state)
+    space.write(slot, 4, tag)
+    space.write(slot + 4, 4, translation)
+
+
+def _render_check(op, n):
+    """Check ``n`` in the rewriter's layout (spill saves, ``pushf``, the
+    nine, the access through r2 unless it is ``"none"``, restores,
+    ``popf``), and its slow block."""
+    form, (r1, r2, r3, r4), page, offset, access, spilled, wrapped = op
+    va = VBASE + page * 4096 + offset
+    lines = []
+    if spilled:
+        lines += [f"    movl %{r}, {SPILL + 4 * j}"
+                  for j, r in enumerate((r1, r2, r3))]
+    if wrapped:
+        lines.append("    pushf")
+    if form == "abs":
+        lea = f"{va}"
+    elif form == "disp":
+        lea = f"{va - VBASE}(%ebp)"
+    else:
+        scale = int(form[5:])
+        lines.append(f"    movl $3, %{r4}")
+        lea = f"{va - VBASE - 3 * scale}(%ebp,%{r4},{scale})"
+    lines += [f"R{n}:", f"    leal {lea}, %{r1}",
+              f"    movl %{r1}, %{r2}", f"    andl $4294963200, %{r1}",
+              f"    movl %{r1}, %{r3}", f"    andl ${STLB_MASK}, %{r1}",
+              f"    shrl $9, %{r1}", f"    cmpl {STLB}(%{r1}), %{r3}",
+              f"    jne S{n}", f"    xorl {STLB + 4}(%{r1}), %{r2}"]
+    if access != "none":
+        lines.append({"load": f"    movl (%{r2}), %{r4}",
+                      "store": f"    movl %{r4}, (%{r2})",
+                      "add": f"    addl (%{r2}), %{r4}"}[access])
+    if spilled:
+        lines += [f"    movl {SPILL + 4 * j}, %{r}"
+                  for j, r in enumerate((r1, r2, r3))]
+    if wrapped:
+        lines.append("    popf")
+    slow = [f"S{n}:", f"    pushl %{r2}", "    call fill",
+            "    addl $4, %esp", f"    jmp R{n}"]
+    return "\n".join(lines), "\n".join(slow)
+
+
+def _check_source(items, iters, prologue=(), before_loop_end=(),
+                  tail=()) -> str:
+    """``f``: ``prologue``, then ``iters`` times each check of ``items``
+    followed by its body instructions and ``before_loop_end``; the slow
+    blocks and ``tail`` after its ``ret``."""
+    lines = [".globl f", "f:", *prologue, f"    movl ${VBASE}, %ebp",
+             f"    movl ${iters}, %edi", "loop:"]
+    slows = []
+    for n, (check, body) in enumerate(items):
+        text, slow = _render_check(check, n)
+        lines.append(text)
+        lines.extend(_render(op) for op in body)
+        slows.append(slow)
+    lines += [*before_loop_end, "    decl %edi", "    cmpl $0, %edi",
+              "    jne loop", "    ret", *slows, *tail]
+    return "\n".join(lines) + "\n"
+
+
+def _fill_factory(m, log):
+    def fill(cpu):
+        # the slow path: write the entry of the vaddr it is passed
+        vaddr = cpu.read_stack_arg(0)
+        log.append(("fill", vaddr, cpu.account.total))
+        _set_entry(cpu.address_space, (vaddr - VBASE) >> 12)
+    return fill
+
+
+class _StlbDevice:
+    """An stlb page that is MMIO: keeps the entries as RAM would, logs
+    each access with the clock it saw and calls ``on_read`` at each
+    read."""
+
+    def __init__(self, account, log, on_read):
+        self.account = account
+        self.log = log
+        self.on_read = on_read
+        self.data = bytearray(4096)
+
+    def mmio_read(self, offset, size):
+        self.log.append(("stlb read", offset, self.account.total))
+        self.on_read()
+        return int.from_bytes(self.data[offset: offset + size], "little")
+
+    def mmio_write(self, offset, size, value):
+        self.log.append(("stlb write", offset, value, self.account.total))
+        self.data[offset: offset + size] = value.to_bytes(size, "little")
+
+
+def _enter(m, addr):
+    """Call ``addr`` as ``call_function`` does, but leave ``eip`` where
+    the loop left it when it raises."""
+    cpu = m.cpu
+    cpu.regs["esp"] = STACK_TOP
+    cpu.push(SENTINEL_RETURN)
+    cpu.eip = addr
+    cpu._run_loop()
+    return cpu.regs["eax"]
+
+
+def _run_check(source, leg, *, entries=("hit",) * 4, evictions=(),
+               split=False, cached=False, stlb="ram", on_read=None,
+               setup=None, budget=None, calls=4, natives=(), seen=None):
+    """``source`` on a fresh ``leg`` machine with the stlb world, called
+    ``calls`` times. ``stlb`` is ``"ram"``, ``"unmapped"`` or ``"mmio"``
+    (a ``_StlbDevice`` whose reads call ``on_read(m, loaded)``). The
+    hot range starts inside the stlb page when ``split``; ``cached``
+    caches the page before the first call. ``evictions[i]`` empties
+    entries before call i + 1. ``natives`` are ``(name, factory(m,
+    log))`` pairs besides ``fill``; ``setup(m, loaded, log)`` runs
+    before the first call; ``budget`` caps each call's instructions. A
+    raising call records its exception with the ``eip`` it left.
+    ``seen[leg]`` gets the ``lea`` index of each check the loop
+    fused."""
+    m, space, log = _make_machine(leg)
+    if stlb != "unmapped":
+        space.map_new_pages(STLB, 1)
+    space.map_new_pages(SPILL, 1)
+    m.cpu.add_hot_range(STLB + (0x10 if split else 0), SPILL + 4096)
+    loaded = None
+    if stlb == "mmio":
+        device = _StlbDevice(m.account, log, lambda: on_read(m, loaded))
+        m.phys.add_mmio_region(space.translate(STLB), 4096, device)
+    if stlb != "unmapped":
+        for k, state in enumerate(entries):
+            _set_entry(space, k, state)
+    if cached:
+        space.read_bytes(STLB, 8)
+    extern = {}
+    for name, factory in (("fill", _fill_factory),) + tuple(natives):
+        extern[name] = m.register_native(name, factory(m, log))
+    loaded = m.load_program(assemble(source), BASE, extern=extern)
+    if setup is not None:
+        setup(m, loaded, log)
+    if budget is not None:
+        m.cpu.max_steps_per_call = budget
+    results, errors = [], []
+    for call in range(calls):
+        if 0 < call <= len(evictions):
+            for k, evict in enumerate(evictions[call - 1]):
+                if evict:
+                    _set_entry(space, k, "cold")
+        m.cpu.regs["ebx"] = DATA
+        try:
+            results.append(_enter(m, loaded.symbol("f")))
+        except Exception as exc:  # noqa: BLE001 - compared structurally
+            errors.append((type(exc).__name__, str(exc), m.cpu.eip))
+    if seen is not None:
+        seen[leg] = sorted(i for i, c in loaded.checks.items() if c)
+    table = space.read_bytes(STLB, 32) if stlb == "ram" else None
+    return _observe(m, space, results, errors, log) + (table,)
+
+
+@contextmanager
+def _unfused():
+    """Runs built inside hold every instruction's own handler."""
+    with mock.patch.object(cpu_mod, "_fused_check", lambda loaded, i: None):
+        yield
+
+
+def _fused_and_plain(run, *args, **kwargs):
+    """``run`` on each leg with fusion on and off; asserts the two
+    observations of each leg are equal and returns them by leg. Only
+    the fused runs fill ``seen``."""
+    out = {}
+    plain_kwargs = dict(kwargs, seen=None)
+    for leg in LEGS:
+        fused = run(*args, leg=leg, **kwargs)
+        with _unfused():
+            plain = run(*args, leg=leg, **plain_kwargs)
+        assert fused == plain, leg
+        out[leg] = fused
+    return out
+
+
+def _all_legs(run, *args, **kwargs):
+    """``_fused_and_plain``, whose four legs must also agree with each
+    other; returns the interpreter's observation."""
+    out = _fused_and_plain(run, *args, **kwargs)
+    for leg in LEGS[1:]:
+        assert out[leg] == out["interp"], leg
+    return out["interp"]
+
+
+def _index_of(loaded, mnemonic, nth=0):
+    return [i for i, ins in enumerate(loaded.program.instructions)
+            if ins.mnemonic == mnemonic][nth]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_check_programs)
+def test_fused_checks_bit_identical(spec):
+    # lea forms, spills, pushf/popf, hits, misses through the slow
+    # block, evictions between calls, the page cached or not, the hot
+    # range whole or split on the stlb page
+    items, iters, entries, evictions, split, cached = spec
+    seen = {}
+    _all_legs(_run_check, _check_source(items, iters), entries=entries,
+              evictions=evictions, split=split, cached=cached, seen=seen)
+    assert seen["interp"]               # the loop fused the checks
+
+
+def test_fused_check_fast_path_once_its_page_is_cached():
+    # the first check finds the stlb page not yet cached and runs the
+    # nine handlers, which cache it; every later one takes the fast path
+    fallbacks = []
+    run_parts = cpu_mod._run_parts
+
+    def counted(cpu, parts):
+        fallbacks.append(cpu.executed)
+        run_parts(cpu, parts)
+
+    source = _check_source(_ONE, 4)
+    with mock.patch.object(cpu_mod, "_run_parts", counted):
+        _run_check(source, "interp", calls=2)
+    assert len(fallbacks) == 1
+    _all_legs(_run_check, source, calls=2)
+
+
+def test_fused_check_page_fault_on_unmapped_stlb():
+    # the cmp faults: same eip (the jne), executed, flags and account
+    source = _check_source(_ONE, 2)
+    off = _all_legs(_run_check, source, stlb="unmapped", calls=1)
+    (kind, message, eip), = off[1]
+    loaded = Machine().load_program(assemble(source), BASE,
+                                    extern={"fill": 0})
+    assert kind == "PageFault" and f"{STLB + 8:#010x}" in message
+    assert eip == loaded.next_addrs[_index_of(loaded, "cmp")]
+
+
+@pytest.mark.parametrize("effect", ["shadow", "hook xor"])
+def test_fused_check_over_mmio_stlb(effect):
+    # the stlb page is a device; its first read installs a charge
+    # shadow, or hooks the first check's xor
+    done = []
+
+    def on_read(m, loaded):
+        if done:
+            return
+        done.append(effect)
+        if effect == "shadow":
+            inner = m.account.charge
+            m.account.charge = lambda category, cycles: inner(category,
+                                                              cycles)
+        else:
+            log = []
+            loaded.instrument[_index_of(loaded, "xor")] = (
+                lambda cpu: log.append((cpu.eip, cpu.account.total)))
+
+    def run(*args, **kwargs):
+        done.clear()
+        return _run_check(*args, **kwargs)
+
+    items = [((form, ("edx", "esi", "eax", "ecx"), page, 0x40, "load",
+               False, False), []) for form, page in (("disp", 0),
+                                                     ("abs", 2))]
+    _all_legs(run, _check_source(items, 3), stlb="mmio",
+              entries=("cold", "hit", "stale", "hit"), calls=2)
+
+
+@pytest.mark.parametrize("late", [False, True])
+@pytest.mark.parametrize("at", range(9))
+def test_fused_check_hooked_at_each_instruction(at, late):
+    # a hook on any of the nine leaves the check unfused; ``late``
+    # hooks it from the slow path's native, after the check has run
+    # fused (the loop then drops its runs and fused checks)
+    def setup(m, loaded, log):
+        site = _index_of(loaded, "lea") + at
+
+        def hook(cpu):
+            log.append(("hook", cpu.eip, cpu.executed, cpu.account.total))
+
+        if not late:
+            loaded.instrument[site] = hook
+            return
+        fill = m.natives.by_addr[m.natives.address_of("fill")]
+        filled = fill.fn
+
+        def fill_and_hook(cpu):
+            filled(cpu)
+            loaded.instrument[site] = hook
+        fill.fn = fill_and_hook
+
+    seen = {}
+    _all_legs(_run_check, _check_source(_ONE, 3), setup=setup, seen=seen,
+              entries=("hit", "cold", "hit", "hit"), cached=True)
+    assert seen["interp"] == []
+
+
+@pytest.mark.parametrize("entry", ["hit", "cold"])
+@pytest.mark.parametrize("iteration", [0, 1])
+@pytest.mark.parametrize("ends_at", range(-1, 10))
+def test_fused_check_budget_ends_inside(ends_at, iteration, entry):
+    # the budget ends at each of the nine (and just before and after
+    # them), in the first or second pass through the check:
+    # CpuBudgetExceeded comes after the same instruction as with fusion
+    # off, in each leg. (Superblocks count their instructions when they
+    # exit, so the JIT legs stop later than the others.)
+    prologue = ["    movl $1, %eax", "    movl $2, %eax"]
+    # ebp, edi, three spills, pushf and the index come before the lea;
+    # one pass through the loop is 23 instructions
+    first_lea = len(prologue) + 7 + 1
+    budget = first_lea - 1 + ends_at + 23 * iteration
+    out = _fused_and_plain(_run_check, _check_source(_ONE, 3, prologue),
+                           budget=budget, calls=2, cached=True,
+                           entries=("hit", entry, "hit", "hit"))
+    assert out["interp"] == out["shadow"]
+    assert [kind for kind, _, _ in out["interp"][1]] == [
+        "CpuBudgetExceeded"] * 2
+
+
+@pytest.mark.parametrize("inner_iters", [1, 40])
+@pytest.mark.parametrize("budget", range(40, 90, 7))
+def test_fused_check_budget_with_reentrant_native(budget, inner_iters):
+    # a native runs driver code (``g``: ``inner_iters`` checks) in a
+    # nested loop, which counts against its own budget, not its
+    # caller's: the caller's budget ends (one inner check) or the nested
+    # loop's does (40), after the caller has fused checks pending
+    where = {}
+    text, slow = _render_check(_ONE[0][0], 1)
+    source = _check_source(
+        _ONE, 6, before_loop_end=["    call reenter"],
+        tail=["g:", "    pushl %edi", f"    movl ${VBASE}, %ebp",
+              f"    movl ${inner_iters}, %edi", "gloop:", text,
+              "    decl %edi", "    cmpl $0, %edi", "    jne gloop",
+              "    popl %edi", "    ret", slow])
+
+    def reenter_factory(m, log):
+        def reenter(cpu):
+            log.append(("reenter", cpu.executed, cpu.account.total))
+            cpu.call_function(where["g"])
+        return reenter
+
+    def setup(m, loaded, log):
+        where["g"] = loaded.symbol("g")
+
+    out = _fused_and_plain(_run_check, source, budget=budget, calls=2,
+                           setup=setup, cached=True,
+                           natives=(("reenter", reenter_factory),),
+                           entries=("hit", "cold", "hit", "hit"))
+    assert out["interp"] == out["shadow"]
+    assert out["interp"][1]             # a budget ran out
+
+
+def test_fused_check_hit_translating_to_zero():
+    # a translation to address 0 leaves the xor's zf set (and sf clear)
+    text, slow = _render_check(
+        ("disp", ("eax", "ecx", "edx", "esi"), 0, 0, "none", False,
+         False), 0)
+    source = "\n".join([".globl f", "f:", f"    movl ${VBASE}, %ebp",
+                        text, "    ret", slow]) + "\n"
+
+    def setup(m, loaded, log):
+        m.cpu.address_space.write(STLB + 4, 4, VBASE)
+
+    seen = {}
+    off = _all_legs(_run_check, source, setup=setup, cached=True, calls=2,
+                    seen=seen)
+    assert seen["interp"] and off[3]["zf"] and not off[3]["sf"]
+
+
+def test_fused_check_entry_across_page_end():
+    # the entry's tag ends the stlb page and its translation starts the
+    # next one: the fused check runs the nine handlers, which read both
+    text, slow = _render_check(
+        ("disp", ("eax", "ecx", "edx", "esi"), 1, 0x124, "load", False,
+         False), 0)
+    text = text.replace(f"cmpl {STLB}(", f"cmpl {STLB + 0xFF4}(").replace(
+        f"xorl {STLB + 4}(", f"xorl {STLB + 0xFF8}(")
+    source = "\n".join([".globl f", "f:", f"    movl ${VBASE}, %ebp",
+                        text, "    ret", slow]) + "\n"
+
+    def setup(m, loaded, log):
+        _, tag, translation = _entry(1)
+        m.cpu.address_space.write(STLB + 0xFFC, 4, tag)
+        m.cpu.address_space.write(SPILL, 4, translation)
+
+    seen = {}
+    _all_legs(_run_check, source, setup=setup, cached=True, calls=3,
+              seen=seen)
+    assert seen["interp"]
+
+
+@pytest.mark.parametrize("near_miss", [None, "xor at D+8",
+                                       "shr of another register",
+                                       "r2 == r3"])
+def test_fused_check_near_misses_do_not_fuse(near_miss):
+    # page 0, so that r1 is 0 however it is shifted; no access, since a
+    # near miss translates to nowhere
+    text, slow = _render_check(
+        ("disp", ("eax", "ecx", "edx", "esi"), 0, 0x124, "none", False,
+         False), 0)
+    if near_miss == "xor at D+8":
+        text = text.replace(f"xorl {STLB + 4}(", f"xorl {STLB + 8}(")
+    elif near_miss == "shr of another register":
+        text = text.replace("shrl $9, %eax", "shrl $9, %esi")
+    elif near_miss == "r2 == r3":
+        text = text.replace("movl %eax, %edx", "movl %eax, %ecx").replace(
+            "(%eax), %edx", "(%eax), %ecx")
+    source = "\n".join([".globl f", "f:", f"    movl ${VBASE}, %ebp",
+                        text, "    ret", slow]) + "\n"
+    seen = {}
+    _all_legs(_run_check, source, calls=2, seen=seen,
+              entries=("cold", "hit", "hit", "hit"))
+    assert bool(seen["interp"]) == (near_miss is None)
