@@ -1,8 +1,8 @@
 """Planned-handover benchmark: zero loss and a bounded virq-latency blip.
 
 Runs a live binary swap and a queue re-homing in the middle of a
-bidirectional packet stream, across (vcpus, num_queues, jit) combos,
-and measures what a handover is allowed to cost:
+bidirectional packet stream, across (vcpus, num_queues) combos, and
+measures what a handover is allowed to cost:
 
 * **drops** — packets injected minus packets delivered — must be 0 for
   every combo and both handover kinds. Traffic is injected *during* the
@@ -20,8 +20,7 @@ and measures what a handover is allowed to cost:
 
 Everything is measured on the virtual cycle account, so results are
 bit-identical run to run and gate cleanly against
-``baselines/handover.json`` (the jit=True combo must match its
-jit=False twin exactly — the JIT changes host wall time only).
+``baselines/handover.json``.
 """
 
 import pytest
@@ -31,9 +30,9 @@ from repro.obs.health import VIRQ_DEFER_HISTOGRAM
 
 from .common import header, report
 
-#: (vcpus, num_queues, jit) sweep — single-vCPU single-queue, SMP with
-#: RSS sharding, and the same SMP shape under the trace JIT.
-COMBOS = ((1, 1, False), (2, 2, False), (2, 2, True))
+#: (vcpus, num_queues) sweep — single-vCPU single-queue, and SMP with
+#: RSS sharding.
+COMBOS = ((1, 1), (2, 2))
 
 STREAM_PACKETS = 48      # per direction, around the handover
 HANDOVER_AT = 23         # packet index at which the handover fires
@@ -43,14 +42,14 @@ MID_WINDOW_RX = 4        # frames injected while the line is masked
 BLIP_SLO = 200_000
 
 
-def _label(kind, vcpus, queues, jit):
-    return f"{kind}_v{vcpus}_q{queues}{'_jit' if jit else ''}"
+def _label(kind, vcpus, queues):
+    return f"{kind}_v{vcpus}_q{queues}"
 
 
-def run_swap(vcpus, queues, jit):
+def run_swap(vcpus, queues):
     """Binary swap mid-stream on the domU-twin config."""
     sut = build("domU-twin", n_nics=2, vcpus=vcpus, num_queues=queues,
-                jit=jit, handover=True)
+                handover=True)
     mgr = sut.extras["handover"]
     injected = sent = 0
 
@@ -81,10 +80,10 @@ def run_swap(vcpus, queues, jit):
     }
 
 
-def run_rehome(vcpus, queues, jit):
+def run_rehome(vcpus, queues):
     """Queue re-homing mid-stream on the two-instance pair config."""
     sut = build("handover-pair", n_guests=2, n_nics=1, vcpus=vcpus,
-                num_queues=queues, jit=jit)
+                num_queues=queues)
     m = sut.machine
     devices = sut.extras["devices"]
     sec = sut.extras["secondary"]
@@ -125,11 +124,9 @@ def run_rehome(vcpus, queues, jit):
 
 def run_all():
     results = {}
-    for vcpus, queues, jit in COMBOS:
-        results[_label("swap", vcpus, queues, jit)] = run_swap(
-            vcpus, queues, jit)
-        results[_label("rehome", vcpus, queues, jit)] = run_rehome(
-            vcpus, queues, jit)
+    for vcpus, queues in COMBOS:
+        results[_label("swap", vcpus, queues)] = run_swap(vcpus, queues)
+        results[_label("rehome", vcpus, queues)] = run_rehome(vcpus, queues)
     return results
 
 
@@ -164,12 +161,3 @@ def test_handover_zero_loss(benchmark):
         assert res["p99_blip_cycles"] <= BLIP_SLO, (
             f"{label}: p99 blip {res['p99_blip_cycles']:.0f} cyc "
             f"exceeds SLO {BLIP_SLO}")
-    # the JIT must not change simulated behaviour at all
-    for vcpus, queues, jit in COMBOS:
-        if not jit:
-            continue
-        for kind in ("swap", "rehome"):
-            on = results[_label(kind, vcpus, queues, True)]
-            off = results.get(_label(kind, vcpus, queues, False))
-            if off is not None:
-                assert on == off, f"jit parity broken for {kind}"

@@ -30,8 +30,9 @@ nothing may be dropped and the dom0 path is never entered. The
   has is an entry of ``twin.held`` (rx batches, tx frames, irqs), not
   in flight.
 * **swap** — replace the binary via :meth:`reload_hyp_driver` (the
-  CodeRegistry epoch bumps on unregister *and* register, so every JIT
-  superblock compiled against the old program is invalidated), zero the
+  CodeRegistry epoch bumps on unregister *and* register, so a running
+  interpreter loop looks the program up again instead of running the
+  old one's handlers), zero the
   ``__svm_anchorK`` elision anchor slots, flush the stlb and the
   indirect-call translation cache. For a re-homing handover this phase
   instead detaches the guest's :class:`TwinQueue` state from the source
@@ -225,8 +226,8 @@ class HandoverManager:
                  mid_window_hook: Optional[Callable[[], None]]):
         twin = self.twin
         report.epoch_before = self.machine.code.epoch
-        # unregister + register both bump the epoch: every JIT superblock
-        # compiled against the old program is invalidated
+        # unregister + register both bump the epoch: a running loop
+        # looks the program up again instead of running the old one
         twin.reload_hyp_driver(verify_report=verify_report)
         report.epoch_after = self.machine.code.epoch
         twin.reset_anchor_slots()

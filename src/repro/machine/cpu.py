@@ -29,7 +29,6 @@ from ..isa.instructions import Instruction
 from ..isa.operands import Imm, Label, Mem, Reg
 from ..isa.program import Program
 from ..isa.registers import GPRS, SUBREGISTERS
-from .jit import JitState, compile_superblock
 from .memory import (OFFSET_MASK, PACK_U16, PACK_U32, PAGE_SHIFT, PAGE_SIZE,
                      UNPACK_U16, UNPACK_U32, PhysicalMemory)
 from .paging import AddressSpace
@@ -122,7 +121,8 @@ class _InstrumentMap(dict):
     closure at first execution; without invalidation, a hook registered
     *after* warm-up (inline probes, elision counters attached to a
     running instance) silently never fires. Mutating this map drops the
-    affected handlers and every superblock of the owning program."""
+    affected handlers and every run and fused check of the owning
+    program."""
 
     def __init__(self, owner: "LoadedProgram"):
         super().__init__()
@@ -197,16 +197,11 @@ class LoadedProgram:
         #: optional per-instruction observers, wrapped into the compiled
         #: handler once at compile time so uninstrumented instructions pay
         #: nothing in the hot loop. Mutations invalidate the affected
-        #: handlers (and all superblocks), so hooks registered after
-        #: warm-up take effect on the next fetch.
+        #: handlers (and all runs and fused checks), so hooks registered
+        #: after warm-up take effect on the next fetch.
         self.instrument: Dict[int, Callable[["Cpu"], None]] = (
             _InstrumentMap(self)
         )
-        #: instrument generation, bumped on every hook change; running
-        #: superblocks re-check it after hook/native boundaries.
-        self._igen = 0
-        #: lazily-created per-program JIT state (see ``jit_state``).
-        self._jit: Optional[JitState] = None
         self.symbols = {
             label: (self.addrs[i] if i < len(self.addrs) else self.end)
             for label, i in program.labels.items()
@@ -231,29 +226,15 @@ class LoadedProgram:
 
     def _instrument_changed(self, indices):
         """A hook was added/removed: drop the baked handlers for those
-        sites, every run, fused check and superblock (all may run
-        through them). The lists are cleared in place: ``_run_loop``
-        holds them."""
-        self._igen += 1
+        sites, every run and every fused check (all may run through
+        them). The lists are cleared in place: ``_run_loop`` holds
+        them."""
         n = len(self.handlers)
         for index in indices:
             if 0 <= index < n:
                 self.handlers[index] = None
         self.runs[:] = [None] * n
         self.checks.clear()
-        if self._jit is not None:
-            self._jit.counts.clear()
-            self._jit.superblocks.clear()
-
-    def jit_state(self, epoch: int) -> JitState:
-        """This program's superblock cache, valid for registry ``epoch``
-        (stale state from before a reload/re-verification is reset)."""
-        js = self._jit
-        if js is None:
-            js = self._jit = JitState(epoch)
-        elif js.epoch != epoch:
-            js.reset(epoch)
-        return js
 
 
 class CodeRegistry:
@@ -373,24 +354,11 @@ class Cpu:
         phys.page_price = self._page_price
         #: multiplies interpreter cycle charges (driver-speed calibration);
         #: setting it also sets ``scaled``, the pre-scaled cost table that
-        #: every interpreter charge and every JIT constant is taken from.
+        #: every interpreter charge is taken from.
         self.cycle_scale = 1.0
-        #: bumped whenever the hypervisor rotates the active vCPU; JIT
-        #: superblock world guards compare it so a mid-trace vCPU change
-        #: (natives can run the scheduler) bails to ``_run_loop``.
-        self.world_token = 0
         #: trace ring and cycle-attribution profiler (set by Machine).
         self.tracer = None
         self.profiler = None
-        #: trace-JIT (superblock compilation): off by default, enabled
-        #: per-configuration via ``configs.build(..., jit=True)``.
-        self.jit_enabled = False
-        #: jumps to a run head before its superblock is compiled.
-        self.jit_threshold = 16
-        #: compile-time stats (kept off the metrics registry so enabling
-        #: the JIT does not perturb any observable counter set).
-        self.jit_compiles = 0
-        self.jit_blacklisted = 0
 
     # -- accounting ----------------------------------------------------------
 
@@ -451,10 +419,10 @@ class Cpu:
         return True
 
     def _resume(self):
-        """Back from that code, or from a superblock: defer again, owing
-        ``alu`` only from here on (driver code it ran has been charged
-        already), unless it installed a charge shadow, in which case
-        ``_run_loop`` charges the rest of the call item by item."""
+        """Back from that code: defer again, owing ``alu`` only from
+        here on (driver code it ran has been charged already), unless it
+        installed a charge shadow, in which case ``_run_loop`` charges
+        the rest of the call item by item."""
         self._settled = self.executed
         self._deferring = not self.account.shadowed
 
@@ -713,19 +681,12 @@ class Cpu:
     def _run_loop(self):
         """Run until the sentinel return address: the one loop that
         dispatches driver instructions. Per run head it resolves the
-        program once and takes one of three branches:
+        program once and runs the head's run (``_run_for``) one of two
+        ways:
 
-        * superblock (JIT on, no charge shadow, head hot): settle, run
-          the superblock with deferral off, ``_resume``, and count its
-          instructions against the budget. A head is hot once the loop
-          has jumped to it ``jit_threshold`` times; one it fell through
-          to (``fall``: a branch not taken, a native's return, a run
-          stopped early) continues an earlier head's path, which that
-          head's trace covers. A blacklisted head, or one compiled at
-          another cycle scale, takes the next branch;
-        * deferring (no shadow): the head's run (``_run_for``) runs
-          without its ``alu`` charges; ``settle`` pays them and the RAM
-          hits before outside code runs (``_leave``) and at loop exit;
+        * deferring (no charge shadow): without its ``alu`` charges;
+          ``settle`` pays them and the RAM hits before outside code runs
+          (``_leave``) and at loop exit;
         * shadow: each ``alu`` is charged before its handler, so the
           shadow sees every cost item on its own.
 
@@ -739,9 +700,7 @@ class Cpu:
         budget ends."""
         budget = self.max_steps_per_call
         code = self.code
-        jit = self.jit_enabled
         steps = 0
-        fall = None     # fall-through address of the last run's last insn
         # the program of the last fetch and its tables are kept in
         # locals and re-resolved only on a registry change or on leaving
         # its address range
@@ -768,63 +727,34 @@ class Cpu:
                     lo, hi = loaded.base, loaded.end
                     index_of = loaded.addr_to_index.get
                     runs = loaded.runs
-                    if jit:
-                        js = loaded.jit_state(epoch)
-                sb = None
-                if jit and self._deferring:
-                    sb = js.superblocks.get(eip)
-                    if sb is None and eip != fall:
-                        hits = js.counts.get(eip, 0) + 1
-                        if hits < self.jit_threshold:
-                            js.counts[eip] = hits
-                        else:
-                            js.counts.pop(eip, None)
-                            sb = compile_superblock(self, loaded, eip)
-                            if sb is None:
-                                sb = False
-                                self.jit_blacklisted += 1
-                            else:
-                                self.jit_compiles += 1
-                            js.superblocks[eip] = sb
-                if sb and sb.scale == self._cycle_scale:
-                    self.settle()
-                    self._deferring = False
-                    start = self.executed
-                    sb.entries += 1
-                    sb.fn(self)
-                    self._resume()
-                    steps += self.executed - start
-                    fall = None
+                run = runs[index]
+                if run is None:
+                    run = _run_for(loaded, index)
+                run, insns = run
+                if steps + insns > budget:
+                    run = _run_for(loaded, index, fuse=False)[0]
+                    run = run[:budget + 1 - steps]
+                leaves = self._leaves
+                if self._deferring:
+                    for count, (handler, next_addr) in enumerate(run, 1):
+                        self.executed += 1
+                        self.eip = next_addr
+                        handler(self)
+                        if self._leaves != leaves:
+                            break
                 else:
-                    run = runs[index]
-                    if run is None:
-                        run = _run_for(loaded, index)
-                    run, insns = run
-                    if steps + insns > budget:
-                        run = _run_for(loaded, index, fuse=False)[0]
-                        run = run[:budget + 1 - steps]
-                    leaves = self._leaves
-                    if self._deferring:
-                        for count, (handler, next_addr) in enumerate(run, 1):
-                            self.executed += 1
-                            self.eip = next_addr
-                            handler(self)
-                            if self._leaves != leaves:
-                                break
-                    else:
-                        for count, (handler, next_addr) in enumerate(run, 1):
-                            self.executed += 1
-                            self.eip = next_addr
-                            self.account.charge(self._category[-1],
-                                                self.scaled.alu)
-                            handler(self)
-                            if self._leaves != leaves:
-                                break
-                    steps += count
-                    if self._extra:
-                        steps += self._extra
-                        self._extra = 0
-                    fall = next_addr
+                    for count, (handler, next_addr) in enumerate(run, 1):
+                        self.executed += 1
+                        self.eip = next_addr
+                        self.account.charge(self._category[-1],
+                                            self.scaled.alu)
+                        handler(self)
+                        if self._leaves != leaves:
+                            break
+                steps += count
+                if self._extra:
+                    steps += self._extra
+                    self._extra = 0
                 if steps > budget:
                     raise CpuBudgetExceeded(
                         f"driver executed more than {budget} instructions"
@@ -865,18 +795,12 @@ class Cpu:
     # -- the interpreter ---------------------------------------------------------------
 
     def jit_stats(self) -> Dict[str, int]:
-        """Superblock statistics summed over every registered program
-        (compile counters are CPU-lifetime)."""
-        stats = {"compiles": self.jit_compiles,
-                 "blacklisted": self.jit_blacklisted,
-                 "superblocks": 0, "entries": 0}
-        for loaded in self.code._programs:
-            if loaded._jit is not None:
-                for sb in loaded._jit.superblocks.values():
-                    if sb:
-                        stats["superblocks"] += 1
-                        stats["entries"] += sb.entries
-        return stats
+        """Always zero entries and zero compiles: the interpreter is the
+        one engine that runs driver code. Kept only because the
+        host-speed benchmark (``benchmarks/perf``) still reads it for
+        its ``jit.*`` per-layer rows; goes when the benchmark drops
+        them."""
+        return {"entries": 0, "compiles": 0}
 
     # -- string instructions ----------------------------------------------------------
 
@@ -937,12 +861,10 @@ class Cpu:
 # the mnemonic test, operand decoding and branch-target resolution happen
 # once, at first execution, and the closure is cached on the LoadedProgram
 # keyed by instruction index. These closures *are* the instruction
-# semantics: ``_run_loop`` runs them, and the superblock JIT must
-# reproduce their effects and their charges (one ``account.charge`` per
-# cost item, in order, valued from ``cpu.scaled``) bit for bit. A handler
-# never charges ``alu`` itself: under a charge shadow ``_run_loop``
-# charges it before the handler, and otherwise owes it per executed
-# instruction.
+# semantics, and ``_run_loop`` is the one thing that runs them. A
+# handler never charges ``alu`` itself: under a charge shadow
+# ``_run_loop`` charges it before the handler, and otherwise owes it per
+# executed instruction.
 
 #: full (32-bit) register names — sub-register access goes through
 #: get_reg/set_reg, full registers are read/written directly.
@@ -951,8 +873,7 @@ _FULL_REGS = frozenset(GPRS)
 
 def _handler_for(loaded: LoadedProgram, index: int) -> Callable[[Cpu], None]:
     """Compile (and cache) the handler for one instruction, wrapping the
-    instrument hook registered for that site. Shared by ``_run_for`` and
-    the superblock compiler so both see identical hook semantics."""
+    instrument hook registered for that site."""
     handler = _compile_instruction(
         loaded.program.instructions[index], loaded, index
     )

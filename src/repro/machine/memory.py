@@ -21,8 +21,8 @@ PAGE_MASK = ~(PAGE_SIZE - 1) & 0xFFFFFFFF
 OFFSET_MASK = PAGE_SIZE - 1
 
 #: little-endian accessors on a frame ``bytearray``, used by the RAM
-#: fast paths of the interpreter, of JIT superblocks and of
-#: ``read_frame``/``write_frame`` (every Python-side reader).
+#: fast paths of the interpreter and of ``read_frame``/``write_frame``
+#: (every Python-side reader).
 UNPACK_U16 = Struct("<H").unpack_from
 UNPACK_U32 = Struct("<I").unpack_from
 PACK_U16 = Struct("<H").pack_into

@@ -90,10 +90,10 @@ class AddressSpace:
         self.hypervisor_table = hypervisor_table
         #: RAM page cache: virtual page -> (the frame ``bytearray`` it
         #: maps, the page's price), for reads and for writable mappings.
-        #: Every reader uses it: the CPU and JIT superblocks, and this
-        #: class's own ``read``/``write``/``read_bytes``/``write_bytes``,
-        #: which the kernel model, ``SvmView``, the support natives and
-        #: the twin glue go through. ``cache_page`` is the one place an
+        #: Every reader uses it: the CPU, and this class's own
+        #: ``read``/``write``/``read_bytes``/``write_bytes``, which the
+        #: kernel model, ``SvmView``, the support natives and the twin
+        #: glue go through. ``cache_page`` is the one place an
         #: entry is stored, after a translation, and only for a plain
         #: RAM page (``PhysicalMemory.ram_frame``). The price comes from
         #: ``phys.page_price``, the CPU's: the scaled ``mem_hot`` when

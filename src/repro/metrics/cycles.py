@@ -55,8 +55,8 @@ class CycleAccount:
         to this account: a profiler, a fault-injection hook, a plain
         function or another account's bound ``charge`` stored on the
         instance all count. Code that adds charges up before charging
-        them (the interpreter, superblocks) must charge item by item
-        while this holds, so the shadow sees every item."""
+        them (the interpreter) must charge item by item while this
+        holds, so the shadow sees every item."""
         charge = self.charge
         return (getattr(charge, "__self__", None) is not self
                 or charge.__func__ is not CycleAccount.charge)

@@ -151,9 +151,6 @@ class Hypervisor:
         if vcpu is self._cur_vcpu:
             return
         self._cur_vcpu = vcpu
-        # Superblocks compiled by the trace JIT cache per-world state;
-        # a vCPU change is a world change they must re-validate.
-        self.machine.cpu.world_token += 1
         if vcpu.current is not None:
             self.machine.cpu.address_space = vcpu.current.aspace
 

@@ -61,8 +61,8 @@ class TestSwapBinary:
         assert report.ok and report.kind == "swap"
         assert report.phases == ["request", "drain", "freeze", "swap",
                                  "replay", "resume"]
-        # unregister + register each bump the CodeRegistry epoch, so
-        # every JIT superblock against the old program is invalid
+        # unregister + register each bump the CodeRegistry epoch, so a
+        # running loop looks the program up again
         assert report.epoch_after >= report.epoch_before + 2
         assert mgr.state == "idle"
         # the new instance carries traffic
@@ -73,9 +73,8 @@ class TestSwapBinary:
         assert m.wire.tx_count == 20
         assert twin.hyp_support.pool.balanced
 
-    def test_swap_under_smp_multiqueue_jit(self):
+    def test_swap_under_smp_multiqueue(self):
         m, xen, twin, dev, nic = make_twin(vcpus=2, num_queues=2)
-        m.cpu.jit_enabled = True
         mgr = HandoverManager(twin)
         for _ in range(8):
             assert m.wire.inject(nic, rx_frame())

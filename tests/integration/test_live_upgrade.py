@@ -3,8 +3,8 @@ determinism with and around handovers, and the recovery fallback.
 
 The contract under test (DESIGN.md §14):
 
-* a binary swap in the middle of a bidirectional stream — under SMP,
-  multiqueue RSS and the trace JIT all at once — drops nothing;
+* a binary swap in the middle of a bidirectional stream — under SMP
+  and multiqueue RSS at once — drops nothing;
 * two identical runs that request the handover at the same packet index
   are bit-identical (cycle account, deliveries, payloads);
 * merely *wiring* the handover subsystem (``handover=True``) changes
@@ -43,9 +43,9 @@ def stream(sut, n, handover_at=None, mgr=None):
 
 
 class TestZeroLossSwapMidStream:
-    def test_swap_under_smp_multiqueue_jit_drops_nothing(self):
+    def test_swap_under_smp_multiqueue_drops_nothing(self):
         sut = build("domU-twin", n_nics=2, vcpus=2, num_queues=2,
-                    jit=True, handover=True)
+                    handover=True)
         mgr = sut.extras["handover"]
         stream(sut, 40, handover_at=19, mgr=mgr)
         assert sut.packets_delivered == 40

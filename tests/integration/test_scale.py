@@ -1,4 +1,5 @@
-"""Scale config end-to-end: determinism at 64 guests, JIT under SMP."""
+"""Scale config end-to-end: determinism at 64 guests, and the ignored
+``jit`` keyword the host-speed benchmark still passes."""
 
 from repro.configs import build_scale
 
@@ -67,23 +68,15 @@ class TestDeterminism:
 
 class TestJitUnderSmp:
     def test_jit_parity_on_smp_scale_config(self):
-        """The superblock world guard must re-check the running vCPU:
-        with the scheduler interleaving guests across 4 vCPUs, simulated
-        cycles and packet outcomes stay identical with the JIT on."""
-        def run(jit):
+        """``benchmarks/perf``'s ``scale64_small`` builds with
+        ``jit=True`` and reads ``cpu.jit_stats()``: the keyword changes
+        nothing, and the stats read no entries and no compiles."""
+        def run(**kwargs):
             sut = build_scale(n_guests=8, vcpus=4, num_queues=4,
-                              n_nics=2, jit=jit)
+                              n_nics=2, **kwargs)
             drive(sut, bursts_per_guest=2)
-            return outcome(sut)
+            return outcome(sut), sut.machine.cpu.jit_stats()
 
-        off, on = run(jit=False), run(jit=True)
-        assert off == on
-
-    def test_world_token_bumps_only_on_vcpu_change(self):
-        sut = build_scale(n_guests=4, vcpus=2, num_queues=2, n_nics=1)
-        xen = sut.xen
-        tok = sut.machine.cpu.world_token
-        xen.activate_vcpu(xen.vcpus[0])  # already active: no bump
-        assert sut.machine.cpu.world_token == tok
-        xen.activate_vcpu(xen.vcpus[1])
-        assert sut.machine.cpu.world_token == tok + 1
+        (plain, _), (with_jit, stats) = run(), run(jit=True)
+        assert with_jit == plain
+        assert stats == {"entries": 0, "compiles": 0}

@@ -1,4 +1,5 @@
-"""CPU interpreter: instruction semantics, flags, calls, natives, faults."""
+"""CPU interpreter: instruction semantics, flags, calls, natives, faults,
+charges, instrument hooks and the fused stlb check."""
 
 from dataclasses import FrozenInstanceError
 
@@ -6,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import verify_program
+from repro.core.rewriter import STLB_SYMBOL, apply_elision, rewrite_driver
+from repro.drivers import DRIVER_SPECS
 from repro.isa import assemble, code_size, encoder
+from repro.isa.operands import Imm, Mem
 from repro.machine import (
     AddressSpace,
     CpuBudgetExceeded,
@@ -15,6 +20,7 @@ from repro.machine import (
     PAGE_SIZE,
     PageFault,
 )
+from repro.machine.cpu import LoadedProgram, _run_for
 from repro.metrics import CycleAccount
 
 DATA = 0xC0000000
@@ -937,3 +943,135 @@ class TestDeferredCharges:
             change()
             cpu._deferring = False
             assert m.account.cycles[category] - before == 3 + 10
+
+
+class TestInstrumentHooks:
+    """Hooks registered on warm code fire: a hook change drops the
+    loop's cached handlers, runs and fused checks."""
+
+    SRC = ".globl f\nf: movl $5, %eax\naddl $1, %eax\nret"
+
+    @staticmethod
+    def calls(m, loaded, n):
+        for _ in range(n):
+            assert m.cpu.call_function(loaded.symbol("f"), [],
+                                       stack_top=STACK_TOP) == 6
+
+    def test_hook_added_on_warm_code_fires(self):
+        m, _ = make_machine()
+        loaded = m.load_linked_program(assemble(self.SRC), 0x08000000)
+        self.calls(m, loaded, 6)                  # warm: handlers cached
+        hits = []
+        loaded.instrument[1] = lambda cpu: hits.append(cpu.eip)
+        self.calls(m, loaded, 4)
+        assert len(hits) == 4
+
+    def test_hook_removal_stops_firing(self):
+        m, _ = make_machine()
+        loaded = m.load_linked_program(assemble(self.SRC), 0x08000000)
+        hits = []
+        loaded.instrument[1] = lambda cpu: hits.append(cpu.eip)
+        self.calls(m, loaded, 6)
+        assert len(hits) == 6
+        del loaded.instrument[1]
+        self.calls(m, loaded, 4)
+        assert len(hits) == 6
+
+    def test_hook_does_not_perturb_cycles(self):
+        # a hook settles before it runs and defers again after it: the
+        # calls cost what they cost unhooked
+        outs = []
+        for hooked in (False, True):
+            m, _ = make_machine()
+            loaded = m.load_linked_program(assemble(self.SRC), 0x08000000)
+            self.calls(m, loaded, 6)
+            if hooked:
+                loaded.instrument[1] = lambda cpu: None
+            before = m.account.snapshot()
+            self.calls(m, loaded, 4)
+            outs.append(m.account.delta_since(before))
+        assert outs[0] == outs[1]
+
+
+class TestReloadInvalidation:
+    """The loop's cached program across a recovery reload (unregister
+    and reload at the same base)."""
+
+    V1 = ".globl f\nf: call swap\nmovl $1, %eax\nret"
+    V2 = ".globl f\nf: call swap\nmovl $2, %eax\nret"
+
+    def test_mid_run_reload_executes_new_program(self):
+        m, _ = make_machine()
+        state = {"armed": False}
+
+        def swap(cpu):
+            if not state["armed"]:
+                return None
+            state["armed"] = False
+            m.code.unregister(state["loaded"])
+            state["loaded"] = m.load_program(
+                assemble(self.V2), 0x08000000,
+                extern={"swap": m.natives.address_of("swap")})
+            return None
+
+        m.register_native("swap", swap)
+        state["loaded"] = m.load_program(
+            assemble(self.V1), 0x08000000,
+            extern={"swap": m.natives.address_of("swap")})
+        f = state["loaded"].symbol("f")
+        for _ in range(6):                        # warm the v1 binary
+            assert m.cpu.call_function(f, [], stack_top=STACK_TOP) == 1
+        state["armed"] = True
+        # the reload happens *inside* this call: the very next fetch
+        # after the native returns must execute v2's instructions
+        assert m.cpu.call_function(f, [], stack_top=STACK_TOP) == 2
+        assert m.cpu.call_function(f, [], stack_top=STACK_TOP) == 2
+
+
+class TestFusedCheckCoverage:
+    """The interpreter fuses the shipped drivers' stlb checks: runs built
+    from every instruction of a rewritten (or elided) driver hold one
+    fused entry per figure-4 check, that is per ``memory``/``indirect``
+    site the rewriter annotated and not elided, and fuse nothing else.
+    The matcher goes by the instructions' shape alone, so a change to
+    ``_emit_svm_sequence`` that loses the shape fails here."""
+
+    @staticmethod
+    def _fused(program):
+        """Indices of the ``lea`` of every check ``_run_for`` fuses in
+        ``program``, with runs built from every instruction. Every
+        symbol and import the program names is bound to a placeholder
+        address, as a loader would bind them."""
+        symbols = {op.symbol for instr in program.instructions
+                   for op in instr.operands
+                   if isinstance(op, (Imm, Mem)) and op.symbol is not None}
+        loaded = LoadedProgram(program.resolve(dict.fromkeys(symbols, 0)),
+                               0x08000000,
+                               extern=dict.fromkeys(program.imports(), 0))
+        for index in range(len(program.instructions)):
+            _run_for(loaded, index)
+        return sorted(i for i, check in loaded.checks.items()
+                      if check is not None)
+
+    @pytest.mark.parametrize("protect_stack", [False, True])
+    @pytest.mark.parametrize("driver", ["e1000", "rtl8139"])
+    def test_one_fused_check_per_site(self, driver, protect_stack):
+        rewritten, stats = rewrite_driver(
+            DRIVER_SPECS[driver].build_program(),
+            protect_stack=protect_stack)
+        sites = [a for a in stats.annotations
+                 if a.kind in ("memory", "indirect")]
+        fused = self._fused(rewritten)
+        assert len(fused) == len(sites)
+        for site in sites:
+            assert sum(site.start <= i < site.end for i in fused) == 1
+
+        report = verify_program(rewritten, annotations=stats.annotations,
+                                protect_stack=protect_stack)
+        elided, elision = apply_elision(rewritten, report.proofs)
+        fused = self._fused(elided)
+        assert elision.sites_elided
+        assert len(fused) == len(sites) - elision.sites_elided
+        # each one is a check: its cmp reads the stlb
+        assert all(elided.instructions[i + 6].memory_operand().symbol
+                   == STLB_SYMBOL for i in fused)

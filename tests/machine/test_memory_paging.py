@@ -1,6 +1,6 @@
 """Physical memory, MMIO dispatch, page tables, address spaces, and the
-per-address-space RAM page cache that the CPU, the JIT and every
-Python-side reader share."""
+per-address-space RAM page cache that the CPU and every Python-side
+reader share."""
 
 import pytest
 from hypothesis import given, settings
@@ -223,7 +223,7 @@ class TestAddressSpace:
 class TestStraddlingWrite:
     """A write that crosses into a page it may not write raises before
     it changes a byte of the first page: from Python (``write``,
-    ``write_bytes``) and from driver code, with the JIT off and on."""
+    ``write_bytes``) and from driver code."""
 
     @pytest.fixture(params=["unmapped", "read-only"])
     def second(self, request):
@@ -258,11 +258,8 @@ class TestStraddlingWrite:
                 space.write_bytes(addr, b"\x44\x33\x22\x11")
         assert phys.read_bytes((first << 12) + PAGE_SIZE - 2, 2) == b"\0\0"
 
-    @pytest.mark.parametrize("jit", [False, True], ids=["interp", "jit"])
-    def test_driver_store(self, second, jit):
+    def test_driver_store(self, second):
         m = Machine()
-        m.cpu.jit_enabled = jit
-        m.cpu.jit_threshold = 1
         space = TestPageCache.space(m, "a")
         m.cpu.address_space = space
         first = self.map_pages(m.phys, space, second)
@@ -281,17 +278,14 @@ STACK_TOP = 0xC0104000
 
 
 class TestPageCache:
-    """Ground truth for the RAM page cache, with the JIT off and on (a
-    differential test cannot see a stale entry: both engines read the
-    same cache). Each test fills the cache through a CPU load, changes
+    """Ground truth for the RAM page cache (a differential test cannot
+    see a stale entry: both of its legs read the same cache). Each test fills the cache through a CPU load, changes
     the translation or the price one way, and checks the next access
     against what the page tables, devices and hot ranges now say."""
 
-    @pytest.fixture(params=[False, True], ids=["interp", "jit"])
-    def m(self, request):
+    @pytest.fixture
+    def m(self):
         m = Machine()
-        m.cpu.jit_enabled = request.param
-        m.cpu.jit_threshold = 1
         m.cpu.address_space = self.space(m, "a")
         return m
 

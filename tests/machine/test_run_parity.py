@@ -1,29 +1,27 @@
-"""Differential fuzzing: interpreter vs superblock JIT (ISSUE 8).
+"""Differential fuzzing of the interpreter's two ways to run a call.
 
-Every generated program is run on four fresh machines over several
+Every generated program is run on two fresh machines over several
 invocations: the interpreter as it runs by default (deferring its
-charges), the superblock JIT at threshold 1 (a head compiles the first
-time the loop jumps to it), the interpreter under a pass-through
-charge shadow (every cost item charged on its own, the reference), and
-the JIT at threshold 3, where a loop head runs as deferred runs,
-compiles part-way through a call and is entered from a deferring run.
-The complete observable state must be bit-identical: registers, flags,
-direction flag, ``executed``, every per-category cycle counter, the
-data pages, and ``account.total`` as the natives and the MMIO device
-saw it at each call and access. Separate properties drive natives,
-native-raised exceptions (the upcall shape), and page faults through
-the middle of hot superblocks. The "world" properties cover every branch
-of the interpreter's RAM fast path: 1/2/4-byte accesses at unaligned and
-page-crossing offsets, a hot range over part of the data, a cycle scale
-whose per-charge rounding differs from rounding the sum, a page shared
-by RAM and a recording MMIO device, and a page whose frame does not
-exist (BusError). The "delegated" property mixes in the forms a
-superblock runs through their interpreter handlers, between emitted
-instructions: sign extension, exchange, multiply, the flags word, the
-direction flag, 8/16-bit register operands, 1/2-byte immediate stores
-and a memory operand indexed by a 16-bit register. The "fused check"
-properties and cases run the figure-4 stlb check, which the interpreter
-runs as one run entry, against the same program with fusion off.
+charges and settling them at natives, devices, hooks and loop exit),
+and the interpreter under a pass-through charge shadow (every cost item
+charged on its own, the reference). The complete observable state must
+be bit-identical: registers, flags, direction flag, ``executed``, every
+per-category cycle counter, the data pages, and ``account.total`` as
+the natives and the MMIO device saw it at each call and access.
+Separate properties drive natives, native-raised exceptions (the upcall
+shape), and page faults through the middle of hot loops. The "world"
+properties cover every branch of the interpreter's RAM fast path:
+1/2/4-byte accesses at unaligned and page-crossing offsets, a hot range
+over part of the data, a cycle scale whose per-charge rounding differs
+from rounding the sum, a page shared by RAM and a recording MMIO device,
+and a page whose frame does not exist (BusError). The "generic"
+property mixes in forms that keep generic, thunk-based handlers between
+operand-specialised ones: sign extension, exchange, multiply, the flags
+word, the direction flag, 8/16-bit register operands, 1/2-byte
+immediate stores and a memory operand indexed by a 16-bit register.
+The "fused check" properties and cases run the figure-4 stlb check,
+which the interpreter runs as one run entry, against the same program
+with fusion off.
 """
 
 from contextlib import contextmanager
@@ -91,7 +89,7 @@ _instr = st.one_of(
 _block = st.lists(_instr, min_size=1, max_size=4)
 
 #: per-block guards: guard i optionally jumps forward over block i+1,
-#: giving the trace compiler real side exits
+#: so runs end at taken and untaken branches
 _guards = st.lists(st.one_of(
     st.none(),
     st.tuples(st.sampled_from(_JCC), st.sampled_from(_REGS), _imm),
@@ -124,9 +122,9 @@ _world_instr = st.one_of(
 
 _nsize = st.sampled_from([1, 2])
 
-#: forms outside the JIT's inline set (every register from ``_SREGS``
+#: forms that keep generic handlers (every register from ``_SREGS``
 #: where an 8- or 16-bit name is needed)
-_delegated_instr = st.one_of(
+_generic_instr = st.one_of(
     st.tuples(st.just("movsxload"), _nsize, st.sampled_from(_REGS), _off),
     st.tuples(st.just("movsxreg"), _nsize, st.sampled_from(_SREGS),
               st.sampled_from(_REGS)),
@@ -151,8 +149,8 @@ _delegated_instr = st.one_of(
               st.integers(0, 0xFFFF), _off),
 )
 
-_delegated_programs = st.tuples(
-    st.lists(st.lists(st.one_of(_delegated_instr, _instr), min_size=1,
+_generic_programs = st.tuples(
+    st.lists(st.lists(st.one_of(_generic_instr, _instr), min_size=1,
                       max_size=5), min_size=1, max_size=3),
     _guards, st.integers(2, 6))
 
@@ -179,8 +177,8 @@ def _narrow(kind, size, reg, mem) -> str:
 _SUFFIX = {1: "b", 2: "w"}
 
 
-def _render_delegated(op):
-    """The text of a ``_delegated_instr`` op; None for any other."""
+def _render_generic(op):
+    """The text of a ``_generic_instr`` op; None for any other."""
     kind = op[0]
     if kind == "movsxload":
         return f"    movsx{_SUFFIX[op[1]]} {op[3]}(%ebx), %{op[2]}"
@@ -220,9 +218,9 @@ def _render_delegated(op):
 
 def _render(op) -> str:
     kind = op[0]
-    delegated = _render_delegated(op)
-    if delegated is not None:
-        return delegated
+    generic = _render_generic(op)
+    if generic is not None:
+        return generic
     if kind == "movimm":
         return f"    movl ${op[2]}, %{op[1]}"
     if kind == "movreg":
@@ -297,9 +295,8 @@ class _Recorder:
         self.log.append(("w", offset, size, value, self.account.total))
 
 
-#: the legs every program runs on, and the JIT threshold of each JIT leg
-LEGS = ("interp", "jit", "shadow", "jit3")
-_THRESHOLDS = {"jit": 1, "jit3": 3}
+#: the legs every program runs on
+LEGS = ("interp", "shadow")
 
 
 def _make_machine(leg, world=False):
@@ -315,8 +312,6 @@ def _make_machine(leg, world=False):
     # a byte pattern, so that loads of every width return non-zero bits
     space.write_bytes(DATA, _PATTERN)
     m.cpu.address_space = space
-    m.cpu.jit_enabled = leg in _THRESHOLDS
-    m.cpu.jit_threshold = _THRESHOLDS.get(leg, 1)
     if leg == "shadow":
         inner = m.account.charge
         m.account.charge = lambda category, cycles: inner(category, cycles)
@@ -393,17 +388,16 @@ def test_alu_memory_loops_bit_identical(spec):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_delegated_programs)
-def test_delegated_forms_bit_identical(spec):
-    # forms outside the inline set run their handlers inside the trace,
-    # between emitted instructions and their batched charges
+@given(_generic_programs)
+def test_generic_forms_bit_identical(spec):
+    # forms that keep generic handlers, between specialised ones
     blocks, guards, iters = spec
     _legs(_run_one, _build_source(blocks, guards, iters))
 
 
 @settings(max_examples=20, deadline=None)
 @given(_programs, st.integers(0, 0xFFFF))
-def test_native_calls_mid_superblock(spec, salt):
+def test_native_calls_mid_run(spec, salt):
     blocks, guards, iters = spec
     source = _build_source(
         blocks, guards, iters,
@@ -420,9 +414,9 @@ def test_native_calls_mid_superblock(spec, salt):
 
 @settings(max_examples=20, deadline=None)
 @given(_programs, st.integers(1, 8))
-def test_native_raises_mid_superblock(spec, boom_at):
+def test_native_raises_mid_run(spec, boom_at):
     # the upcall shape: a native raising out of the middle of a hot
-    # trace must leave identical precise state in both modes
+    # loop must leave identical precise state in both legs
     class Boom(Exception):
         pass
 
@@ -446,7 +440,7 @@ def test_native_raises_mid_superblock(spec, boom_at):
 
 @settings(max_examples=20, deadline=None)
 @given(_programs, st.integers(0, 3))
-def test_fault_mid_superblock(spec, bad_call):
+def test_fault_mid_run(spec, bad_call):
     # one invocation points the data base at an unmapped page: the
     # PageFault must surface at the same instruction, same cycles
     blocks, guards, iters = spec
@@ -487,7 +481,7 @@ def test_world_corners_bit_identical():
 
 @settings(max_examples=20, deadline=None)
 @given(_world_programs, st.integers(0, 3))
-def test_bus_error_mid_superblock(spec, bad_call):
+def test_bus_error_mid_run(spec, bad_call):
     # the data base moves onto a page whose frame does not exist: the
     # BusError surfaces at the same instruction, after the same charges
     blocks, guards, iters = spec
@@ -505,7 +499,7 @@ def test_bus_error_mid_superblock(spec, bad_call):
 # virtual pages ``VBASE + k * 4096`` (k < 4) to the data pages through an
 # stlb of 512 eight-byte entries on a hot page; a slow block calls the
 # ``fill`` native, which writes the entry, and jumps back to the lea.
-# Besides the four legs (the shadow leg runs the nine handlers), each
+# Besides the two legs (the shadow leg runs the nine handlers), each
 # case also runs with fusion off, every instruction its own run entry,
 # and must observe the same.
 
@@ -669,7 +663,8 @@ def _run_check(source, leg, *, entries=("hit",) * 4, evictions=(),
     entries before call i + 1. ``natives`` are ``(name, factory(m,
     log))`` pairs besides ``fill``; ``setup(m, loaded, log)`` runs
     before the first call; ``budget`` caps each call's instructions. A
-    raising call records its exception with the ``eip`` it left.
+    raising call records its exception with the ``eip`` it left and the
+    instructions it executed.
     ``seen[leg]`` gets the ``lea`` index of each check the loop
     fused."""
     m, space, log = _make_machine(leg)
@@ -701,10 +696,12 @@ def _run_check(source, leg, *, entries=("hit",) * 4, evictions=(),
                 if evict:
                     _set_entry(space, k, "cold")
         m.cpu.regs["ebx"] = DATA
+        start = m.cpu.executed
         try:
             results.append(_enter(m, loaded.symbol("f")))
         except Exception as exc:  # noqa: BLE001 - compared structurally
-            errors.append((type(exc).__name__, str(exc), m.cpu.eip))
+            errors.append((type(exc).__name__, str(exc), m.cpu.eip,
+                           m.cpu.executed - start))
     if seen is not None:
         seen[leg] = sorted(i for i, c in loaded.checks.items() if c)
     table = space.read_bytes(STLB, 32) if stlb == "ram" else None
@@ -718,28 +715,21 @@ def _unfused():
         yield
 
 
-def _fused_and_plain(run, *args, **kwargs):
-    """``run`` on each leg with fusion on and off; asserts the two
-    observations of each leg are equal and returns them by leg. Only
-    the fused runs fill ``seen``."""
-    out = {}
+def _all_legs(run, *args, **kwargs):
+    """``run`` on each leg with fusion on and off; asserts all four
+    observations are equal and returns the interpreter's fused one.
+    Only the fused runs fill ``seen``."""
     plain_kwargs = dict(kwargs, seen=None)
+    interp = None
     for leg in LEGS:
         fused = run(*args, leg=leg, **kwargs)
         with _unfused():
             plain = run(*args, leg=leg, **plain_kwargs)
         assert fused == plain, leg
-        out[leg] = fused
-    return out
-
-
-def _all_legs(run, *args, **kwargs):
-    """``_fused_and_plain``, whose four legs must also agree with each
-    other; returns the interpreter's observation."""
-    out = _fused_and_plain(run, *args, **kwargs)
-    for leg in LEGS[1:]:
-        assert out[leg] == out["interp"], leg
-    return out["interp"]
+        if interp is None:
+            interp = fused
+        assert fused == interp, leg
+    return interp
 
 
 def _index_of(loaded, mnemonic, nth=0):
@@ -781,7 +771,7 @@ def test_fused_check_page_fault_on_unmapped_stlb():
     # the cmp faults: same eip (the jne), executed, flags and account
     source = _check_source(_ONE, 2)
     off = _all_legs(_run_check, source, stlb="unmapped", calls=1)
-    (kind, message, eip), = off[1]
+    (kind, message, eip, _), = off[1]
     loaded = Machine().load_program(assemble(source), BASE,
                                     extern={"fill": 0})
     assert kind == "PageFault" and f"{STLB + 8:#010x}" in message
@@ -853,20 +843,19 @@ def test_fused_check_hooked_at_each_instruction(at, late):
 def test_fused_check_budget_ends_inside(ends_at, iteration, entry):
     # the budget ends at each of the nine (and just before and after
     # them), in the first or second pass through the check:
-    # CpuBudgetExceeded comes after the same instruction as with fusion
-    # off, in each leg. (Superblocks count their instructions when they
-    # exit, so the JIT legs stop later than the others.)
+    # CpuBudgetExceeded comes after the same instruction in each leg,
+    # fused and unfused, and each call stops after budget + 1 of its
+    # own instructions
     prologue = ["    movl $1, %eax", "    movl $2, %eax"]
     # ebp, edi, three spills, pushf and the index come before the lea;
     # one pass through the loop is 23 instructions
     first_lea = len(prologue) + 7 + 1
     budget = first_lea - 1 + ends_at + 23 * iteration
-    out = _fused_and_plain(_run_check, _check_source(_ONE, 3, prologue),
-                           budget=budget, calls=2, cached=True,
-                           entries=("hit", entry, "hit", "hit"))
-    assert out["interp"] == out["shadow"]
-    assert [kind for kind, _, _ in out["interp"][1]] == [
-        "CpuBudgetExceeded"] * 2
+    off = _all_legs(_run_check, _check_source(_ONE, 3, prologue),
+                    budget=budget, calls=2, cached=True,
+                    entries=("hit", entry, "hit", "hit"))
+    assert [(kind, executed) for kind, _, _, executed in off[1]] == [
+        ("CpuBudgetExceeded", budget + 1)] * 2
 
 
 @pytest.mark.parametrize("inner_iters", [1, 40])
@@ -894,12 +883,11 @@ def test_fused_check_budget_with_reentrant_native(budget, inner_iters):
     def setup(m, loaded, log):
         where["g"] = loaded.symbol("g")
 
-    out = _fused_and_plain(_run_check, source, budget=budget, calls=2,
-                           setup=setup, cached=True,
-                           natives=(("reenter", reenter_factory),),
-                           entries=("hit", "cold", "hit", "hit"))
-    assert out["interp"] == out["shadow"]
-    assert out["interp"][1]             # a budget ran out
+    off = _all_legs(_run_check, source, budget=budget, calls=2,
+                    setup=setup, cached=True,
+                    natives=(("reenter", reenter_factory),),
+                    entries=("hit", "cold", "hit", "hit"))
+    assert off[1]                       # a budget ran out
 
 
 def test_fused_check_hit_translating_to_zero():

@@ -50,14 +50,6 @@ class TestVCpus:
         xen.activate_vcpu(xen.vcpus[0])
         assert m.cpu.address_space is doms[0].aspace
 
-    def test_activate_same_vcpu_keeps_world_token(self):
-        m, xen, dom0, doms = make_smp()
-        tok = m.cpu.world_token
-        xen.activate_vcpu(xen.vcpus[0])
-        assert m.cpu.world_token == tok
-        xen.activate_vcpu(xen.vcpus[1])
-        assert m.cpu.world_token == tok + 1
-
 
 class TestScheduling:
     def test_one_quantum_runs_one_work_item(self):
