@@ -22,6 +22,9 @@ immediate stores and a memory operand indexed by a 16-bit register.
 The "fused check" properties and cases run the figure-4 stlb check,
 which the interpreter runs as one run entry, against the same program
 with fusion off.
+
+The file keeps the name it had when a trace JIT, since deleted, ran as
+a third leg, so that the IDs of its tests stay the same.
 """
 
 from contextlib import contextmanager
